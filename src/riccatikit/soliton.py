@@ -5,8 +5,9 @@ and psi2 = (-1)^N psi1(x, -k).  Imposing proportionality
 psi2(x, k_j) = (-1)^{j+1} B_j psi1(x, k_j) at the prescribed wavenumbers k_j
 gives an N x N linear system for the coefficients a_j(x); the potential is
 u = 2 a_1'.  Derivatives of a_j are exact, obtained by implicit
-differentiation of the system (reusing one LU factorization), never by finite
-differences.
+differentiation of the system, never by finite differences.  A grid of x
+values is one stacked (P, N, N) system, solved by one batched LAPACK solve
+per derivative order.
 
 Closed forms are provided for N <= 2, including the time-extended fields that
 solve the KP and KdV flows.  Sign conventions: the potentials here are
@@ -16,6 +17,7 @@ read u_t - 6 u u_x + u_xxx = 0 and (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,88 +84,85 @@ class SolitonSpec:
         return SolitonSpec(self.k, tuple(beta))
 
 
+def _rows(k, f, const):
+    """Augmented rows [k_j^N w_0j, k_j^{N-1} w_1j, ..., k_j^0 w_Nj] of the system.
+
+    w_ij = f_j where i + j is odd (j 1-based) and ``const`` elsewhere.  f has
+    shape (..., N) and the result (..., N, N + 1); column 0 is -rhs, the rest
+    is M.  f = tanh(tau) with const = 1 gives the system itself, and
+    f = d^r tanh(tau) / dx^r with const = 0 its r-th x-derivative.
+    """
+    n = k.size
+    powers = k[:, None] ** np.arange(n, -1, -1)
+    odd = np.add.outer(np.arange(1, n + 1), np.arange(n + 1)) % 2 == 1
+    return powers * np.where(odd, f[..., :, None], const)
+
+
 def coefficient_system(k, e):
     """Interpolation system (M, rhs) for given tanh values e_j = tanh(tau_j).
 
     Row j (1-based) reads sum_i a_i k_j^{N-i} w_ij = -k_j^N w_0j with
-    w_ij = e_j when i + j is odd and 1 otherwise.
+    w_ij = e_j when i + j is odd and 1 otherwise.  e may carry leading batch
+    axes, (..., N), giving M of shape (..., N, N) and rhs of shape (..., N).
     """
-    k = np.asarray(k, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = k.size
-    m = np.empty((n, n))
-    rhs = np.empty(n)
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            w = e[j - 1] if (i + j) % 2 == 1 else 1.0
-            m[j - 1, i - 1] = k[j - 1] ** (n - i) * w
-        w0 = e[j - 1] if j % 2 == 1 else 1.0
-        rhs[j - 1] = -(k[j - 1] ** n) * w0
-    return m, rhs
-
-
-def _weight_mask(n):
-    # True where the entry carries the x-dependent tanh factor
-    mask = np.zeros((n, n + 1), dtype=bool)  # column 0 is the rhs weight
-    for j in range(1, n + 1):
-        mask[j - 1, 0] = j % 2 == 1
-        for i in range(1, n + 1):
-            mask[j - 1, i] = (i + j) % 2 == 1
-    return mask
+    rows = _rows(np.asarray(k, dtype=float), np.asarray(e, dtype=float), 1.0)
+    return rows[..., 1:], -rows[..., 0]
 
 
 def system_matrix(spec, x):
-    """The scaled interpolation matrix at x (exposed for conditioning checks)."""
+    """The row-scaled interpolation system (M, rhs) at x (exposed for conditioning checks).
+
+    Array x gives M of shape x.shape + (N, N) and rhs of shape x.shape + (N,).
+    """
     k = np.array(spec.k)
-    e = np.tanh(k * x + np.array(spec.beta))
+    e = np.tanh(np.multiply.outer(x, k) + np.array(spec.beta))
     m, rhs = coefficient_system(k, e)
-    scale = np.max(np.abs(m), axis=1)
-    return m / scale[:, None], rhs / scale
+    scale = np.max(np.abs(m), axis=-1)
+    return m / scale[..., None], rhs / scale
 
 
 def solve_coefficients(spec, x, order=1):
     """Coefficients a_j(x) and their first ``order`` exact derivatives.
 
-    Implicit differentiation: M a' = rhs' - M' a and
-    M a'' = rhs'' - 2 M' a' - M'' a, reusing the factorization of M.
-    Returns a tuple of ``order + 1`` arrays.
+    x is a number or an array of P points.  The row-scaled systems at all
+    points are stacked and solved by one batched LAPACK solve per derivative
+    order, the derivatives by implicit differentiation:
+    M a' = rhs' - M' a and M a'' = rhs'' - 2 M' a' - M'' a.
+    Returns a tuple of ``order + 1`` arrays of shape x.shape + (N,).  Raises
+    NumericError naming the first x at which the system is singular or its
+    solution is not finite (for instance x = nan).
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    n = spec.n
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(-1)
     k = np.array(spec.k)
-    tau = k * x + np.array(spec.beta)
-    e = np.tanh(tau)
+    e = np.tanh(np.multiply.outer(xs, k) + np.array(spec.beta))
     de = k * (1 - e**2)
     dde = -2 * k**2 * e * (1 - e**2)
+    rows = [_rows(k, f, c) for f, c in ((e, 1.0), (de, 0.0), (dde, 0.0))[: order + 1]]
+    scale = np.max(np.abs(rows[0][..., 1:]), axis=-1, keepdims=True)
+    ms = [r[..., 1:] / scale for r in rows]
+    rhss = [-r[..., 0:1] / scale for r in rows]
 
-    m, rhs = coefficient_system(k, e)
-    mask = _weight_mask(n)
-    powers = np.array([[k[j] ** (n - i) for i in range(1, n + 1)] for j in range(n)])
-    rhs_pow = -(k**n)
-
-    dm = np.where(mask[:, 1:], powers * de[:, None], 0.0)
-    ddm = np.where(mask[:, 1:], powers * dde[:, None], 0.0)
-    drhs = np.where(mask[:, 0], rhs_pow * de, 0.0)
-    ddrhs = np.where(mask[:, 0], rhs_pow * dde, 0.0)
-
-    scale = np.max(np.abs(m), axis=1)
+    out = []
     try:
-        lu = numeric.LUFactorization(m / scale[:, None])
-    except numeric.SingularMatrixError as err:
-        raise numeric.NumericError(
-            f"interpolation system unexpectedly singular at x = {x:.6g}"
-        ) from err
+        for r in range(order + 1):
+            # Leibniz: M a^(r) = rhs^(r) - sum_s C(r, s) M^(s) a^(r-s)
+            b = rhss[r] - sum(math.comb(r, s) * (ms[s] @ out[r - s]) for s in range(1, r + 1))
+            out.append(np.linalg.solve(ms[0], b))
+    except np.linalg.LinAlgError as err:
+        _fail(xs, ~(np.abs(np.linalg.det(ms[0])) > 0), err)
+    coeffs = np.stack(out)[..., 0]  # (order + 1, P, N)
+    bad = ~np.isfinite(coeffs).all(axis=(0, 2))
+    if bad.any():
+        _fail(xs, bad)
+    return tuple(c.reshape(x.shape + (spec.n,)) for c in coeffs)
 
-    a = lu.solve(rhs / scale)
-    out = [a]
-    if order >= 1:
-        da = lu.solve((drhs - dm @ a) / scale)
-        out.append(da)
-    if order >= 2:
-        dda = lu.solve((ddrhs - 2 * dm @ da - ddm @ a) / scale)
-        out.append(dda)
-    return tuple(out)
+
+def _fail(xs, bad, cause=None):
+    first = xs[int(np.argmax(bad))]
+    raise numeric.NumericError(f"interpolation system has no finite solution at x = {first:.6g}") from cause
 
 
 class TransparentPotential:
@@ -179,15 +178,15 @@ class TransparentPotential:
             if grid.size == 0:
                 raise ValueError("grid must be nonempty")
             self.grid = grid
-            self.u = np.array([self.u_at(x) for x in grid])
-            self.a = np.array([solve_coefficients(spec, x, order=0)[0] for x in grid])
+            self.a, da = solve_coefficients(spec, grid, order=1)
+            self.u = 2.0 * da[..., 0]
 
     def a_at(self, x, order=0):
         return solve_coefficients(self.spec, x, order=order)[order]
 
     def u_at(self, x):
         _, da = solve_coefficients(self.spec, x, order=1)
-        return 2.0 * da[0]
+        return 2.0 * da[..., 0]
 
     @property
     def closed_form(self):
@@ -326,13 +325,13 @@ def kdv_closed_form(spec):
 
 
 def kp_field(spec, x, y, t):
-    """KP-extended field value via phase-shifted coefficient solves (any N)."""
+    """KP-extended field via phase-shifted coefficient solves (any N; x a number or array)."""
     shifted = spec.shifted(y=y, t=t)
     return TransparentPotential(shifted).u_at(x)
 
 
 def kdv_field(spec, x, t):
-    """KdV-extended field value via phase-shifted coefficient solves (any N)."""
+    """KdV-extended field via phase-shifted coefficient solves (any N; x a number or array)."""
     shifted = spec.shifted(t=t, kdv=True)
     return TransparentPotential(shifted).u_at(x)
 

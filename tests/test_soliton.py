@@ -11,6 +11,8 @@ from riccatikit.series import zeta_chain
 SPEC1 = so.SolitonSpec((1.0,), (0.0,))
 SPEC2 = so.SolitonSpec((2.0, 1.0), (0.0, 0.0))
 SPEC3 = so.SolitonSpec((3.0, 2.0, 1.0), (0.0, 0.3, -0.4))
+SPEC4 = so.SolitonSpec((4.0, 3.0, 2.0, 1.0), (0.2, -0.1, 0.0, 0.4))
+SPEC8 = so.SolitonSpec(tuple(float(v) for v in range(8, 0, -1)), (0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.0))
 
 
 class TestSpecValidation:
@@ -68,6 +70,73 @@ class TestSolveCoefficients:
         dap = so.solve_coefficients(SPEC2, -0.3 + h, order=1)[1]
         dam = so.solve_coefficients(SPEC2, -0.3 - h, order=1)[1]
         assert dda == pytest.approx((dap - dam) / (2 * h), abs=1e-7)
+
+
+def _close(batched, looped, rtol=1e-13):
+    np.testing.assert_allclose(batched, looped, rtol=rtol, atol=rtol * max(1.0, np.max(np.abs(looped))))
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC4, SPEC8], ids=lambda s: f"N{s.n}")
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_array_x_matches_scalar_calls(self, spec, order):
+        xs = np.linspace(-6.0, 6.0, 41)
+        batched = so.solve_coefficients(spec, xs, order=order)
+        assert len(batched) == order + 1
+        for r, arr in enumerate(batched):
+            assert arr.shape == (xs.size, spec.n)
+            looped = np.array([so.solve_coefficients(spec, float(x), order=order)[r] for x in xs])
+            assert looped.shape == (xs.size, spec.n)
+            _close(arr, looped)
+        grid = xs[:40].reshape(5, 8)
+        assert so.solve_coefficients(spec, grid, order=order)[order].shape == (5, 8, spec.n)
+        assert so.solve_coefficients(spec, 0.3, order=order)[order].shape == (spec.n,)
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC3, SPEC8], ids=lambda s: f"N{s.n}")
+    def test_grid_potential_matches_pointwise_evaluation(self, spec):
+        grid = np.linspace(-8.0, 8.0, 81)
+        tp = so.TransparentPotential(spec, grid)
+        assert tp.a.shape == (grid.size, spec.n)
+        assert tp.u.shape == grid.shape
+        _close(tp.a, np.array([tp.a_at(float(x)) for x in grid]))
+        _close(tp.u, np.array([tp.u_at(float(x)) for x in grid]))
+
+    def test_system_matrix_batches(self):
+        xs = np.array([-3.0, 0.0, 2.5])
+        m, rhs = so.system_matrix(SPEC3, xs)
+        assert m.shape == (3, 3, 3) and rhs.shape == (3, 3)
+        for i, x in enumerate(xs):
+            mi, ri = so.system_matrix(SPEC3, float(x))
+            np.testing.assert_array_equal(m[i], mi)
+            np.testing.assert_array_equal(rhs[i], ri)
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC4], ids=lambda s: f"N{s.n}")
+    def test_kp_and_kdv_fields_take_arrays(self, spec):
+        xs = np.linspace(-4.0, 4.0, 17)
+        kp = so.kp_field(spec, xs, 0.4, -0.3)
+        kdv = so.kdv_field(spec, xs, 0.2)
+        assert kp.shape == kdv.shape == xs.shape
+        _close(kp, np.array([so.kp_field(spec, float(x), 0.4, -0.3) for x in xs]))
+        _close(kdv, np.array([so.kdv_field(spec, float(x), 0.2) for x in xs]))
+
+
+class TestSolveFailsLoudly:
+    def test_nan_scalar_raises(self):
+        with pytest.raises(numeric.NumericError, match="x = nan"):
+            so.solve_coefficients(SPEC2, float("nan"))
+
+    def test_nan_in_grid_raises(self):
+        with pytest.raises(numeric.NumericError, match="x = nan"):
+            so.potential(SPEC2, [0.0, float("nan")])
+
+    def test_names_the_first_offending_point(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "det", lambda a: np.where(np.arange(len(a)) == 2, 0.0, 1.0))
+        with pytest.raises(numeric.NumericError, match=r"x = 1\.5$"):
+            so.solve_coefficients(SPEC2, np.array([-1.0, 0.5, 1.5, 2.5]))
 
 
 class TestPotential:
