@@ -432,13 +432,11 @@ def cmd_finite_gap(args):
         t_traj = float("nan")
         checks.append(check("period_quadrature_vs_trajectory", float("inf"), 1e-6))
     c = fg.c_poly(spec)
-    energy = max(
-        abs(traj.dgammas[i, 0] ** 2 - c(traj.gammas[i, 0])) for i in range(len(traj.xs))
-    )
+    energy = np.max(np.abs(numeric.pow2(traj.dgammas[:, 0]) - c(traj.gammas[:, 0])))
     checks.append(check("energy_invariant_drift", energy, 1e-8))
     if traj.xs[-1] - traj.xs[0] > t_quad:
         xs_check = traj.xs[traj.xs <= traj.xs[-1] - t_quad][::5]
-        per = max(abs(traj(xv + t_quad)[0] - traj(xv)[0]) for xv in xs_check)
+        per = np.max(np.abs(traj(xs_check + t_quad)[:, 0] - traj(xs_check)[:, 0]))
         checks.append(check("periodicity_of_u", 2 * per, 1e-6))
     dub = fg.dubrovin_checks(traj, c)
     checks.append(check("dubrovin_item1", dub.item1_max, 1e-6))

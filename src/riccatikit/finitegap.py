@@ -9,7 +9,8 @@ form gamma_xx = C'(gamma)/2, which removes square-root branch bookkeeping.
 For N root variables the coupled system
 gamma_{j,x}^2 = C(gamma_j) / prod_{k != j} (gamma_j - gamma_k)^2 is exposed
 both as a magnitude right-hand side (caller-managed signs) and as a smooth
-second-order integrator.
+second-order integrator.  The Dubrovin identities are checked at every grid
+point of a trajectory in one array pass.
 """
 
 from __future__ import annotations
@@ -119,24 +120,30 @@ class RootTrajectory:
         return state[..., : self.n]
 
     def turning_points(self, kind="max"):
-        """x locations where gamma_1' crosses zero (maxima or minima)."""
+        """x locations where gamma_1' crosses zero (maxima or minima).
+
+        Each sign change of the sampled gamma_1' is bisected on the dense
+        interpolant for at most 80 halvings, stopping once the midpoint
+        rounds to an endpoint: no later halving could move the bracket.
+        """
         want_down = kind == "max"
-        out = []
         d = self.dgammas[:, 0]
-        for i in range(len(self.xs) - 1):
-            if d[i] == 0.0:
-                continue
-            crossing = d[i] > 0 > d[i + 1] if want_down else d[i] < 0 < d[i + 1]
-            if crossing:
-                lo, hi = self.xs[i], self.xs[i + 1]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    dv = self(mid)[self.n]
-                    if (dv > 0) == want_down:
-                        lo = mid
-                    else:
-                        hi = mid
-                out.append(0.5 * (lo + hi))
+        if want_down:
+            starts = np.flatnonzero((d[:-1] > 0) & (d[1:] < 0))
+        else:
+            starts = np.flatnonzero((d[:-1] < 0) & (d[1:] > 0))
+        out = []
+        for i in starts:
+            lo, hi = self.xs[i], self.xs[i + 1]
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                if (self(mid)[self.n] > 0) == want_down:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(0.5 * (lo + hi))
         return out
 
 
@@ -162,9 +169,9 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     states = traj(xs)
     gam = states[:, 0]
     dgam = states[:, 1]
-    ddgam = 0.5 * np.array([dc(g) for g in gam])
+    ddgam = 0.5 * dc(gam)
 
-    energy = np.abs(dgam**2 - np.array([c(g) for g in gam]))
+    energy = np.abs(dgam**2 - c(gam))
     scale = max(1.0, abs(c0))
     if np.max(energy) > 1e-8 * scale:
         raise numeric.NumericError(
@@ -176,19 +183,30 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
 def period(spec, tol=1e-12):
     """Oscillation period: the band integral of 1/sqrt of the triple product.
 
-    T = int_{lambda3}^{lambda2} dl / sqrt((lambda1 - l)(lambda2 - l)(l - lambda3)),
-    computed with the sin^2 substitution that removes both endpoint
-    singularities.  A closed gap (lambda2 -> lambda3) has a divergent period.
+    T = int_{lambda3}^{lambda2} dl / sqrt((lambda1 - l)(lambda2 - l)(l - lambda3)).
+    The substitution l = lambda3 + (lambda2 - lambda3) sin^2(theta) cancels
+    both endpoint roots by hand, leaving the smooth integrand
+    2 / sqrt(lambda1 - l) = 2 / sqrt(lambda1 - lambda2 + (lambda2 - lambda3) cos^2(theta))
+    on [0, pi/2]; in closed form T = 2 K(m) / sqrt(lambda1 - lambda3) with
+    m = (lambda2 - lambda3) / (lambda1 - lambda3).  Both near-degenerate
+    limits stay accurate: lambda2 -> lambda3 and lambda2 -> lambda1 (the
+    near-soliton limit).  A collapsed band lambda2 - lambda3 < 1e-12 is
+    refused: gamma has no room to oscillate, though T itself stays finite.
     """
     l1, l2, l3 = spec.lams
     if l2 - l3 < 1e-12:
-        raise ValueError("degenerate gap: lambda2 - lambda3 vanishes, the period diverges")
+        raise ValueError(
+            "degenerate gap: lambda2 - lambda3 vanishes and the band [lambda3, lambda2] collapses "
+            "(the period does not diverge; it tends to pi / sqrt(lambda1 - lambda3))"
+        )
+    d12 = l1 - l2
+    d23 = l2 - l3
 
-    def f(lam):
-        prod = (l1 - lam) * (l2 - lam) * (lam - l3)
-        return 1.0 / math.sqrt(prod)
+    def f(theta):
+        # a sum of two non-negative terms: no cancellation as lambda2 -> lambda1
+        return 2.0 / math.sqrt(d12 + d23 * math.cos(theta) ** 2)
 
-    return numeric.quadrature(f, l3, l2, tol=tol, endpoint_regularization=True)
+    return numeric.quadrature(f, 0.0, math.pi / 2, tol=tol)
 
 
 def trace_potential(traj, spec):
@@ -250,18 +268,19 @@ def dubrovin_rhs(c, gamma):
 
 
 def _dubrovin_accel(c, dc, gamma, dgamma):
-    n = gamma.size
-    acc = np.empty(n)
+    """gamma_j'' for one state (n,) or for many at once (points, n)."""
+    n = gamma.shape[-1]
+    acc = np.empty(gamma.shape)
     for j in range(n):
         q = 1.0
         cross = 0.0
         for k in range(n):
             if k == j:
                 continue
-            d = gamma[j] - gamma[k]
-            q *= d
-            cross += (dgamma[j] - dgamma[k]) / d
-        acc[j] = 0.5 * dc(gamma[j]) / (q * q) - dgamma[j] * cross
+            d = gamma[..., j] - gamma[..., k]
+            q = q * d
+            cross = cross + (dgamma[..., j] - dgamma[..., k]) / d
+        acc[..., j] = 0.5 * dc(gamma[..., j]) / (q * q) - dgamma[..., j] * cross
     return acc
 
 
@@ -288,7 +307,7 @@ def integrate_dubrovin(c, gamma0, signs, x_range, step=0.005, tol=1e-12):
     states = traj(xs)
     gam = states[:, :n]
     dgam = states[:, n:]
-    ddgam = np.array([_dubrovin_accel(poly, dc, g, dg) for g, dg in zip(gam, dgam)])
+    ddgam = _dubrovin_accel(poly, dc, gam, dgam)
     return RootTrajectory(xs, gam, dgam, ddgam, dense=traj)
 
 
@@ -310,62 +329,70 @@ def dubrovin_checks(traj, c, tol=1e-6):
     (2) 2 phi phi_xx + C(lambda) - phi_x^2 is exactly divisible by phi^2 and
         the quotient is 4U with U monic of degree m.
 
+    Every grid point is checked in one array pass: phi, phi_x and phi_xx are
+    (points, n + 1) descending-coefficient arrays, and the division by the
+    monic phi^2 is a synthetic division over the quotient columns.
     Returns per-identity maxima; ``passed`` reflects the given tolerance.
     """
     poly = c.poly if isinstance(c, CPoly) else c
     m_expected = (poly.degree - 2 * traj.n) if not isinstance(c, CPoly) else c.m
-    c_desc = np.array(list(reversed(poly.coeffs)))
+    gam, dgam, ddgam = traj.gammas, traj.dgammas, traj.ddgammas
+    points, n = gam.shape
 
-    item1 = 0.0
-    remainder_max = 0.0
-    leading = []
-    quotients = []
-    for idx in range(len(traj.xs)):
-        gam = traj.gammas[idx]
-        dgam = traj.dgammas[idx]
-        ddgam = traj.ddgammas[idx]
+    q = np.ones((points, n))
+    for j in range(n):
+        for k in range(n):
+            if k != j:
+                q[:, j] *= gam[:, j] - gam[:, k]
+    item1 = float(np.max(np.abs(poly(gam) - numeric.pow2(dgam * q))))
 
-        phi = np.poly(gam)  # descending coefficients of prod (lambda - gamma_j)
-        phi_x = _poly_zero(traj.n)
-        phi_xx = _poly_zero(traj.n)
-        for j in range(traj.n):
-            others = np.delete(gam, j)
-            pj = np.poly(others) if others.size else np.array([1.0])
-            phi_x = _poly_add(phi_x, -dgam[j] * pj)
-            phi_xx = _poly_add(phi_xx, -ddgam[j] * pj)
-            for k in range(traj.n):
-                if k == j:
-                    continue
-                rest = np.delete(gam, [j, k])
-                pjk = np.poly(rest) if rest.size else np.array([1.0])
-                phi_xx = _poly_add(phi_xx, dgam[j] * dgam[k] * pjk)
+    phi = _from_roots(gam)
+    phi_x = np.zeros((points, n))
+    phi_xx = np.zeros((points, n))
+    for j in range(n):
+        pj = _from_roots(np.delete(gam, j, axis=1))
+        phi_x -= dgam[:, j, None] * pj
+        phi_xx -= ddgam[:, j, None] * pj
+        for k in range(n):
+            if k != j:
+                pjk = _from_roots(np.delete(gam, [j, k], axis=1))
+                phi_xx[:, 1:] += (dgam[:, j] * dgam[:, k])[:, None] * pjk
 
-        for j in range(traj.n):
-            qj = np.prod(gam[j] - np.delete(gam, j)) if traj.n > 1 else 1.0
-            item1 = max(item1, abs(poly(gam[j]) - (dgam[j] * qj) ** 2))
+    c_desc = np.array(poly.coeffs[::-1])
+    width = max(c_desc.size, 2 * n)
+    numerator = np.zeros((points, width))
+    numerator[:, width - c_desc.size :] = c_desc
+    numerator[:, width - (2 * n - 1) :] -= _polymul(phi_x, phi_x)
+    numerator[:, width - 2 * n :] += 2.0 * _polymul(phi, phi_xx)
 
-        numerator = _poly_add(2.0 * np.polymul(phi, phi_xx), _poly_add(c_desc, -np.polymul(phi_x, phi_x)))
-        quot, rem = np.polydiv(numerator, np.polymul(phi, phi))
-        remainder_max = max(remainder_max, float(np.max(np.abs(rem))) if rem.size else 0.0)
-        leading.append(quot[0])
-        quotients.append(quot)
+    divisor = _polymul(phi, phi)  # monic, degree 2n
+    n_quot = width - 2 * n
+    quotients = np.zeros((points, max(n_quot, 1)))
+    for k in range(n_quot):
+        quotients[:, k] = numerator[:, k]
+        numerator[:, k : k + 2 * n + 1] -= numerator[:, k, None] * divisor
+    remainder = numerator[:, max(n_quot, 0) :]
+    remainder_max = float(np.max(np.abs(remainder)))
 
-    quotients = np.array(quotients)
     degree = quotients.shape[1] - 1
-    lead = float(np.mean(leading))
+    lead = float(np.mean(quotients[:, 0]))
     passed = item1 <= tol and remainder_max <= tol and degree == m_expected and abs(lead - 4.0) <= tol
     return DubrovinReport(item1, remainder_max, degree, lead, quotients, passed)
 
 
-def _poly_zero(n):
-    return np.zeros(1)
+def _from_roots(roots):
+    """Descending coefficients of prod_j (lambda - roots[:, j]), one row per point."""
+    points, n = roots.shape
+    out = np.zeros((points, n + 1))
+    out[:, 0] = 1.0
+    for j in range(n):
+        out[:, 1 : j + 2] -= roots[:, j, None] * out[:, : j + 1]
+    return out
 
 
-def _poly_add(a, b):
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.size < b.size:
-        a = np.concatenate([np.zeros(b.size - a.size), a])
-    elif b.size < a.size:
-        b = np.concatenate([np.zeros(a.size - b.size), b])
-    return a + b
+def _polymul(a, b):
+    """Row-wise product of descending-coefficient arrays."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i : i + b.shape[1]] += a[:, i, None] * b
+    return out

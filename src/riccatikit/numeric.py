@@ -1,13 +1,15 @@
 """Shared numerical substrate.
 
-Adaptive embedded Runge-Kutta integration with dense output, adaptive
-Gauss-Kronrod quadrature with optional endpoint regularisation, small dense
-LU solves with reusable factorizations, companion-matrix polynomial roots
-and finite-difference stencils.
+Adaptive embedded Runge-Kutta integration with dense output (a whole grid
+of x is interpolated in one array pass), adaptive Gauss-Kronrod quadrature
+with optional endpoint regularisation, small dense LU solves with reusable
+factorizations, companion-matrix polynomial roots and finite-difference
+stencils.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "IvpProblem",
     "Trajectory",
     "integrate_ivp",
+    "pow2",
     "quadrature",
     "LUFactorization",
     "linsolve",
@@ -58,16 +61,21 @@ class IntegrationBlowUp(NumericError):
 # difference to the embedded 4th order solution estimates the local error.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    np.array(row)
+    for row in (
+        [],
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    )
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
+_TINY_STEP = 16 * np.finfo(float).eps
 
 
 class IvpProblem:
@@ -96,6 +104,13 @@ class Trajectory:
         self.ys = np.asarray(ys, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
         self._forward = self.xs[-1] >= self.xs[0]
+        # step widths and the interior nodes in ascending order: searching the
+        # interior nodes gives the step index already clipped to the range
+        self._h = self.xs[1:] - self.xs[:-1]
+        self._zero_steps = bool(np.any(self._h == 0))
+        inner = self.xs[1:-1]
+        self._inner = inner if self._forward else inner[::-1]
+        self._inner_list = self._inner.tolist()
 
     @property
     def x0(self):
@@ -106,31 +121,49 @@ class Trajectory:
         return self.xs[-1]
 
     def __call__(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x_arr.size, self.ys.shape[1]))
-        xs = self.xs if self._forward else self.xs[::-1]
-        idx = np.clip(np.searchsorted(xs, x_arr) - 1, 0, len(self.xs) - 2)
-        if not self._forward:
-            idx = len(self.xs) - 2 - idx
-        for n, (xv, i) in enumerate(zip(x_arr, idx)):
-            h = self.xs[i + 1] - self.xs[i]
+        """State at x: shape (dim,) for a number, x.shape + (dim,) for an array.
+
+        Every point is interpolated on the accepted step that holds it, all
+        points in one array pass; points outside the range extrapolate the
+        first or last step, and a zero-width step returns its node value.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            i = self._step_index(bisect.bisect_left(self._inner_list, float(x)))
+            h = self._h[i]
             if h == 0:
-                out[n] = self.ys[i]
-                continue
-            t = (xv - self.xs[i]) / h
-            h00 = (1 + 2 * t) * (1 - t) ** 2
-            h10 = t * (1 - t) ** 2
-            h01 = t * t * (3 - 2 * t)
-            h11 = t * t * (t - 1)
-            out[n] = (
-                h00 * self.ys[i]
-                + h10 * h * self.fs[i]
-                + h01 * self.ys[i + 1]
-                + h11 * h * self.fs[i + 1]
-            )
-        if np.ndim(x) == 0:
-            return out[0]
-        return out
+                return self.ys[i].copy()
+            return _hermite((x - self.xs[i]) / h, h, self.ys[i], self.fs[i], self.ys[i + 1], self.fs[i + 1])
+        flat = x.reshape(-1)
+        i = self._step_index(np.searchsorted(self._inner, flat))
+        h = self._h[i]
+        if self._zero_steps:
+            zero = h == 0
+            h = np.where(zero, 1.0, h)
+        t = ((flat - self.xs[i]) / h)[:, None]
+        out = _hermite(t, h[:, None], self.ys[i], self.fs[i], self.ys[i + 1], self.fs[i + 1])
+        if self._zero_steps:
+            out[zero] = self.ys[i[zero]]
+        return out.reshape(x.shape + self.ys.shape[1:])
+
+    def _step_index(self, i):
+        return i if self._forward else len(self.xs) - 2 - i
+
+
+def pow2(x):
+    """x ** 2 rounded as for a single number, elementwise for arrays.
+
+    A number's ``** 2`` calls libm pow while an array's squares, and the two
+    differ in the last bit in about one case in a thousand; array code that
+    replaces a per-point loop uses this to keep the loop's bits.
+    """
+    return np.float_power(x, 2)
+
+
+def _hermite(t, h, y0, f0, y1, f1):
+    """Cubic Hermite interpolant at fraction t of a step of width h."""
+    s = pow2(1 - t)
+    return (1 + 2 * t) * s * y0 + t * s * h * f0 + t * t * (3 - 2 * t) * y1 + t * t * (t - 1) * h * f1
 
 
 def integrate_ivp(rhs, x0=None, y0=None, x_end=None, tol=1e-10, max_step=None, fixed_step=None):
@@ -169,7 +202,7 @@ def integrate_ivp(rhs, x0=None, y0=None, x_end=None, tol=1e-10, max_step=None, f
     k = np.empty((7, y0.size))
 
     while (x_end - x) * direction > 0:
-        if abs(h) < 16 * np.finfo(float).eps * max(1.0, abs(x)):
+        if abs(h) < _TINY_STEP * max(1.0, abs(x)):
             traj = Trajectory(xs, ys, fs)
             raise IntegrationBlowUp(f"step size underflow near x = {x:.6g}", x, traj)
         if (x + h - x_end) * direction > 0:
@@ -177,29 +210,29 @@ def integrate_ivp(rhs, x0=None, y0=None, x_end=None, tol=1e-10, max_step=None, f
         k[0] = f
         failed = False
         for i in range(1, 7):
-            yi = y + h * (np.array(_DP_A[i]) @ k[:i])
-            if not np.all(np.isfinite(yi)) or np.any(np.abs(yi) > 1e100):
+            yi = y + h * (_DP_A[i] @ k[:i])
+            # one NaN-safe test per stage: a non-finite stage k[i-1] enters
+            # yi through a nonzero weight, so it fails here as well
+            if not np.abs(yi).max() <= 1e100:
                 failed = True
                 break
             k[i] = rhs(x + _DP_C[i] * h, yi)
-            if not np.all(np.isfinite(k[i])):
-                failed = True
-                break
-        if failed:
+        if failed or not np.isfinite(k[6]).all():
             h *= 0.5
             continue
         y5 = y + h * (_DP_B5 @ k)
-        err_vec = h * ((_DP_B5 - _DP_B4) @ k)
+        err_vec = h * (_DP_E @ k)
         scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2))
-        if err <= 1.0 or abs(h) <= 16 * np.finfo(float).eps * max(1.0, abs(x)):
+        # RMS norm; the sum over n is what np.mean computes, without its wrapper
+        err = math.sqrt(np.add.reduce((err_vec / scale) ** 2) / y.size)
+        if err <= 1.0 or abs(h) <= _TINY_STEP * max(1.0, abs(x)):
             x = x + h
             y = y5
             f = np.asarray(k[6], dtype=float)  # FSAL: last stage is f(x+h, y5)
             xs.append(x)
             ys.append(y.copy())
             fs.append(f.copy())
-            if np.any(np.abs(y) > 1e100):
+            if not np.abs(y).max() <= 1e100:
                 traj = Trajectory(xs, ys, fs)
                 raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
@@ -214,23 +247,25 @@ def _rk4_fixed(rhs, x0, y0, x_end, step):
     h = direction * abs(step)
     n = max(1, int(round(abs(x_end - x0) / abs(h))))
     h = (x_end - x0) / n
+    k1 = np.asarray(rhs(x0, y0), dtype=float)
     xs = [x0]
     ys = [y0.copy()]
-    fs = [np.asarray(rhs(x0, y0), dtype=float)]
+    fs = [k1]
     x, y = x0, y0.copy()
     for _ in range(n):
-        k1 = np.asarray(rhs(x, y), dtype=float)
         k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1), dtype=float)
         k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2), dtype=float)
         k4 = np.asarray(rhs(x + h, y + h * k3), dtype=float)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         x = x + h
-        if not np.all(np.isfinite(y)) or np.any(np.abs(y) > 1e100):
+        if not np.abs(y).max() <= 1e100:  # NaN-safe
             traj = Trajectory(xs, ys, fs)
             raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
+        # the slope stored for dense output is the next step's first stage
+        k1 = np.asarray(rhs(x, y), dtype=float)
         xs.append(x)
         ys.append(y.copy())
-        fs.append(np.asarray(rhs(x, y), dtype=float))
+        fs.append(k1)
     return Trajectory(xs, ys, fs)
 
 

@@ -38,7 +38,13 @@ class TestSoliton:
                 "--deterministic", "--out", str(out)
             ])
             assert code == 0
-        assert (a / "soliton.csv").read_bytes() == (b / "soliton.csv").read_bytes()
+            code = cli.main([
+                "finite-gap", "--lambdas", "1.2,0.5,-0.1", "--gamma0", "0.2", "--sign", "-",
+                "--grid", "0:8:0.01", "--deterministic", "--out", str(out)
+            ])
+            assert code == 0
+        for name in ("soliton.csv", "finite_gap.csv", "finite_gap_report.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestHermite:
@@ -73,6 +79,16 @@ class TestFiniteGap:
             "--grid", "0:12:3", "--deterministic", "--out", str(tmp_path)
         ])
         assert code == 3
+
+    def test_narrow_band_runs_and_passes(self, tmp_path):
+        # lambda2 - lambda3 = 1e-3: the period quadrature used to divide by zero here
+        code = cli.main([
+            "finite-gap", "--lambdas", "3,-0.999,-1", "--gamma0", "-0.9995", "--out", str(tmp_path)
+        ])
+        assert code == 0
+        report = read_report(tmp_path, "finite_gap")
+        assert all(c["pass"] for c in report["checks"])
+        assert report["period"] == pytest.approx(1.5708945153735456, rel=1e-12)  # scipy: ellipk(2.5e-4)
 
 
 class TestSeries:

@@ -80,6 +80,22 @@ class TestPeriod:
         with pytest.raises(ValueError):
             fg.period(fg.GapSpec(2.0, 1.0, 1.0 - 1e-13, 1.0 - 2e-13))
 
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            (3.0, -0.999, -1.0),  # narrow band: lambda2 - lambda3 = 1e-3
+            (3.0, -1.0 + 1e-9, -1.0),  # nearly collapsed band, T -> pi / sqrt(lam1 - lam3)
+            (1.0, 0.999999, 0.0),  # narrow gap: the near-soliton limit
+            (1.0, 1.0 - 1e-10, 0.0),
+            (2.0, 1.0, 0.0),
+        ],
+    )
+    def test_narrow_bands_and_gaps_match_scipy(self, lams):
+        l1, l2, l3 = lams
+        spec = fg.GapSpec(l1, l2, l3, 0.5 * (l2 + l3))
+        expected = 2 * sp_special.ellipk((l2 - l3) / (l1 - l3)) / math.sqrt(l1 - l3)
+        assert fg.period(spec) == pytest.approx(expected, rel=1e-12)
+
 
 class TestTracePotential:
     def test_range_is_the_image_of_the_band(self):
@@ -193,6 +209,97 @@ class TestDubrovinChecks:
         assert rep.remainder_max <= 1e-5
         assert rep.quotient_degree == 1
         assert rep.quotient_leading == pytest.approx(4.0, abs=1e-5)
+
+
+def _dubrovin_reference(traj, c, tol=1e-6):
+    """Per-point np.poly / np.polydiv form of ``dubrovin_checks``."""
+    poly = c.poly if isinstance(c, fg.CPoly) else c
+    m_expected = c.m if isinstance(c, fg.CPoly) else poly.degree - 2 * traj.n
+    c_desc = np.array(poly.coeffs[::-1])
+    item1 = remainder_max = 0.0
+    quotients = []
+    for gam, dgam, ddgam in zip(traj.gammas, traj.dgammas, traj.ddgammas):
+        phi = np.poly(gam)
+        phi_x = phi_xx = np.zeros(1)
+        for j in range(traj.n):
+            pj = np.poly(np.delete(gam, j))
+            phi_x = np.polyadd(phi_x, -dgam[j] * pj)
+            phi_xx = np.polyadd(phi_xx, -ddgam[j] * pj)
+            for k in range(traj.n):
+                if k != j:
+                    phi_xx = np.polyadd(phi_xx, dgam[j] * dgam[k] * np.poly(np.delete(gam, [j, k])))
+            qj = np.prod(gam[j] - np.delete(gam, j))
+            item1 = max(item1, abs(poly(gam[j]) - (dgam[j] * qj) ** 2))
+        numerator = np.polyadd(2.0 * np.polymul(phi, phi_xx), np.polyadd(c_desc, -np.polymul(phi_x, phi_x)))
+        quot, rem = np.polydiv(numerator, np.polymul(phi, phi))
+        remainder_max = max(remainder_max, float(np.max(np.abs(rem))))
+        quotients.append(quot)
+    quotients = np.array(quotients)
+    lead = float(np.mean(quotients[:, 0]))
+    degree = quotients.shape[1] - 1
+    passed = item1 <= tol and remainder_max <= tol and degree == m_expected and abs(lead - 4.0) <= tol
+    return fg.DubrovinReport(item1, remainder_max, degree, lead, quotients, passed)
+
+
+def _two_phase(signs, x_end=2.0):
+    c = fg.CPoly(numeric.DensePoly.from_roots([5.0, 4.0, 3.0, 2.0, 1.0], leading=4.0), n_phases=2, m=1)
+    return fg.integrate_dubrovin(c, [1.5, 3.5], signs, (0.0, x_end), step=0.01), c
+
+
+class TestBatchedDubrovinChecks:
+    @pytest.mark.parametrize(
+        "case",
+        ["one_phase", "one_phase_fixed_step", "one_phase_cpoly", "two_phase", "two_phase_mixed_signs", "perturbed"],
+    )
+    def test_matches_the_per_point_reference(self, case):
+        if case.startswith("two_phase"):
+            traj, c = _two_phase([1, -1] if case.endswith("signs") else [1, 1])
+        else:
+            spec = fg.GapSpec(1.2, 0.5, -0.1, 0.2, sign=-1)
+            fixed = 0.001 if case.endswith("fixed_step") else None
+            traj = fg.integrate_gamma(spec, (0.0, 8.0), step=0.01, fixed_step=fixed)
+            c = fg.CPoly(fg.c_poly(spec), 1, 1) if case.endswith("cpoly") else fg.c_poly(spec)
+            if case == "perturbed":
+                noise = np.random.default_rng(0).normal(0, 1e-3, traj.gammas.shape)
+                traj = fg.RootTrajectory(traj.xs, traj.gammas + noise, traj.dgammas, traj.ddgammas)
+        got = fg.dubrovin_checks(traj, c)
+        ref = _dubrovin_reference(traj, c)
+        assert got.item1_max == pytest.approx(ref.item1_max, abs=1e-12)
+        assert got.remainder_max == pytest.approx(ref.remainder_max, abs=1e-12)
+        assert got.quotients.shape == ref.quotients.shape == (len(traj.xs), 2)
+        assert np.max(np.abs(got.quotients - ref.quotients)) <= 1e-12
+        assert got.quotient_degree == ref.quotient_degree
+        assert got.quotient_leading == ref.quotient_leading
+        assert got.passed == ref.passed == (case != "perturbed")
+
+
+class TestTurningPoints:
+    @staticmethod
+    def _reference(traj, kind):
+        want_down = kind == "max"
+        out = []
+        d = traj.dgammas[:, 0]
+        for i in range(len(traj.xs) - 1):
+            if d[i] == 0.0:
+                continue
+            if (d[i] > 0 > d[i + 1]) if want_down else (d[i] < 0 < d[i + 1]):
+                lo, hi = traj.xs[i], traj.xs[i + 1]
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    if (traj(mid)[traj.n] > 0) == want_down:
+                        lo = mid
+                    else:
+                        hi = mid
+                out.append(0.5 * (lo + hi))
+        return out
+
+    @pytest.mark.parametrize("kind", ["max", "min"])
+    @pytest.mark.parametrize("fixed_step", [None, 0.001])
+    def test_bit_identical_to_the_80_step_bisection(self, kind, fixed_step):
+        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01, fixed_step=fixed_step)
+        got = traj.turning_points(kind)
+        assert len(got) >= 3
+        assert got == self._reference(traj, kind)
 
 
 class TestPolynomialIdentity:

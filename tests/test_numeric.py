@@ -68,6 +68,88 @@ class TestIntegrateIvp:
         assert abs(wend - w0) > 0.5
 
 
+    def test_non_finite_stage_halves_the_step(self):
+        # a NaN slope past x = 0.5 must stop the integrator there, never leak into the state
+        def rhs(x, y):
+            return np.array([math.nan if x > 0.5 else 1.0])
+
+        with pytest.raises(numeric.IntegrationBlowUp) as err:
+            numeric.integrate_ivp(rhs, 0.0, [0.0], 1.0)
+        assert err.value.x == pytest.approx(0.5, abs=1e-12)
+        assert np.all(np.isfinite(err.value.trajectory.ys))
+
+    def test_fixed_step_matches_classical_rk4_with_one_new_slope_per_node(self):
+        calls = []
+
+        def rhs(x, y):
+            calls.append(x)
+            return np.array([y[1], -(1 + 0.3 * math.sin(x)) * y[0]])
+
+        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], 3.0, fixed_step=0.01)
+        assert len(calls) == 1 + 4 * 300
+        x, y, ys, fs = 0.0, np.array([1.0, 0.0]), [np.array([1.0, 0.0])], [rhs(0.0, np.array([1.0, 0.0]))]
+        h = 3.0 / 300
+        for _ in range(300):
+            k1 = rhs(x, y)
+            k2 = rhs(x + h / 2, y + h / 2 * k1)
+            k3 = rhs(x + h / 2, y + h / 2 * k2)
+            k4 = rhs(x + h, y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = x + h
+            ys.append(y)
+            fs.append(rhs(x, y))
+        assert np.array_equal(traj.ys, np.array(ys))
+        assert np.array_equal(traj.fs, np.array(fs))
+
+
+def test_pow2_rounds_like_a_number():
+    xs = np.random.default_rng(3).uniform(-2.0, 2.0, 20000)
+    assert np.array_equal(numeric.pow2(xs), np.array([float(v) ** 2 for v in xs]))
+
+
+class TestDenseOutput:
+    @staticmethod
+    def _scalar_calls(traj, xs):
+        return np.array([traj(float(x)) for x in xs])
+
+    @staticmethod
+    def _probe_points(traj):
+        lo, hi = sorted((traj.x0, traj.x_end))
+        return np.concatenate([
+            traj.xs,  # every node, both ends included
+            np.linspace(lo, hi, 257),
+            [lo - 0.3, lo - 1e-9, hi + 1e-9, hi + 0.3],  # outside: the end steps extrapolate
+        ])
+
+    @pytest.mark.parametrize("x_end", [6.0, -6.0])
+    @pytest.mark.parametrize("fixed_step", [None, 0.05])
+    def test_array_call_equals_scalar_calls(self, x_end, fixed_step):
+        def rhs(x, y):
+            return np.array([y[1], -(1 + 0.3 * np.sin(x)) * y[0]])
+
+        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], x_end, tol=1e-10, fixed_step=fixed_step)
+        xs = self._probe_points(traj)
+        batched = traj(xs)
+        assert batched.shape == (xs.size, 2)
+        np.testing.assert_array_max_ulp(batched, self._scalar_calls(traj, xs), maxulp=2)
+        # nodes are reproduced exactly
+        assert np.array_equal(traj(traj.xs), traj.ys)
+
+    def test_array_shapes(self):
+        traj = numeric.integrate_ivp(lambda x, y: -y, 0.0, [1.0, 2.0, 3.0], 1.0, tol=1e-10)
+        assert traj(0.5).shape == (3,)
+        assert traj(np.float64(0.5)).shape == (3,)
+        assert traj([0.5]).shape == (1, 3)
+        assert traj(np.zeros((2, 4))).shape == (2, 4, 3)
+
+    def test_zero_width_trajectory(self):
+        traj = numeric.integrate_ivp(lambda x, y: np.array([y[1], -y[0]]), 1.0, [0.3, 0.7], 1.0)
+        xs = np.array([0.0, 1.0, 2.0])
+        assert np.array_equal(traj(xs), np.tile([0.3, 0.7], (3, 1)))
+        np.testing.assert_array_max_ulp(traj(xs), self._scalar_calls(traj, xs), maxulp=2)
+        assert traj(1.0).shape == (2,)
+
+
 class TestQuadrature:
     def test_parabola(self):
         assert numeric.quadrature(lambda x: x * x, 0, 1, tol=1e-12) == pytest.approx(1 / 3, abs=1e-12)
