@@ -3,15 +3,16 @@
 A small closed family of expression nodes (rational/real constants, variables,
 sums, products, integer powers, negation, reciprocal, exp/log, hyperbolic and
 circular functions) with exact symbolic differentiation and numeric
-evaluation.  Rational constant arithmetic is exact; simplification is limited
-to constant folding, flattening of sums and products, and merging/cancelling
-of identical terms.  There is deliberately no general canonical form: zero
-testing of residuals is done numerically by the callers.
+evaluation at a point or on whole arrays of points.  Rational constant
+arithmetic is exact; simplification is limited to constant folding,
+flattening of sums and products, and merging/cancelling of identical terms.
+There is deliberately no general canonical form: zero testing of residuals
+is done numerically by the callers.
 
 Antiderivatives are produced in closed form for a useful set of patterns
 (polynomials, polynomial-times-exponential, tanh/sech^2/sec^2 and friends);
 everything else becomes a quadrature-backed node whose value is computed by
-adaptive quadrature from a fixed anchor point.
+adaptive quadrature from a fixed anchor point, for all points in one sweep.
 """
 
 from __future__ import annotations
@@ -58,6 +59,17 @@ __all__ = [
 
 class EvalDomainError(ArithmeticError):
     """Log of a non-positive argument or division by zero during evaluation."""
+
+
+# environment key of array evaluation: domain errors give NaN instead of raising
+_MASKED = object()
+
+
+def _eval_masked(e, env):
+    """Array evaluation of ``e``: NaN where a point would raise, inf on overflow."""
+    env[_MASKED] = True
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return e._eval(env)
 
 
 def _is_scalar(v):
@@ -136,13 +148,26 @@ class Expression:
         raise NotImplementedError
 
     def evaluate(self, bindings=None, **named):
-        """Evaluate at a point.  Variables bound by dict or keyword arguments.
+        """Evaluate at a point or on arrays of points.
 
-        Accepts floats or numpy arrays as bound values.
+        Variables are bound by dict or keyword arguments, to numbers or to
+        arrays.  At a point, a division by zero or the log of a non-positive
+        number raises EvalDomainError.  With array bindings the result is an
+        array of their broadcast shape, NaN at exactly the points where
+        evaluation at that point raises (NaN propagates through every node);
+        overflow gives inf.
         """
         env = dict(bindings) if bindings else {}
         env.update(named)
-        return self._eval(env)
+        shape = None
+        for name, v in env.items():
+            if isinstance(v, np.ndarray) and v.ndim:
+                env[name] = v.astype(float, copy=False)
+                shape = v.shape if shape is None else np.broadcast_shapes(shape, v.shape)
+        if shape is None:
+            return self._eval(env)
+        out = np.asarray(_eval_masked(self, env), dtype=float)
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def _eval(self, env):
         raise NotImplementedError
@@ -390,6 +415,8 @@ class Recip(Expression):
 
     def _eval(self, env):
         v = self.arg._eval(env)
+        if _MASKED in env:
+            return np.where(v == 0, np.nan, np.divide(1.0, v))  # np.divide: no ZeroDivisionError
         if np.any(v == 0):
             raise EvalDomainError("division by zero")
         return 1.0 / v
@@ -472,7 +499,10 @@ class Func(Expression):
         return mul(outer, da)
 
     def _eval(self, env):
-        return _FUNCTIONS[self.name][0](self.arg._eval(env))
+        v = self.arg._eval(env)
+        if self.name == "log" and _MASKED in env:
+            return np.where(v > 0, np.log(v), np.nan)
+        return _FUNCTIONS[self.name][0](v)
 
     def _collect_vars(self, out):
         self.arg._collect_vars(out)
@@ -511,10 +541,15 @@ class Quadrature(Expression):
         x = env.get(self.var)
         if x is None:
             raise EvalDomainError(f"unbound variable {self.var!r}")
-        f = lambda t: self.integrand._eval({self.var: t})
-        if np.ndim(x) == 0:
-            return numeric.quadrature(f, self.anchor, float(x), tol=self.tol)
-        return np.array([numeric.quadrature(f, self.anchor, float(v), tol=self.tol) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
+        integrand, var = self.integrand, self.var
+        # one adaptive sweep from the anchor to every x; the integrand is
+        # evaluated on all nodes of a refinement pass at once, and where it
+        # is NaN (outside its domain) so is every x beyond
+        f = lambda t: _eval_masked(integrand, {var: t})
+        v = numeric.quadrature(f, self.anchor, x, tol=self.tol, domain=True)
+        if _MASKED not in env and np.isnan(v):
+            raise EvalDomainError(f"integrand is not finite between {self.anchor:g} and {float(x):g}")
+        return v
 
     def _collect_vars(self, out):
         out.add(self.var)

@@ -204,7 +204,7 @@ def period(spec, tol=1e-12):
 
     def f(theta):
         # a sum of two non-negative terms: no cancellation as lambda2 -> lambda1
-        return 2.0 / math.sqrt(d12 + d23 * math.cos(theta) ** 2)
+        return 2.0 / np.sqrt(d12 + d23 * np.cos(theta) ** 2)
 
     return numeric.quadrature(f, 0.0, math.pi / 2, tol=tol)
 

@@ -2,9 +2,9 @@
 
 Adaptive embedded Runge-Kutta integration with dense output (a whole grid
 of x is interpolated in one array pass), adaptive Gauss-Kronrod quadrature
-with optional endpoint regularisation, small dense LU solves with reusable
-factorizations, companion-matrix polynomial roots and finite-difference
-stencils.
+to a whole array of upper limits in one sweep, small dense LU solves with
+reusable factorizations, companion-matrix polynomial roots and
+finite-difference stencils.
 """
 
 from __future__ import annotations
@@ -272,77 +272,153 @@ def _rk4_fixed(rhs, x0, y0, x_end, step):
 # ---------------------------------------------------------------------------
 # quadrature
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
+# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1], to full
+# double precision: the non-negative Kronrod nodes (the odd-index ones and 0
+# are the Gauss nodes), their Kronrod weights and the Gauss weights.
 _GK_X = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
+    0.99145537112081263920685469752633, 0.94910791234275852452618968404785,
+    0.86486442335976907278971278864093, 0.74153118559939443986386477328079,
+    0.58608723546769113029414483825873, 0.40584515137739716690660641207696,
+    0.20778495500789846760068940377324, 0.0,
 ])
 _GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.10479001032225018383987632254152, 0.14065325971552591874518959051024,
+    0.16900472663926790282658342659855, 0.19035057806478540991325640242101,
+    0.20443294007529889241416199923465, 0.20948214108472782801299917489171,
 ])
-_GK_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
+_GK_WG = np.array([
+    0.12948496616886969327061143267908, 0.27970539148927666790146777142378,
+    0.38183005050511894495036977548898, 0.41795918367346938775510204081633,
+])
+# all 15 nodes in ascending order and their (Kronrod, Gauss) weight columns
+_GK_J = np.r_[0:8, 6:-1:-1]  # index into _GK_X of each node
+_GK_NODES = np.where(np.arange(15) < 7, -1.0, 1.0) * _GK_X[_GK_J]
+_GK_WEIGHTS = np.stack([_GK_WK[_GK_J], np.where(_GK_J % 2 == 1, _GK_WG[_GK_J // 2], 0.0)], axis=1)
 
 
-def _gk15(f, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    resk = _GK_WK[7] * fc
-    resg = _GK_WG[3] * fc
-    for j in range(7):
-        x = h * _GK_X[j]
-        f1 = f(c - x)
-        f2 = f(c + x)
-        resk += _GK_WK[j] * (f1 + f2)
-        if j % 2 == 1:  # Gauss nodes are the odd-index Kronrod nodes
-            resg += _GK_WG[j // 2] * (f1 + f2)
-    return resk * h, abs((resk - resg) * h)
+def _gk15(f, lo, hi):
+    """Kronrod values and |Kronrod - Gauss| error estimates from lo to hi.
+
+    One call of ``f`` on the 15 nodes of every interval; an interval with
+    hi < lo gets the negated integral.  The third result tells whether every
+    value is finite; an interval where ``f`` is not finite at some node gets
+    a NaN value.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = (c[:, None] + h[:, None] * _GK_NODES).reshape(-1)
+    fx = np.asarray(f(x), dtype=float)
+    if fx.shape != x.shape:
+        fx = np.broadcast_to(fx, x.shape)
+    kg = fx.reshape(-1, 15) @ _GK_WEIGHTS
+    finite = math.isfinite(np.add.reduce(kg[:, 0]))
+    if not finite:
+        kg[~np.isfinite(kg)] = np.nan  # NaN, unlike inf, subtracts without a warning
+    return kg[:, 0] * h, np.abs((kg[:, 0] - kg[:, 1]) * h), finite
 
 
-def quadrature(f, a, b, tol=1e-10, endpoint_regularization=False, max_intervals=4000):
-    """Adaptive integral of ``f`` over [a, b] with error below ``tol``.
+def quadrature(f, a, b, tol=1e-10, max_intervals=4000, domain=False):
+    """Adaptive integral of ``f`` from ``a`` to ``b``, a number or an array.
 
-    ``endpoint_regularization`` applies the substitution
-    x = a + (b-a) sin^2(theta), which removes inverse-square-root
-    singularities at both endpoints.  Infinite limits are mapped through
-    x = tan(theta).
+    ``f`` maps an array of abscissae to an array of values.  One adaptive
+    sweep covers the sorted breakpoints {a} and b and returns the cumulative
+    integral at each b (a float for a number b, an array of b's shape
+    otherwise); for every returned value I(x) the summed error estimate
+    between a and x is at most tol * max(1, |I(x)|).  Each refinement pass
+    calls f once, on the 15 Gauss-Kronrod nodes of every interval still being
+    refined.  Infinite limits are mapped through x = tan(theta).  A NaN
+    limit, a non-finite integrand value, or more than ``max_intervals``
+    intervals plus one per further breakpoint raises QuadratureError.
+
+    With ``domain`` a non-finite integrand value marks the edge of the
+    integrand's domain instead: seen from a, the far end of the gap between
+    breakpoints where it appeared and every breakpoint beyond give NaN, and
+    no interval there is refined further.
     """
     a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        ta = math.atan(a) if not math.isinf(a) else math.copysign(math.pi / 2, a)
-        tb = math.atan(b) if not math.isinf(b) else math.copysign(math.pi / 2, b)
-        g = lambda t: f(math.tan(t)) / math.cos(t) ** 2
-        return quadrature(g, ta, tb, tol=tol, max_intervals=max_intervals)
-    if endpoint_regularization:
-        w = b - a
-        g = lambda t: f(a + w * math.sin(t) ** 2) * w * math.sin(2 * t)
-        return quadrature(g, 0.0, math.pi / 2, tol=tol, max_intervals=max_intervals)
-
-    val, err = _gk15(f, a, b)
-    intervals = [(err, a, b, val)]
-    total_val = val
-    total_err = err
-    count = 1
-    while total_err > tol * max(1.0, abs(total_val)) and total_err > tol:
-        if count >= max_intervals:
+    bs = np.asarray(b, dtype=float)
+    if math.isnan(a) or np.isnan(bs).any():
+        raise QuadratureError("quadrature limit is NaN")
+    if math.isinf(a) or np.isinf(bs).any():
+        g = lambda t: f(np.tan(t)) / np.cos(t) ** 2
+        return quadrature(g, np.arctan(a), np.arctan(bs), tol=tol, max_intervals=max_intervals, domain=domain)
+    if bs.ndim == 0:
+        if bs == a:
+            return 0.0
+        pts, ia = np.array([a, bs]), 0  # one gap, from a to b
+    else:
+        # breakpoints in ascending order; a is breakpoint ia
+        pts, where = np.unique(np.append(bs, a), return_inverse=True)
+        where = where.reshape(-1)
+        ia = where[-1]
+        if len(pts) == 1:
+            return np.zeros(bs.shape)
+    gaps = len(pts) - 1
+    dist = np.abs(pts - a)
+    dist[ia] = 1.0
+    limit = max_intervals + gaps - 1
+    # gap k joins breakpoints k and k + 1 and runs from the end nearer to a,
+    # so its integral carries the sign the breakpoints beyond it need
+    lo = np.concatenate([pts[1 : ia + 1], pts[ia:-1]])
+    hi = np.concatenate([pts[:ia], pts[ia + 1 :]])
+    gap = np.arange(gaps)
+    # breakpoints at or below ``left`` and at or above ``right`` lie beyond
+    # the integrand's domain
+    left, right = -1, gaps + 1
+    val, err, finite = _gk15(f, lo, hi)
+    while True:
+        if not finite:
+            bad = np.isnan(val)
+            if not domain and bad.any():
+                raise QuadratureError(f"integrand is not finite between x = {lo[bad][0]:.6g} and {hi[bad][0]:.6g}")
+            left = max(left, np.max(gap[bad & (gap < ia)], initial=-1))
+            right = min(right, np.min(gap[bad & (gap >= ia)], initial=gaps) + 1)
+            live = (gap > left) & (gap < right - 1)
+            lo, hi, gap, val, err = lo[live], hi[live], gap[live], val[live], err[live]
+        integral = _outward(np.bincount(gap, val, gaps), ia)
+        budget = tol * np.maximum(1.0, np.abs(integral))
+        over = _outward(np.bincount(gap, err, gaps), ia) - budget
+        if np.count_nonzero(over > 0) == 0:
+            break
+        # error per unit length allowed in each gap: the tightest budget of
+        # the breakpoints beyond it; when every interval keeps to it, every
+        # breakpoint keeps to its bound
+        rate = budget / dist
+        rate[: left + 1] = rate[right:] = np.inf
+        allowed = np.concatenate([np.minimum.accumulate(rate[:ia]), np.minimum.accumulate(rate[:ia:-1])[::-1]])
+        refine = err > allowed[gap] * np.abs(hi - lo)
+        count = np.count_nonzero(refine)
+        if count == 0:
+            break  # the bound holds up to rounding in the sums
+        if len(lo) + count > limit:
             raise QuadratureError(
-                f"quadrature did not converge: error {total_err:.3g} after {count} intervals"
+                f"quadrature did not converge: error {np.max(over):.3g} over the bound after {len(lo)} intervals"
             )
-        intervals.sort(key=lambda t: t[0])
-        err, lo, hi, val = intervals.pop()
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total_val += v1 + v2 - val
-        total_err += e1 + e2 - err
-        intervals.append((e1, lo, mid, v1))
-        intervals.append((e2, mid, hi, v2))
-        count += 2
-    return total_val
+        keep = ~refine
+        mid = 0.5 * (lo[refine] + hi[refine])
+        new_lo = np.concatenate([lo[refine], mid])
+        new_hi = np.concatenate([mid, hi[refine]])
+        new_val, new_err, finite = _gk15(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        gap = np.concatenate([gap[keep], gap[refine], gap[refine]])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+    integral[: left + 1] = integral[right:] = np.nan
+    if bs.ndim == 0:
+        return float(integral[1])
+    return integral[where[:-1]].reshape(bs.shape)
+
+
+def _outward(per_gap, ia):
+    """Running sums of per-gap values from breakpoint ``ia`` out to every breakpoint."""
+    out = np.empty(len(per_gap) + 1)
+    out[ia] = 0.0
+    np.add.accumulate(per_gap[ia:], out=out[ia + 1 :])
+    if ia:
+        np.add.accumulate(per_gap[ia - 1 :: -1], out=out[ia - 1 :: -1])
+    return out
 
 
 # ---------------------------------------------------------------------------

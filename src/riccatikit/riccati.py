@@ -86,10 +86,9 @@ class Lode2:
         d1 = ex.diff(psi, var)
         d2 = ex.diff(d1, var)
         res = ex.sub(d2, ex.add(ex.mul(self.b, d1), ex.mul(self.c, psi)))
-        pts = points if points is not None else sample_points([psi, res], var=var)
-        vals = np.array([abs(res.evaluate({var: p})) for p in pts])
-        scale = max(1.0, max(abs(d2.evaluate({var: p})) for p in pts))
-        return float(np.max(vals) / scale)
+        pts = _points(points, [psi, res], var)
+        scale = np.maximum(1.0, np.max(np.abs(d2.evaluate({var: pts}))))
+        return float(np.max(np.abs(res.evaluate({var: pts}))) / scale)
 
 
 @dataclass(frozen=True)
@@ -128,43 +127,42 @@ class MobiusMap:
 def sample_points(exprs, interval=DEFAULT_INTERVAL, n=SAMPLE_COUNT, var="x", limit=1e8):
     """Evaluation points in the working interval where all exprs stay finite.
 
-    Singular points (evaluation errors or huge magnitudes) are skipped; at
-    least half of the requested points must survive.
+    Singular points (evaluation errors or magnitudes above ``limit``) are
+    skipped; at least half of the requested points must survive.  Each
+    expression is evaluated once, on the candidates that the previous ones
+    left.  Returns an array.
     """
     lo, hi = interval
-    candidates = np.linspace(lo, hi, 4 * n + 1)[1:-1]
-    good = []
-    for p in candidates:
-        ok = True
-        for e in exprs:
-            try:
-                v = ex.as_expression(e).evaluate({var: float(p)})
-            except (ex.EvalDomainError, OverflowError, ZeroDivisionError):
-                ok = False
-                break
-            if not np.isfinite(v) or abs(v) > limit:
-                ok = False
-                break
-        if ok:
-            good.append(float(p))
-    if len(good) < n // 2:
+    pts = np.linspace(lo, hi, 4 * n + 1)[1:-1]
+    for e in exprs:
+        v = ex.as_expression(e).evaluate({var: pts})
+        pts = pts[np.abs(v) <= limit]  # NaN and inf fail the comparison
+    if len(pts) < n // 2:
         raise ValueError("could not find enough regular sample points in the interval")
-    stride = max(1, len(good) // n)
-    return good[::stride][:n]
+    stride = max(1, len(pts) // n)
+    return pts[::stride][:n]
+
+
+def _points(points, exprs, var):
+    """The caller's points as an array, else sample points of ``exprs``."""
+    if points is None:
+        return sample_points(exprs, var=var)
+    return np.asarray(points, dtype=float)
 
 
 def riccati_residual(eq, phi, var="x", points=None):
-    """Relative residual of phi against the equation, maximised over samples."""
+    """Relative residual of phi against the equation, maximised over samples.
+
+    A NaN at any point makes the result NaN, so a check on it fails.
+    """
     phi = ex.as_expression(phi)
     dphi = ex.diff(phi, var)
     rhs = ex.add(ex.mul(eq.a, ex.intpow(phi, 2)), ex.mul(eq.b, phi), eq.c)
     res = ex.sub(dphi, rhs)
-    pts = points if points is not None else sample_points([phi, res], var=var)
-    worst = 0.0
-    for p in pts:
-        scale = max(1.0, abs(rhs.evaluate({var: p})), abs(dphi.evaluate({var: p})))
-        worst = max(worst, abs(res.evaluate({var: p})) / scale)
-    return worst
+    pts = _points(points, [phi, res], var)
+    env = {var: pts}
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs.evaluate(env)), np.abs(dphi.evaluate(env))))
+    return float(np.max(np.abs(res.evaluate(env)) / scale, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +201,7 @@ def mobius_transform(eq, m, var="x"):
     """
     det = m.determinant()
     pts = sample_points([det], var=var)
-    vals = [abs(det.evaluate({var: p})) for p in pts]
-    if max(vals) < 1e-12:
+    if np.max(np.abs(det.evaluate({var: pts}))) < 1e-12:
         raise ValueError("degenerate map: determinant vanishes identically")
 
     if ex.is_zero(m.gamma):
@@ -287,11 +284,11 @@ def cross_ratio_solution(phi1, phi2, phi3, a_const, var="x"):
     diffs = [ex.sub(phi3, phi1), ex.sub(phi3, phi2), ex.sub(phi1, phi2)]
     pts = sample_points(diffs, var=var)
     for d in diffs:
-        if max(abs(d.evaluate({var: p})) for p in pts) < 1e-12:
+        if np.max(np.abs(d.evaluate({var: pts}))) < 1e-12:
             raise ValueError("the three solutions must be pairwise distinct")
     r = ex.mul(ex.as_expression(a_const), diffs[0], ex.recip(diffs[1]))
     one_minus = ex.sub(ex.ONE, r)
-    if max(abs(one_minus.evaluate({var: p})) for p in pts) < 1e-12:
+    if np.max(np.abs(one_minus.evaluate({var: pts}))) < 1e-12:
         raise ValueError("degenerate constant: R is identically 1")
     return ex.mul(ex.sub(phi1, ex.mul(r, phi2)), ex.recip(one_minus))
 
@@ -350,14 +347,7 @@ def second_solution(l, psi1, var="x", interval=DEFAULT_INTERVAL):
     if not ex.is_zero(l.b):
         raise ValueError("second_solution expects a canonical equation (b == 0)")
     psi1 = ex.as_expression(psi1)
-    pts = np.linspace(interval[0], interval[1], 257)
-    vals = []
-    for p in pts:
-        try:
-            vals.append(psi1.evaluate({var: float(p)}))
-        except (ex.EvalDomainError, OverflowError):
-            vals.append(np.nan)
-    vals = np.array(vals, dtype=float)
+    vals = psi1.evaluate({var: np.linspace(interval[0], interval[1], 257)})
     finite = vals[np.isfinite(vals)]
     if finite.size and (np.nanmin(finite) < 0 < np.nanmax(finite) or np.any(finite == 0)):
         raise ValueError("psi1 changes sign or vanishes in the interval; split the quadrature")
@@ -426,7 +416,7 @@ def hermite_ladder(y, alpha, var="x"):
     x = ex.Var(var)
     den = ex.add(y, x)
     pts = sample_points([den], var=var)
-    if max(abs(den.evaluate({var: p})) for p in pts) < 1e-12:
+    if np.max(np.abs(den.evaluate({var: pts}))) < 1e-12:
         raise ValueError("y + x vanishes identically: ladder undefined")
     y_hat = ex.add(x, ex.mul(ex.as_expression(alpha + 1), ex.recip(den)))
     return y_hat, alpha + 2
@@ -438,7 +428,7 @@ def inverse_hermite_ladder(y_hat, alpha_hat, var="x"):
     x = ex.Var(var)
     den = ex.sub(y_hat, x)
     pts = sample_points([den], var=var)
-    if max(abs(den.evaluate({var: p})) for p in pts) < 1e-12:
+    if np.max(np.abs(den.evaluate({var: pts}))) < 1e-12:
         raise ValueError("y_hat - x vanishes identically: inverse ladder undefined")
     y = ex.add(ex.neg(x), ex.mul(ex.as_expression(alpha_hat - 1), ex.recip(den)))
     return y, alpha_hat - 2
@@ -557,7 +547,7 @@ def lode_factor(l, psi1, var="x"):
         ex.neg(l.c),
     )
     pts = sample_points([a, remainder], var=var)
-    magnitude = max(abs(remainder.evaluate({var: p})) for p in pts)
+    magnitude = float(np.max(np.abs(remainder.evaluate({var: pts}))))
     return FactorizationResult(a, remainder, magnitude)
 
 

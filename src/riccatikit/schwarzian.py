@@ -66,9 +66,8 @@ def dmod(a, var="x", interval=DEFAULT_INTERVAL):
 
 
 def _require_one_signed(a, var, name, interval=DEFAULT_INTERVAL):
-    pts = sample_points([a], interval=interval, var=var)
-    vals = [a.evaluate({var: p}) for p in pts]
-    if any(v == 0 for v in vals) or (min(vals) < 0 < max(vals)):
+    vals = a.evaluate({var: sample_points([a], interval=interval, var=var)})
+    if np.any(vals == 0) or (np.min(vals) < 0 < np.max(vals)):
         raise ValueError(f"{name} vanishes on the working interval")
 
 
@@ -163,8 +162,7 @@ class SchwarzTriple:
             ex.mul(psi1, ex.diff(psi2, var)),
             ex.mul(psi2, ex.diff(psi1, var)),
         )
-        pts = sample_points([w], var=var)
-        vals = np.array([w.evaluate({var: p}) for p in pts])
+        vals = w.evaluate({var: sample_points([w], var=var)})
         v = float(np.mean(vals))
         if np.max(np.abs(vals - v)) > drift_tol * max(1.0, abs(v)):
             raise ValueError("Wronskian is not constant: the pair does not solve psi_xx = c psi")

@@ -1,9 +1,12 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
 from riccatikit import cli
+from riccatikit import expr as ex
+from riccatikit import riccati as rc
 
 
 def read_report(out_dir, command):
@@ -45,6 +48,45 @@ class TestSoliton:
             assert code == 0
         for name in ("soliton.csv", "finite_gap.csv", "finite_gap_report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestSolveRe:
+    def test_singular_grid_point_is_nan(self, tmp_path):
+        # phi' = phi^2 through phi1 = 0: the family is 1/(C - x), singular at x = C
+        code = cli.main([
+            "solve-re", "--a", "1", "--c", "0", "--phi1", "0", "--constants", "1,3",
+            "--grid", "-2:2:0.5", "--out", str(tmp_path)
+        ])
+        assert code == 0
+        rows = read_csv(tmp_path / "solve_re.csv")
+        for r in rows:
+            x = float(r["x"])
+            if x == 1.0:
+                assert r["phi_C1"] == "nan"
+            else:
+                assert float(r["phi_C1"]) == pytest.approx(1 / (1 - x), rel=1e-14)
+            assert float(r["phi_C3"]) == pytest.approx(1 / (3 - x), rel=1e-14)
+
+    def test_restricted_integrand_matches_the_point_loop(self, tmp_path):
+        # phi' = -phi^2 + phi/(x + 2) through phi1 = 0: the family integrates
+        # exp(log(x + 2)), which has no value for x < -2
+        code = cli.main([
+            "solve-re", "--a", "-1", "--b", "1/(x+2)", "--c", "0", "--phi1", "0", "--constants", "1",
+            "--grid", "-5:5:0.25", "--out", str(tmp_path)
+        ])
+        assert code == 0
+        eq = rc.RiccatiEq(-1, ex.parse_expression("1/(x+2)"), 0)
+        sol = rc.general_from_particular(eq, ex.ZERO)(Fraction(1))
+        rows = read_csv(tmp_path / "solve_re.csv")
+        assert len(rows) == 41
+        for r in rows:
+            try:
+                ref = sol.evaluate(x=float(r["x"]))
+            except ex.EvalDomainError:
+                assert r["phi_C1"] == "nan"
+            else:
+                assert float(r["phi_C1"]) == pytest.approx(ref, rel=1e-10)
+        assert sum(r["phi_C1"] == "nan" for r in rows) == 13  # x = -5 .. -2
 
 
 class TestHermite:

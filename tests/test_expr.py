@@ -88,6 +88,91 @@ class TestEval:
         assert np.allclose(out, [1.0, 2.0, 5.0])
 
 
+def pointwise(e, xs):
+    """Reference: one scalar evaluation per point, NaN where it raises."""
+    out = []
+    for p in np.asarray(xs, dtype=float).ravel():
+        try:
+            out.append(e.evaluate(x=float(p)))
+        except ex.EvalDomainError:
+            out.append(np.nan)
+    return np.array(out, dtype=float).reshape(np.shape(xs))
+
+
+class TestArrayEvaluation:
+    XS = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, np.nan])
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            ex.recip(X),
+            ex.log(X),
+            ex.Recip(ex.Recip(X)),  # 1/(1/x): NaN propagates out of the inner node
+            ex.parse_expression("log(x + 1) + 1/(x - 0.5)"),
+            ex.parse_expression("x^2 + 1/x^2"),
+            ex.log(ex.cos(ex.Rational(3))),  # a constant subtree that always raises
+        ],
+    )
+    def test_nan_exactly_where_a_point_raises(self, e):
+        got = e.evaluate(x=self.XS)
+        ref = pointwise(e, self.XS)
+        assert got.shape == self.XS.shape
+        np.testing.assert_array_equal(got, ref)
+
+    def test_scalar_evaluation_still_raises(self):
+        with pytest.raises(ex.EvalDomainError):
+            ex.Recip(ex.Recip(X)).evaluate(x=0.0)
+
+    def test_constant_broadcasts_to_the_binding_shape(self):
+        out = ex.Rational(3).evaluate(x=np.zeros((2, 3)))
+        assert out.shape == (2, 3) and np.all(out == 3.0)
+
+    def test_bindings_broadcast_together(self):
+        e = ex.parse_expression("x + 10*y")
+        out = e.evaluate(x=np.arange(3.0)[:, None], y=np.arange(4.0))
+        assert out.shape == (3, 4)
+        assert out[2, 3] == 32.0
+
+    def test_overflow_gives_inf(self):
+        xs = np.array([1.0, 1e10, 1000.0])
+        assert np.isinf(ex.intpow(X, 40).evaluate(x=xs)[1])
+        assert np.isinf(ex.exp(X).evaluate(x=xs)[2])
+        with pytest.raises(OverflowError):
+            ex.intpow(X, 40).evaluate(x=1e10)
+
+    def test_unbound_variable_still_raises(self):
+        with pytest.raises(ex.EvalDomainError):
+            ex.add(X, ex.Var("y")).evaluate(x=self.XS)
+
+    def test_quadrature_node_in_one_sweep(self):
+        f = ex.antiderivative(ex.parse_expression("exp(-x^2)"), "x")
+        xs = np.array([[1.5, -0.75], [0.0, 2.0]])
+        got = f.evaluate(x=xs)
+        assert got.shape == xs.shape
+        for v, p in zip(got.ravel(), xs.ravel()):
+            ref = f.evaluate(x=float(p))
+            assert abs(v - ref) <= 2e-12 * max(1.0, abs(ref))
+            assert v == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(p), abs=1e-12)
+
+    @pytest.mark.parametrize("text, exact", [("exp(log(x + 2))", lambda x: x * x / 2 + 2 * x),
+                                             ("exp(log(1 - x^2))", lambda x: x - x**3 / 3)])
+    def test_quadrature_nan_beyond_the_integrand_domain(self, text, exact):
+        # the integrand is NaN outside its domain, and so is the antiderivative
+        # at every x whose path from the anchor leaves it
+        f = ex.Quadrature(ex.parse_expression(text), "x", anchor=0.0)
+        xs = np.linspace(-5.0, 5.0, 41)
+        got = f.evaluate(x=xs)
+        ref = pointwise(f, xs)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        inside = ~np.isnan(ref)
+        assert 0 < np.count_nonzero(inside) < len(xs)
+        for v, r, p in zip(got[inside], ref[inside], xs[inside]):
+            assert abs(v - r) <= 2e-12 * max(1.0, abs(r))
+            assert v == pytest.approx(exact(p), rel=1e-12, abs=1e-12)
+        with pytest.raises(ex.EvalDomainError):
+            f.evaluate(x=-4.0)
+
+
 class TestSimplification:
     def test_rational_folding_is_exact(self):
         e = ex.add(ex.Rational(Fraction(1, 3)), ex.Rational(Fraction(1, 6)))

@@ -96,6 +96,23 @@ class TestPeriod:
         expected = 2 * sp_special.ellipk((l2 - l3) / (l1 - l3)) / math.sqrt(l1 - l3)
         assert fg.period(spec) == pytest.approx(expected, rel=1e-12)
 
+    def test_random_bands_match_scipy_without_bias(self):
+        # Gauss-Kronrod constants carried to full double precision: the
+        # period sits within 1e-15 of 2 K(m) / sqrt(lambda1 - lambda3), and
+        # its errors are not all of one sign (15-digit constants put every
+        # band about 3e-15 low)
+        rng = np.random.default_rng(7)
+        errors = []
+        for _ in range(200):
+            l3 = rng.uniform(-2.0, 1.0)
+            l2 = l3 + rng.uniform(0.01, 2.0)
+            l1 = l2 + rng.uniform(0.01, 2.0)
+            expected = 2 * sp_special.ellipk((l2 - l3) / (l1 - l3)) / math.sqrt(l1 - l3)
+            errors.append(fg.period(fg.GapSpec(l1, l2, l3, 0.5 * (l2 + l3))) / expected - 1.0)
+        errors = np.array(errors)
+        assert np.max(np.abs(errors)) <= 1e-15
+        assert np.any(errors < 0) and np.any(errors > 0)
+
 
 class TestTracePotential:
     def test_range_is_the_image_of_the_band(self):

@@ -154,20 +154,16 @@ class TestQuadrature:
     def test_parabola(self):
         assert numeric.quadrature(lambda x: x * x, 0, 1, tol=1e-12) == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_endpoint_regularization(self):
-        v = numeric.quadrature(lambda x: 1 / math.sqrt(x), 0, 1, tol=1e-10, endpoint_regularization=True)
-        assert v == pytest.approx(2.0, abs=1e-10)
-
     def test_gaussian_over_the_line(self):
-        v = numeric.quadrature(lambda x: math.exp(-x * x), -math.inf, math.inf, tol=1e-12)
+        v = numeric.quadrature(lambda x: np.exp(-x * x), -math.inf, math.inf, tol=1e-12)
         assert v == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     def test_erf_oracle(self):
-        v = numeric.quadrature(lambda x: math.exp(-x * x), 0, 1.3, tol=1e-12)
+        v = numeric.quadrature(lambda x: np.exp(-x * x), 0, 1.3, tol=1e-12)
         assert v == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.3), abs=1e-12)
 
     def test_against_scipy(self):
-        f = lambda x: math.exp(-x) * math.cos(5 * x) / (1 + x * x)
+        f = lambda x: np.exp(-x) * np.cos(5 * x) / (1 + x * x)
         mine = numeric.quadrature(f, 0, 4, tol=1e-12)
         ref, _ = sp_integrate.quad(f, 0, 4, epsabs=1e-13, epsrel=1e-13)
         assert mine == pytest.approx(ref, abs=1e-11)
@@ -175,6 +171,107 @@ class TestQuadrature:
     def test_divergent_integral_raises(self):
         with pytest.raises(numeric.QuadratureError):
             numeric.quadrature(lambda x: 1 / x, 0.0, 1.0, tol=1e-10, max_intervals=300)
+
+
+def _oscillating(x):
+    return np.exp(-x) * np.cos(5 * x) / (1 + x * x)
+
+
+class TestArrayQuadrature:
+    """An array of upper limits in one sweep against one call per limit."""
+
+    TOL = 1e-12
+
+    def _check_against_per_point(self, f, a, b):
+        out = numeric.quadrature(f, a, b, tol=self.TOL)
+        b = np.asarray(b, dtype=float)
+        assert isinstance(out, np.ndarray) and out.shape == b.shape
+        for got, x in zip(out.ravel(), b.ravel()):
+            ref = numeric.quadrature(f, a, float(x), tol=self.TOL)
+            assert isinstance(ref, float)
+            # both meet the bound tol * max(1, |I|) on their error estimate
+            assert abs(got - ref) <= 2 * self.TOL * max(1.0, abs(ref))
+            exact, _ = sp_integrate.quad(f, a, x, epsabs=1e-13, epsrel=1e-13)
+            assert got == pytest.approx(exact, rel=1e-11, abs=1e-12)
+        return out
+
+    def test_unsorted_limits_on_both_sides(self):
+        self._check_against_per_point(_oscillating, 0.0, [3.0, -1.0, 0.5, 2.0, -2.5, 1.25])
+
+    def test_duplicates_and_the_anchor_itself(self):
+        out = self._check_against_per_point(_oscillating, 0.5, [2.0, 0.5, 2.0, -1.0, 0.5])
+        assert out[1] == 0.0 and out[4] == 0.0
+        assert out[0] == out[2]
+
+    def test_anchor_outside_the_range(self):
+        self._check_against_per_point(_oscillating, 5.0, [1.0, 2.0, 4.5])
+        self._check_against_per_point(_oscillating, -3.0, [1.0, -1.0, 4.5])
+
+    def test_two_dimensional_limits(self):
+        self._check_against_per_point(_oscillating, 0.0, np.linspace(-2.0, 3.0, 12).reshape(3, 4))
+
+    def test_large_relative_bound(self):
+        # integrands near e^35: the bound is relative to each |I(x)|
+        f = lambda x: np.exp(x * x + 10)
+        xs = np.linspace(-5.0, 5.0, 41)
+        out = numeric.quadrature(f, 0.0, xs, tol=self.TOL)
+        for got, x in zip(out, xs):
+            ref = numeric.quadrature(f, 0.0, float(x), tol=self.TOL)
+            assert abs(got - ref) <= 2 * self.TOL * max(1.0, abs(ref))
+
+    def test_number_limit_gives_float(self):
+        assert numeric.quadrature(_oscillating, 1.0, 1.0) == 0.0
+        assert isinstance(numeric.quadrature(_oscillating, 0.0, 1.0), float)
+        assert numeric.quadrature(_oscillating, 1.0, [1.0, 1.0]).tolist() == [0.0, 0.0]
+
+    def test_infinite_limit_in_an_array(self):
+        out = numeric.quadrature(lambda x: np.exp(-x * x), 0.0, [1.3, math.inf], tol=1e-12)
+        assert out[0] == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.3), abs=1e-12)
+        assert out[1] == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
+
+    def test_one_integrand_call_per_pass(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return _oscillating(x)
+
+        numeric.quadrature(f, 0.0, np.linspace(-2.0, 3.0, 50), tol=self.TOL)
+        assert all(n % 15 == 0 for n in sizes)
+        assert sizes[0] == 15 * 50  # every breakpoint gap on the first pass
+        assert len(sizes) <= 3
+
+    def test_constant_integrand_broadcasts(self):
+        assert numeric.quadrature(lambda x: 2.0, 0.0, [1.0, -3.0]).tolist() == [2.0, -6.0]
+
+    def test_pole_across_the_range_raises(self):
+        with np.errstate(divide="ignore"), pytest.raises(numeric.QuadratureError):
+            numeric.quadrature(lambda x: 1 / x, -1.0, 1.0)  # the midpoint node hits the pole
+        with pytest.raises(numeric.QuadratureError):
+            numeric.quadrature(lambda x: 1 / x, -1.0, [0.5, 2.0], max_intervals=300)
+
+    def test_nan_limit_raises(self):
+        with pytest.raises(numeric.QuadratureError):
+            numeric.quadrature(_oscillating, 0.0, [1.0, math.nan])
+        with pytest.raises(numeric.QuadratureError):
+            numeric.quadrature(_oscillating, math.nan, 1.0)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(numeric.QuadratureError):
+            numeric.quadrature(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+
+    def test_domain_edge_gives_nan_beyond_it(self):
+        f = lambda x: np.where(np.abs(x) < 1, 1 - x * x, np.nan)
+        xs = np.array([1.5, -2.0, 0.0, -0.5, 0.99, 3.0, 0.5, -1.5])
+        out = numeric.quadrature(f, 0.0, xs, tol=self.TOL, domain=True)
+        assert np.isnan(out).tolist() == [True, True, False, False, False, True, False, True]
+        inside = ~np.isnan(out)
+        assert out[inside] == pytest.approx(xs[inside] - xs[inside] ** 3 / 3, rel=1e-12, abs=1e-13)
+        assert math.isnan(numeric.quadrature(f, 0.0, 2.0, domain=True))
+        assert math.isnan(numeric.quadrature(f, 0.0, -2.0, domain=True))
+        assert numeric.quadrature(f, 0.0, 0.5, domain=True) == pytest.approx(0.5 - 0.5**3 / 3, rel=1e-12)
+        with pytest.raises(numeric.QuadratureError):
+            numeric.quadrature(f, 0.0, xs)
 
 
 class TestLinsolve:

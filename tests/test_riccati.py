@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from riccatikit import cli
 from riccatikit import expr as ex
 from riccatikit import numeric
 from riccatikit import riccati as rc
@@ -417,3 +418,106 @@ class TestKovalevskii:
     def test_blow_up_is_reported(self):
         with pytest.raises(numeric.IntegrationBlowUp):
             rc.kovalevskii_check(3, (1.0, 2.0, 3.0), (0.0, 10.0))
+
+
+def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL, n=rc.SAMPLE_COUNT, var="x", limit=1e8):
+    """Reference: the candidate loop with one scalar evaluation per point."""
+    lo, hi = interval
+    good = []
+    for p in np.linspace(lo, hi, 4 * n + 1)[1:-1]:
+        ok = True
+        for e in exprs:
+            try:
+                v = ex.as_expression(e).evaluate({var: float(p)})
+            except (ex.EvalDomainError, OverflowError, ZeroDivisionError):
+                ok = False
+                break
+            if not np.isfinite(v) or abs(v) > limit:
+                ok = False
+                break
+        if ok:
+            good.append(float(p))
+    stride = max(1, len(good) // n)
+    return good[::stride][:n]
+
+
+def residual_per_point(eq, phi, pts):
+    """Reference: riccati_residual's maximum taken one point at a time."""
+    dphi = ex.diff(phi, "x")
+    rhs = ex.add(ex.mul(eq.a, ex.intpow(phi, 2)), ex.mul(eq.b, phi), eq.c)
+    res = ex.sub(dphi, rhs)
+    worst = 0.0
+    for p in pts:
+        scale = max(1.0, abs(rhs.evaluate(x=p)), abs(dphi.evaluate(x=p)))
+        worst = max(worst, abs(res.evaluate(x=p)) / scale)
+    return worst
+
+
+# (a, b, p, q): phi1 = p x + q solves phi' = a phi^2 + b phi + c for the c below;
+# the general solution carries a quadrature-backed antiderivative
+SOLVE_RE_FAMILIES = [(-1, 0, 1, 1), (-1, 1, -1, 0), (1, 0, 1, -1), (1, -1, -1, 1)]
+
+
+def solve_re_family(a, b, p, q):
+    c = f"{-a * p * p}*x^2 + {-2 * a * p * q - b * p}*x + {p - a * q * q - b * q}"
+    eq = rc.RiccatiEq(a, b, ex.parse_expression(c))
+    return eq, rc.general_from_particular(eq, ex.parse_expression(f"{p}*x + {q}"))
+
+
+class TestArrayChecks:
+    """The array sampling and residual against their per-point loops."""
+
+    @pytest.mark.parametrize("text", ["1/x", "2*x + 1/x", "1/x - 1/(x - 2)", "tan(x)", "log(x + 2)"])
+    def test_sample_points_match_the_loop(self, text):
+        e = ex.parse_expression(text)
+        got = rc.sample_points([e])
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == sample_points_per_point([e])
+
+    def test_sample_points_with_several_expressions(self):
+        exprs = [ex.parse_expression("log(x + 2)"), ex.parse_expression("1/(x - 1)")]
+        assert rc.sample_points(exprs, interval=(-3.0, 3.0), n=20).tolist() == sample_points_per_point(
+            exprs, interval=(-3.0, 3.0), n=20
+        )
+
+    @pytest.mark.parametrize("family", SOLVE_RE_FAMILIES)
+    def test_solve_re_families_with_a_quadrature_node(self, family):
+        eq, fam = solve_re_family(*family)
+        for c0 in (1, 4):
+            sol = fam(c0)
+            assert ex.contains_quadrature(sol)
+            res = ex.sub(ex.diff(sol, "x"), ex.add(ex.mul(eq.a, ex.intpow(sol, 2)), ex.mul(eq.b, sol), eq.c))
+            pts = rc.sample_points([sol, res])
+            assert pts.tolist() == sample_points_per_point([sol, res])
+            got = rc.riccati_residual(eq, sol)
+            ref = residual_per_point(eq, sol, pts)
+            assert got <= 1e-9 and abs(got - ref) <= 1e-13
+
+    def test_sample_points_with_a_restricted_integrand(self):
+        # phi' = -phi^2 + phi/(x + 2) through phi1 = 0: the family's
+        # antiderivative of exp(log(x + 2)) has no value for x < -2
+        eq = rc.RiccatiEq(-1, ex.parse_expression("1/(x + 2)"), 0)
+        fam = rc.general_from_particular(eq, ex.ZERO)
+        for c0 in (1, 4):
+            sol = fam(c0)
+            assert ex.contains_quadrature(sol)
+            pts = rc.sample_points([sol])
+            assert pts.tolist() == sample_points_per_point([sol])
+            assert pts.min() > -2.0
+            assert rc.riccati_residual(eq, sol) == pytest.approx(residual_per_point(eq, sol, pts), abs=1e-13)
+
+    def test_residual_matches_the_loop_on_a_non_solution(self):
+        eq = rc.RiccatiEq(-1, 0, ex.parse_expression("x^2+1"))
+        phi = ex.parse_expression("x^2 + 1/(x - 1)")
+        pts = rc.sample_points([phi])
+        assert rc.riccati_residual(eq, phi, points=pts) == pytest.approx(residual_per_point(eq, phi, pts), rel=1e-13)
+
+    def test_nan_point_fails_the_check(self):
+        eq = rc.RiccatiEq(1, 0, 0)
+        phi = ex.neg(ex.recip(ex.add(X, ex.Rational(7))))
+        pts = [0.0, np.nan, 1.0]
+        # Python's max would drop the NaN here (max(0.0, nan) is 0.0)
+        assert math.isnan(rc.riccati_residual(eq, phi, points=pts))
+        lode = rc.Lode2(ex.ZERO, ex.Rational(-1))
+        assert math.isnan(lode.residual(ex.sin(X), points=pts))
+        assert not cli.check("solution_residual", rc.riccati_residual(eq, phi, points=pts), 1e-9)["pass"]
