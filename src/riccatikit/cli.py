@@ -335,13 +335,11 @@ def cmd_soliton(args):
     checks.append(check("a1_limit_plus_infinity", abs(a_far[0, 0] + ksum), 1e-8))
     checks.append(check("a1_limit_minus_infinity", abs(a_far[1, 0] - ksum), 1e-8))
     checks.append(check("decay_at_far_field", np.max(np.abs(2.0 * da_far[:, 0])), 1e-10))
-    wp = so.wronskian_poly(spec)
-    kprobe = [0.3, 1.31, 2.17, 3.7, spec.k[0] + 0.5]
-    wgap = max(
-        abs(so.numeric_wronskian(spec, kv, 0.37) - wp(kv)) / max(1.0, abs(wp(kv))) for kv in kprobe
-    )
+    kprobe = np.array([0.3, 1.31, 2.17, 3.7, spec.k[0] + 0.5])
+    wk = so.wronskian_poly(spec)(kprobe)
+    wgap = np.max(np.abs(so.numeric_wronskian(spec, kprobe, 0.37) - wk) / np.maximum(1.0, np.abs(wk)))
     checks.append(check("wronskian_polynomial_match", wgap, 1e-8))
-    sr = max(so.schrodinger_residual(spec, kv, xv) for kv in (0.5, 1.7) for xv in (-1.0, 0.8))
+    sr = np.max(so.schrodinger_residual(spec, np.array([[0.5], [1.7]]), np.array([-1.0, 0.8])))
     checks.append(check("transparency_residual", sr, 1e-8))
     if spec.n <= 2:
         gap = np.max(np.abs(tp.u - tp.closed_form.evaluate(x=grid)))
@@ -365,23 +363,13 @@ def cmd_kp(args):
     reduction = np.max(np.abs(so.kp_field(spec, probe, 0.0, 0.0) - so.TransparentPotential(spec).u_at(probe)))
     checks = [check("static_reduction_matches_potential", reduction, 1e-12)]
     if spec.n <= 2:
-        u = so.kp_closed_form(spec)
-        ux = ex.diff(u, "x")
-        core = ex.add(
-            ex.mul(-4, ex.diff(ex.diff(u, "t"), "x")),
-            ex.diff(u, "x", 4),
-            ex.mul(-6, ex.intpow(ux, 2)),
-            ex.mul(-6, u, ex.diff(ux, "x")),
-        )
-        worst = max(
-            abs(core.evaluate(x=a_, y=b_, t=c_))
-            for a_ in (-2.0, 0.5, 1.5)
-            for b_ in (-1.0, 0.7)
-            for c_ in (-0.8, 0.3)
-        )
+        # one closed form serves both: the x-t part at the probes, and the
+        # full residual on pde_residual(spec, "kp", box=2.0, n=3)'s grid
+        xt_part, uyy_term = so._kp_residual_terms(spec)
+        worst = so._max_abs_on_grid(xt_part, x=(-2.0, 0.5, 1.5), y=(-1.0, 0.7), t=(-0.8, 0.3))
         checks.append(check("xt_flow_identity", worst, 1e-6))
-        rep = so.pde_residual(spec, which="kp", mode="exact", box=2.0, n=3)
-        transverse = rep.max_abs
+        box = np.linspace(-2.0, 2.0, 3)
+        transverse = so._max_abs_on_grid(ex.add(xt_part, uyy_term), x=box, y=box, t=box)
     else:
         transverse = abs(so._fd_kp(spec, 0.5, 0.4, 0.3, 0.05))
     report = {
@@ -519,27 +507,18 @@ def _verify_soliton(rng):
     tp2 = so.TransparentPotential(spec2)
     cf2 = so.closed_form_potential(spec2)
     checks.append(check("two_soliton_closed_form", np.max(np.abs(tp2.u_at(xs) - cf2.evaluate(x=xs))), 1e-10))
-    sr = max(
-        so.schrodinger_residual(s, kv, xv)
-        for s in (spec, spec2)
-        for kv in (0.5, 1.7, 3.0)
-        for xv in (-2.0, 0.3)
-    )
+    kv, xv = np.array([[0.5], [1.7], [3.0]]), np.array([-2.0, 0.3])
+    sr = np.max([so.schrodinger_residual(s, kv, xv) for s in (spec, spec2)])
     checks.append(check("transparency_residual", sr, 1e-8))
-    sign0 = None
-    ok = True
-    for xv in np.linspace(-50, 50, 41):
-        m, _ = so.system_matrix(spec2, float(xv))
-        s = numeric.LUFactorization(m).det_sign()
-        sign0 = s if sign0 is None else sign0
-        ok = ok and (s == sign0)
+    sign, _ = np.linalg.slogdet(so.system_matrix(spec2, np.linspace(-50, 50, 41))[0])
+    ok = sign[0] != 0 and np.all(sign == sign[0])
     checks.append(check("interpolation_determinant_sign_constant", 0.0 if ok else 1.0, 0.5))
     z1 = se.zeta_chain(so.closed_form_potential(spec), 1)[0]
     gap = np.max(np.abs(z1.evaluate(x=xs) - so.solve_coefficients(spec, xs, order=0)[0][:, 0]))
     checks.append(check("zeta1_equals_a1", gap, 1e-10))
     vals = []
+    u_t = so.kdv_closed_form(spec)
     for t0 in (-0.5, 0.0, 0.7):
-        u_t = so.kdv_closed_form(spec)
         integral = numeric.quadrature(lambda xv: u_t.evaluate(x=xv, t=t0), -40, 40, tol=1e-10)
         vals.append(0.5 * integral)
     checks.append(check("kdv_density_time_drift", max(vals) - min(vals), 1e-8))

@@ -944,30 +944,26 @@ def poly_coeffs(e, var):
                 out[i] = out[i] + x
         return out
     if isinstance(e, Product):
-        out = [Fraction(1)]
-        for f in e.factors:
-            c = poly_coeffs(f, var)
-            if c is None:
-                return None
-            new = [Fraction(0)] * (len(out) + len(c) - 1)
-            for i, x in enumerate(out):
-                for j, y in enumerate(c):
-                    new[i + j] = new[i + j] + x * y
-            out = new
-        return out
-    if isinstance(e, IntPower):
-        c = poly_coeffs(e.base, var)
-        if c is None:
-            return None
-        out = [Fraction(1)]
-        for _ in range(e.exponent):
-            new = [Fraction(0)] * (len(out) + len(c) - 1)
-            for i, x in enumerate(out):
-                for j, y in enumerate(c):
-                    new[i + j] = new[i + j] + x * y
-            out = new
-        return out
-    return None
+        factors = [poly_coeffs(f, var) for f in e.factors]
+    elif isinstance(e, IntPower):
+        factors = [poly_coeffs(e.base, var)] * e.exponent
+    else:
+        return None
+    if any(c is None for c in factors):
+        return None
+    out = [Fraction(1)]
+    for c in factors:
+        out = _convolve(out, c)
+    return out
+
+
+def _convolve(a, b):
+    """Coefficients of the product of two ascending coefficient lists, exactly."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def _poly_expr(coeffs, var):

@@ -583,8 +583,10 @@ _CENTRAL = {
 def fd_derivative(samples, order, step):
     """Derivative of uniformly spaced samples by O(step^2) central stencils.
 
-    Returns (derivatives, boundary_mask); near the ends one-sided stencils of
-    lower accuracy are used and flagged in the mask.
+    Returns (derivatives, boundary_mask).  The first and last ``half``
+    entries, where the central stencil does not fit (half = 1 for orders 1
+    and 2, 2 for orders 3 and 4), repeat the nearest central value and are
+    flagged in the mask.
     """
     y = np.asarray(samples, dtype=float)
     if order not in _CENTRAL:
@@ -592,15 +594,8 @@ def fd_derivative(samples, order, step):
     half, w = _CENTRAL[order]
     if y.size < 2 * half + 1:
         raise ValueError("grid too short for the requested order")
-    out = np.empty_like(y)
+    central = np.lib.stride_tricks.sliding_window_view(y, 2 * half + 1) @ np.array(w) / step**order
+    out = np.concatenate([np.full(half, central[0]), central, np.full(half, central[-1])])
     boundary = np.zeros(y.size, dtype=bool)
-    w = np.array(w)
-    for i in range(half, y.size - half):
-        out[i] = w @ y[i - half : i + half + 1] / step**order
-    for i in range(half):
-        out[i] = w @ y[0 : 2 * half + 1] / step**order
-        boundary[i] = True
-    for i in range(y.size - half, y.size):
-        out[i] = w @ y[-(2 * half + 1) :] / step**order
-        boundary[i] = True
+    boundary[:half] = boundary[-half:] = True
     return out, boundary

@@ -7,12 +7,17 @@ gives an N x N linear system for the coefficients a_j(x); the potential is
 u = 2 a_1'.  Derivatives of a_j are exact, obtained by implicit
 differentiation of the system, never by finite differences.  A grid of x
 values is one stacked (P, N, N) system, solved by one batched LAPACK solve
-per derivative order.
+per derivative order.  The spectral probes (wavefunctions, Wronskian,
+Schrodinger residual) take arrays of k and x and evaluate the polynomial
+parts of psi1, psi2 with np.polyval on the coefficients of one such solve.
 
-Closed forms are provided for N <= 2, including the time-extended fields that
-solve the KP and KdV flows.  Sign conventions: the potentials here are
-negative wells (u -> 0 at infinity, u <= 0 for equal phases), so the flows
-read u_t - 6 u u_x + u_xxx = 0 and (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.
+Closed forms are provided for N <= 2, including the time-extended fields of
+the KdV and KP flows.  Sign conventions: the potentials here are negative
+wells (u -> 0 at infinity, u <= 0 for equal phases), so the flows read
+u_t - 6 u u_x + u_xxx = 0 and (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.
+pde_residual builds each flow's residual from the closed form once and
+evaluates it on a whole grid; the KdV residual and the x-t part of the KP
+residual vanish, the KP term 3 u_yy does not.
 """
 
 from __future__ import annotations
@@ -200,41 +205,49 @@ def potential(spec, grid):
     return TransparentPotential(spec, grid)
 
 
-def _poly_eval(coeffs_desc, k):
-    out = 0.0
-    for c in coeffs_desc:
-        out = out * k + c
+def _poly_coeffs(spec, x, order):
+    """Coefficients of P = k^N + a_1 k^{N-1} + ... + a_N and of its x-derivatives.
+
+    P is the polynomial part of psi1 = e^{kx} P.  Returns ``order + 1``
+    arrays of shape (N + 1,) + x.shape, highest power of k first, ready for
+    np.polyval, from one batched solve over the points of x.
+    """
+    out = []
+    for r, a in enumerate(solve_coefficients(spec, x, order=order)):
+        lead = np.full(a.shape[:-1] + (1,), 1.0 if r == 0 else 0.0)
+        out.append(np.moveaxis(np.concatenate([lead, a], axis=-1), -1, 0))
     return out
+
+
+def _alternate(c):
+    """Coefficients of psi2's polynomial part Q = (-1)^N P(-k) from those of P."""
+    return c * ((-1.0) ** np.arange(len(c))).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
 def wavefunctions(spec, k, x):
     """Values (psi1, psi2) of the truncated-series pair at spectral parameter k.
 
-    At k = k_j the two are proportional with ratio (-1)^{j+1} B_j; at k = 0
-    they are linearly dependent (psi2 = (-1)^N psi1), so no general solution
-    can be assembled from them there.
+    k and x are numbers or arrays that broadcast together.  At k = k_j the
+    two are proportional with ratio (-1)^{j+1} B_j; at k = 0 they are
+    linearly dependent (psi2 = (-1)^N psi1), so no general solution can be
+    assembled from them there.
     """
-    (a,) = solve_coefficients(spec, x, order=0)
-    n = spec.n
-    p = _poly_eval([1.0, *a], k)
-    q = _poly_eval([(-1) ** i * c for i, c in enumerate([1.0, *a])], k)
-    return float(np.exp(k * x) * p), float(np.exp(-k * x) * q)
+    k = np.asarray(k, dtype=float)
+    (c,) = _poly_coeffs(spec, x, 0)
+    return np.exp(k * x) * np.polyval(c, k), np.exp(-k * x) * np.polyval(_alternate(c), k)
 
 
 def numeric_wronskian(spec, k, x):
-    """psi1 psi2' - psi2 psi1' from exact coefficient derivatives.
+    """psi1 psi2' - psi2 psi1' from exact coefficient derivatives (k, x broadcast).
 
     The exponential factors cancel: W = P Q' - Q P' - 2 k P Q with
     P, Q the polynomial parts.
     """
-    a, da = solve_coefficients(spec, x, order=1)
-    coeffs = [1.0, *a]
-    dcoeffs = [0.0, *da]
-    p = _poly_eval(coeffs, k)
-    q = _poly_eval([(-1) ** i * c for i, c in enumerate(coeffs)], k)
-    dp = _poly_eval(dcoeffs, k)
-    dq = _poly_eval([(-1) ** i * c for i, c in enumerate(dcoeffs)], k)
-    return float(p * dq - q * dp - 2 * k * p * q)
+    k = np.asarray(k, dtype=float)
+    c, dc = _poly_coeffs(spec, x, 1)
+    p, dp = np.polyval(c, k), np.polyval(dc, k)
+    q, dq = np.polyval(_alternate(c), k), np.polyval(_alternate(dc), k)
+    return p * dq - q * dp - 2 * k * p * q
 
 
 def wronskian_poly(spec):
@@ -252,19 +265,18 @@ def wronskian_poly(spec):
 
 
 def schrodinger_residual(spec, k, x):
-    """Relative residual of psi1 in psi'' = (k^2 + u) psi at one point.
+    """Relative residual of psi1 in psi'' = (k^2 + u) psi (k, x broadcast).
 
     Computed on the polynomial part so the exponential never overflows:
     psi1'' / e^{kx} = k^2 P + 2k P' + P'' must match (k^2 + u) P.
     """
-    a, da, dda = solve_coefficients(spec, x, order=2)
-    u = 2.0 * da[0]
-    p = _poly_eval([1.0, *a], k)
-    dp = _poly_eval([0.0, *da], k)
-    ddp = _poly_eval([0.0, *dda], k)
+    k = np.asarray(k, dtype=float)
+    c, dc, ddc = _poly_coeffs(spec, x, 2)
+    u = 2.0 * dc[1]
+    p, dp, ddp = (np.polyval(v, k) for v in (c, dc, ddc))
     lhs = k * k * p + 2 * k * dp + ddp
     rhs = (k * k + u) * p
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,67 +351,57 @@ def kdv_field(spec, x, t):
 @dataclass
 class PdeResidualReport:
     which: str
-    mode: str
     max_abs: float
-    step: float | None = None
     points: int = 0
 
 
-def pde_residual(spec, which="kp", mode="exact", box=3.0, n=5, step=0.05):
-    """Maximal PDE residual of the extended field over a sample box.
+def pde_residual(spec, which="kp", box=3.0, n=5):
+    """Maximal PDE residual of the extended closed form over a sample box (N <= 2).
 
     which="kp": (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy, expanded to
     -4 u_tx + u_xxxx - 6 u_x^2 - 6 u u_xx + 3 u_yy.
     which="kdv": u_t - 6 u u_x + u_xxx.
 
-    mode="exact" differentiates the closed form symbolically (N <= 2);
-    mode="fd" uses O(step^2) central differences on the phase-shifted solver
-    and works for any N.
+    The residual is differentiated symbolically once and evaluated on the
+    whole n^3 (kp) or n^2 (kdv) grid over [-box, box] at once; a point where
+    it is undefined makes max_abs NaN.
     """
     if which not in ("kp", "kdv"):
         raise ValueError("which must be 'kp' or 'kdv'")
     pts = np.linspace(-box, box, n)
-    if mode == "exact":
-        residual = _exact_residual_expr(spec, which)
-        worst = 0.0
-        for xv in pts:
-            for tv in pts:
-                if which == "kdv":
-                    worst = max(worst, abs(residual.evaluate(x=xv, t=tv)))
-                else:
-                    for yv in pts:
-                        worst = max(worst, abs(residual.evaluate(x=xv, y=yv, t=tv)))
-        return PdeResidualReport(which, mode, worst, None, n ** (3 if which == "kp" else 2))
-    if mode == "fd":
-        worst = 0.0
-        for xv in pts:
-            for tv in pts:
-                if which == "kdv":
-                    worst = max(worst, abs(_fd_kdv(spec, xv, tv, step)))
-                else:
-                    for yv in pts:
-                        worst = max(worst, abs(_fd_kp(spec, xv, yv, tv, step)))
-        return PdeResidualReport(which, mode, worst, step, n ** (3 if which == "kp" else 2))
-    raise ValueError("mode must be 'exact' or 'fd'")
-
-
-def _exact_residual_expr(spec, which):
     if which == "kdv":
         u = kdv_closed_form(spec)
-        return ex.add(
+        residual = ex.add(
             ex.diff(u, "t"),
             ex.neg(ex.mul(6, u, ex.diff(u, "x"))),
             ex.diff(u, "x", 3),
         )
+        return PdeResidualReport(which, _max_abs_on_grid(residual, x=pts, t=pts), n**2)
+    residual = ex.add(*_kp_residual_terms(spec))
+    return PdeResidualReport(which, _max_abs_on_grid(residual, x=pts, y=pts, t=pts), n**3)
+
+
+def _kp_residual_terms(spec):
+    """The KP residual of kp_closed_form(spec) as (x-t part, 3 u_yy); the residual is their sum.
+
+    The x-t part -4 u_tx + u_xxxx - 6 u_x^2 - 6 u u_xx vanishes identically
+    for the tanh phases; 3 u_yy does not.
+    """
     u = kp_closed_form(spec)
     ux = ex.diff(u, "x")
-    return ex.add(
+    xt_part = ex.add(
         ex.mul(-4, ex.diff(ex.diff(u, "t"), "x")),
         ex.diff(u, "x", 4),
         ex.mul(-6, ex.intpow(ux, 2)),
         ex.mul(-6, u, ex.diff(ux, "x")),
-        ex.mul(3, ex.diff(u, "y", 2)),
     )
+    return xt_part, ex.mul(3, ex.diff(u, "y", 2))
+
+
+def _max_abs_on_grid(e, **axes):
+    """max |e| over the tensor grid of the 1-D sample axes, NaN if e is undefined at any point."""
+    grid = np.meshgrid(*(np.asarray(v, dtype=float) for v in axes.values()), indexing="ij")
+    return float(np.max(np.abs(e.evaluate(dict(zip(axes, grid))))))
 
 
 def _fd_kp(spec, x, y, t, h):

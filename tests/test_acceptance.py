@@ -179,7 +179,7 @@ def test_criterion_10_kp():
     # the full residual is O(1).  Asserted as specified; analysis in the
     # decisions ledger.
     spec = so.SolitonSpec((2.0, 1.0), (0.0, 0.0))
-    rep = so.pde_residual(spec, which="kp", mode="exact", box=3.0, n=5)
+    rep = so.pde_residual(spec, which="kp", box=3.0, n=5)
     from riccatikit.soliton import _fd_kp
 
     r1 = abs(_fd_kp(spec, 0.7, 0.4, 0.3, 0.04))

@@ -2,11 +2,13 @@ import csv
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from riccatikit import cli
 from riccatikit import expr as ex
 from riccatikit import riccati as rc
+from riccatikit import soliton as so
 
 
 def read_report(out_dir, command):
@@ -48,6 +50,31 @@ class TestSoliton:
             assert code == 0
         for name in ("soliton.csv", "finite_gap.csv", "finite_gap_report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestKp:
+    ARGS = ["kp", "--k", "2,1", "--beta", "0,0", "--grid", "-2:2:0.5", "--y", "0.5", "--t", "0.25"]
+
+    def test_two_soliton_builds_the_closed_form_once(self, tmp_path, monkeypatch):
+        calls = []
+        closed = so.kp_closed_form
+        monkeypatch.setattr(so, "kp_closed_form", lambda spec: calls.append(spec) or closed(spec))
+        assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        report = read_report(tmp_path, "kp")
+        spec = so.SolitonSpec((2.0, 1.0), (0.0, 0.0))
+        assert report["transverse_term_max"] == so.pde_residual(spec, "kp", box=2.0, n=3).max_abs
+
+    def test_nan_xt_residual_after_the_first_probe_fails(self, tmp_path, monkeypatch):
+        # a term far below the tolerance where it is defined and undefined
+        # for x >= 1: NaN at the probe x = 1.5 but not at the first, x = -2
+        closed = so.kp_closed_form
+        bad = ex.mul(ex.Real(1e-300), ex.log(ex.sub(1, ex.Var("x"))))
+        monkeypatch.setattr(so, "kp_closed_form", lambda spec: ex.add(closed(spec), bad))
+        assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "kp")["checks"]}
+        assert not checks["xt_flow_identity"]["pass"]
 
 
 class TestSolveRe:
@@ -223,3 +250,17 @@ class TestVerify:
         report = read_report(tmp_path, "verify")
         assert len(report["checks"]) >= 15
         assert all(c["pass"] for c in report["checks"])
+
+    def test_singular_interpolation_matrix_fails_the_sign_check(self, tmp_path, monkeypatch):
+        system_matrix = so.system_matrix
+
+        def singular_at_one_point(spec, x):
+            m, rhs = system_matrix(spec, x)
+            if np.ndim(x):
+                m[len(m) // 2] = 0.0  # determinant sign 0 at one interior point
+            return m, rhs
+
+        monkeypatch.setattr(so, "system_matrix", singular_at_one_point)
+        assert cli.main(["verify", "--suite", "soliton", "--out", str(tmp_path)]) == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "verify")["checks"]}
+        assert not checks["interpolation_determinant_sign_constant"]["pass"]

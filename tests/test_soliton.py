@@ -196,6 +196,32 @@ class TestWavefunctions:
             assert psi2 == pytest.approx((-1) ** spec.n * psi1, rel=1e-13)
 
 
+class TestArrayProbes:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_array_call_equals_point_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        spec = so.SolitonSpec(tuple(np.linspace(3.5, 0.5, n)), tuple(rng.uniform(-1, 1, n)))
+        ks = np.array([0.0, 0.5, 1.7, 3.0, 4.2])
+        xs = np.array([-3.0, -0.4, 0.37, 2.6])
+
+        def probes(k, x):
+            return (*so.wavefunctions(spec, k, x), so.numeric_wronskian(spec, k, x),
+                    so.schrodinger_residual(spec, k, x))
+
+        grids = probes(ks[:, None], xs)
+        for i, k in enumerate(ks):
+            for j, x in enumerate(xs):
+                for g, v in zip(grids, probes(k, x)):
+                    assert np.float64(g[i, j]).tobytes() == np.float64(v).tobytes()
+
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+        solve = so.solve_coefficients
+        monkeypatch.setattr(so, "solve_coefficients", lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+        res = so.schrodinger_residual(SPEC3, np.array([[0.5], [1.7]]), np.array([-1.0, 0.8]))
+        assert res.shape == (2, 2) and len(calls) == 1
+
+
 class TestWronskian:
     def test_one_soliton_polynomial(self):
         wp = so.wronskian_poly(SPEC1)
@@ -306,7 +332,7 @@ class TestKpField:
 class TestPdeResidual:
     def test_kdv_exact_residual_vanishes(self):
         for spec in (SPEC1, SPEC2):
-            rep = so.pde_residual(spec, which="kdv", mode="exact", box=3.0, n=5)
+            rep = so.pde_residual(spec, which="kdv", box=3.0, n=5)
             assert rep.max_abs <= 1e-10
 
     def test_kdv_travelling_against_direct_derivatives(self):
@@ -338,14 +364,25 @@ class TestPdeResidual:
             ex.mul(-6, u, ex.diff(ux, "x")),
             ex.mul(3, ex.diff(u, "y", 2)),
         )
+        assert ex.add(*so._kp_residual_terms(SPEC2)) == exact
         point = (0.5, 0.4, 0.3)
         fd_val = _fd_kp(SPEC2, *point, 0.02)
         assert fd_val == pytest.approx(exact.evaluate(x=point[0], y=point[1], t=point[2]), abs=5e-2)
 
     def test_zero_field_has_zero_residual(self):
         # far outside the support every term collapses
-        rep = so.pde_residual(SPEC1, which="kdv", mode="exact", box=0.0, n=1)
+        rep = so.pde_residual(SPEC1, which="kdv", box=0.0, n=1)
         assert rep.max_abs <= 1e-12
+
+    @pytest.mark.parametrize("which", ["kdv", "kp"])
+    def test_nan_after_the_first_point_is_reported(self, which, monkeypatch):
+        # a term far below any tolerance where it is defined, undefined for
+        # x >= 1: the residual is NaN on the last grid columns only
+        name = f"{which}_closed_form"
+        closed = getattr(so, name)
+        bad = ex.mul(ex.Real(1e-300), ex.log(ex.sub(1, ex.Var("x"))))
+        monkeypatch.setattr(so, name, lambda spec: ex.add(closed(spec), bad))
+        assert math.isnan(so.pde_residual(SPEC1, which=which, box=3.0, n=5).max_abs)
 
     def test_xt_flow_identity_holds_with_transverse_phases(self):
         # y enters the extended phases only through constant shifts of the
@@ -372,8 +409,8 @@ class TestPdeResidual:
         u = so.kp_closed_form(SPEC2)
         uyy = ex.diff(u, "y", 2)
         pts = [(-1.0, 0.5, 0.3), (0.4, -0.8, 0.1), (1.2, 0.2, -0.6)]
+        res = ex.add(*so._kp_residual_terms(SPEC2))
         for (x, y, t) in pts:
-            res = so._exact_residual_expr(SPEC2, "kp")
             assert res.evaluate(x=x, y=y, t=t) == pytest.approx(
                 3 * uyy.evaluate(x=x, y=y, t=t), rel=1e-6, abs=1e-8
             )
