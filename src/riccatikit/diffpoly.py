@@ -2,9 +2,16 @@
 
 A DiffPolynomial is a polynomial with exact rational coefficients in the
 symbols u_i and their x-derivatives u_i', u_i'', ...  A monomial is stored as
-a sorted tuple of ((symbol index, derivative order), exponent) pairs; zero
-coefficients are never kept.  The total derivative D_x obeys the Leibniz rule
-and sends u_i^(d) to u_i^(d+1).
+a sorted tuple of ((symbol index, derivative order), exponent) pairs; the
+constant monomial is ``()``.  Every coefficient in ``coeffs`` is a nonzero
+``Fraction``.  The total derivative D_x obeys the Leibniz rule and sends
+u_i^(d) to u_i^(d+1).
+
+The ring operations and D_x build each result once, in a fresh dict that no
+operand shares: ``+`` adds into one copy of the left operand's coefficients
+and deletes a term that cancels, ``*`` and D_x accumulate every product or
+Leibniz term into one dict and drop the cancelled ones at the end.  Only the
+public constructor coerces its coefficients to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,12 +23,10 @@ from . import expr as ex
 __all__ = ["DiffPolynomial", "format_diffpoly"]
 
 
-def _merge_factor(factors, sym, order, exponent):
-    factors[(sym, order)] = factors.get((sym, order), 0) + exponent
-
-
-def _canon(factors):
-    return tuple(sorted((k, e) for k, e in factors.items() if e != 0))
+def _drop_zeros(coeffs):
+    for mono in [m for m, c in coeffs.items() if not c]:
+        del coeffs[mono]
+    return coeffs
 
 
 class DiffPolynomial:
@@ -35,35 +40,49 @@ class DiffPolynomial:
             for mono, c in coeffs.items():
                 c = Fraction(c)
                 if c != 0:
-                    self.coeffs[mono] = self.coeffs.get(mono, Fraction(0)) + c
-            self.coeffs = {m: c for m, c in self.coeffs.items() if c != 0}
+                    self.coeffs[mono] = c
+
+    @classmethod
+    def _wrap(cls, coeffs):
+        """Take ``coeffs`` as it is: nonzero ``Fraction`` values, a dict nothing else holds."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._wrap({})
 
     @classmethod
     def constant(cls, q):
         q = Fraction(q)
-        return cls({(): q}) if q != 0 else cls()
+        return cls._wrap({(): q} if q else {})
 
     @classmethod
     def symbol(cls, index=1, order=0):
-        return cls({(((index, order), 1),): Fraction(1)})
+        return cls._wrap({(((index, order), 1),): Fraction(1)})
 
     # -- ring operations -----------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return DiffPolynomial(out)
+            prev = out.get(m)
+            if prev is None:
+                out[m] = c
+            else:
+                c = prev + c
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return self._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPolynomial({m: -c for m, c in self.coeffs.items()})
+        return self._wrap({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -76,18 +95,24 @@ class DiffPolynomial:
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                factors = dict(m1)
-                for k, e in m2:
-                    factors[k] = factors.get(k, 0) + e
-                mono = _canon(factors)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return DiffPolynomial(out)
+                if not m1:
+                    mono = m2
+                elif not m2:
+                    mono = m1
+                else:
+                    factors = dict(m1)
+                    for k, e in m2:
+                        factors[k] = factors.get(k, 0) + e
+                    mono = tuple(sorted(factors.items()))
+                prev = out.get(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return self._wrap(_drop_zeros(out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         q = Fraction(scalar)
-        return DiffPolynomial({m: c / q for m, c in self.coeffs.items()})
+        return self._wrap({m: c / q for m, c in self.coeffs.items()})
 
     @staticmethod
     def _coerce(v):
@@ -101,7 +126,11 @@ class DiffPolynomial:
         return isinstance(other, DiffPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        coeffs = self.coeffs
+        if not coeffs or (len(coeffs) == 1 and () in coeffs):
+            # a constant equals its Fraction value, so it hashes as that value
+            return hash(coeffs.get((), 0))
+        return hash(frozenset(coeffs.items()))
 
     def is_zero(self):
         return not self.coeffs
@@ -109,14 +138,20 @@ class DiffPolynomial:
     # -- calculus -----------------------------------------------------------
     def d_x(self):
         """Total derivative: Leibniz expansion, u_i^(d) -> u_i^(d+1)."""
-        out = DiffPolynomial()
+        out = {}
         for mono, c in self.coeffs.items():
             for (sym, order), e in mono:
                 factors = dict(mono)
-                factors[(sym, order)] = e - 1
-                _merge_factor(factors, sym, order + 1, 1)
-                out = out + DiffPolynomial({_canon(factors): c * e})
-        return out
+                if e == 1:
+                    del factors[(sym, order)]
+                else:
+                    factors[(sym, order)] = e - 1
+                up = (sym, order + 1)
+                factors[up] = factors.get(up, 0) + 1
+                term = tuple(sorted(factors.items()))
+                prev = out.get(term)
+                out[term] = c * e if prev is None else prev + c * e
+        return self._wrap(_drop_zeros(out))
 
     # -- conversion ----------------------------------------------------------
     def to_expression(self, potentials, var="x"):

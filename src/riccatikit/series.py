@@ -13,7 +13,15 @@ from fractions import Fraction
 from . import expr as ex
 from .diffpoly import DiffPolynomial
 
-__all__ = ["FormalSeries", "riccati_series", "modschwarz_series", "zeta_chain"]
+__all__ = [
+    "FormalSeries",
+    "potential_series",
+    "riccati_series",
+    "riccati_series_residual",
+    "modschwarz_series",
+    "modschwarz_residual",
+    "zeta_chain",
+]
 
 
 class FormalSeries:
@@ -67,8 +75,6 @@ class FormalSeries:
         other = _coerce(other)
         floor = None
         if self.floor is not None or other.floor is not None:
-            fa = self.floor if self.floor is not None else min(self.terms, default=0)
-            fb = other.floor if other.floor is not None else min(other.terms, default=0)
             candidates = []
             if self.floor is not None:
                 candidates.append(self.floor + other.lead)
@@ -115,11 +121,20 @@ def _max_floor(a, b):
     return max(a, b)
 
 
-def _potential_pair(m):
+def potential_series(m, step=1):
+    """U = lambda^m + u_1 lambda^{m-1} + ... + u_m as a series in p, lambda = p^step."""
+    terms = {step * m: DiffPolynomial.constant(1)}
+    for i in range(1, m + 1):
+        terms[step * (m - i)] = DiffPolynomial.symbol(i)
+    return FormalSeries(terms)
+
+
+def _riccati_potential(m):
+    """The f/g series' potential: U in p = lambda for m = 2, in p = k (lambda = k^2) for m = 1."""
     if m == 1:
-        return DiffPolynomial.zero(), DiffPolynomial.symbol(1)
+        return potential_series(1, step=2)
     if m == 2:
-        return DiffPolynomial.symbol(1), DiffPolynomial.symbol(2)
+        return potential_series(2)
     raise ValueError("generalized potential degree m must be 1 or 2")
 
 
@@ -138,7 +153,8 @@ def riccati_series(m, depth):
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    u1, u2 = _potential_pair(m)
+    potential = _riccati_potential(m)
+    u1, u2 = potential.coeff(1), potential.coeff(0)
     two = Fraction(2)
 
     f = [u1 / two]
@@ -160,6 +176,11 @@ def riccati_series(m, depth):
     return fs, gs
 
 
+def riccati_series_residual(s, m):
+    """w_x + w^2 - potential for a series w from ``riccati_series(m, depth)``."""
+    return s.d_x() + s * s - _riccati_potential(m)
+
+
 def modschwarz_series(m, depth):
     """Series h = 1 + sum_k h_k lambda^{-k} solving the modified-Schwarzian equation.
 
@@ -175,25 +196,21 @@ def modschwarz_series(m, depth):
         raise ValueError("potential degree m must be at least 1")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    u_terms = {m: DiffPolynomial.constant(1)}
-    for i in range(1, m + 1):
-        u_terms[m - i] = DiffPolynomial.symbol(i)
-    potential = FormalSeries(u_terms)
-
     h = FormalSeries({0: DiffPolynomial.constant(1)}, floor=0)
     for k in range(1, depth + 1):
         h = FormalSeries(h.terms, floor=-k)
-        residual = _modschwarz_residual(h, potential, m)
+        residual = modschwarz_residual(h, m)
         hk = -(residual.coeff(m - k)) / Fraction(2)
         h = h + FormalSeries({-k: hk})
     return h
 
 
-def _modschwarz_residual(h, potential, m):
+def modschwarz_residual(h, m):
+    """(3/4) h_x^2 - (1/2) h h_xx + lambda^m h^4 - U h^2 for U = ``potential_series(m)``."""
     hx = h.d_x()
     hxx = hx.d_x()
     h2 = h * h
-    return hx * hx * Fraction(3, 4) - h * hxx * Fraction(1, 2) + (h2 * h2).shift(m) - potential * h2
+    return hx * hx * Fraction(3, 4) - h * hxx * Fraction(1, 2) + (h2 * h2).shift(m) - potential_series(m) * h2
 
 
 def zeta_chain(u, count, var="x", constants=None, allow_quadrature=True):

@@ -7,6 +7,7 @@ import pytest
 
 from riccatikit import cli
 from riccatikit import expr as ex
+from riccatikit import numeric
 from riccatikit import riccati as rc
 from riccatikit import soliton as so
 
@@ -126,6 +127,24 @@ class TestHermite:
         for n, text in ((0, "1"), (1, "2x"), (3, "8x^3-12x")):
             assert cli.main(["hermite", "--n", str(n), "--out", str(tmp_path)]) == 0
             assert read_report(tmp_path, "hermite")["polynomial"] == text
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_nan_witness_residual_after_the_first_point_fails(self, tmp_path, monkeypatch):
+        # a term that stays below 1e-300, with its derivative, while exp(x^3)
+        # is finite and is sin(inf) = NaN past x = 8.92: only the last of the
+        # witness sample points on [4, 9] see it
+        z = ex.intpow(ex.Var("x"), 3)
+        bad = ex.mul(ex.Real(1e-300), ex.sin(ex.exp(z)), ex.exp(ex.mul(-2, z)))
+        hermite_polynomial = rc.hermite_polynomial
+
+        def with_bad_term(n):
+            omega, y = hermite_polynomial(n)
+            return omega, ex.add(y, bad)
+
+        monkeypatch.setattr(rc, "hermite_polynomial", with_bad_term)
+        assert cli.main(["hermite", "--n", "2", "--out", str(tmp_path)]) == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "hermite")["checks"]}
+        assert not checks["riccati_witness_residual"]["pass"]
 
 
 class TestFiniteGap:
@@ -264,3 +283,35 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "soliton", "--out", str(tmp_path)]) == 3
         checks = {c["name"]: c for c in read_report(tmp_path, "verify")["checks"]}
         assert not checks["interpolation_determinant_sign_constant"]["pass"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_nan_derivative_after_the_first_point_fails(self, tmp_path, monkeypatch):
+        # a term far below the tolerance that overflows to inf - inf, so NaN,
+        # for x > 1.31: the suite's first probe is x = 0.17, later ones reach 2
+        e5x = ex.exp(ex.mul(5, ex.Var("x")))
+        bad = ex.mul(ex.Real(1e-300), ex.sub(ex.exp(e5x), ex.exp(ex.add(e5x, 1))))
+        diff = ex.diff
+        monkeypatch.setattr(ex, "diff", lambda e, var, order=1: ex.add(diff(e, var, order), bad))
+        assert cli.main(["verify", "--suite", "symbolic", "--out", str(tmp_path)]) == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "verify")["checks"]}
+        assert not checks["derivative_vs_central_difference"]["pass"]
+        assert sum(not c["pass"] for c in checks.values()) == 1
+
+    def test_nan_density_at_a_later_time_fails(self, tmp_path, monkeypatch):
+        quadrature = numeric.quadrature
+        integrals = []
+
+        def nan_at_the_second_time(f, a, b, **kw):
+            value = quadrature(f, a, b, **kw)
+            if (a, b) == (-40, 40):
+                integrals.append(value)
+                if len(integrals) == 2:
+                    return float("nan")
+            return value
+
+        monkeypatch.setattr(numeric, "quadrature", nan_at_the_second_time)
+        assert cli.main(["verify", "--suite", "soliton", "--out", str(tmp_path)]) == 3
+        assert len(integrals) == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "verify")["checks"]}
+        assert not checks["kdv_density_time_drift"]["pass"]
+        assert sum(not c["pass"] for c in checks.values()) == 1

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from test_diffpoly import ReferencePoly
 
 from riccatikit import expr as ex
-from riccatikit.diffpoly import DiffPolynomial
+from riccatikit import series
+from riccatikit.diffpoly import DiffPolynomial, format_diffpoly
 from riccatikit.series import FormalSeries, modschwarz_series, riccati_series, zeta_chain
 
 U1 = DiffPolynomial.symbol(1)
@@ -87,6 +89,21 @@ class TestModschwarzSeries:
         residual = hx * hx * Fraction(3, 4) - h * hxx * Fraction(1, 2) + (h2 * h2).shift(m) - pot * h2
         for d in range(residual.floor + 1, m + 1):
             assert residual.coeff(d).is_zero(), (m, d)
+
+
+class TestAgainstReferenceArithmetic:
+    @staticmethod
+    def formatted(m, depth=8):
+        f, g = riccati_series(m, depth)
+        h = modschwarz_series(m, depth)
+        return [format_diffpoly(s.coeff(-j), single=m == 1) for s in (f, g, h) for j in range(depth + 1)]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_series_format_as_on_the_reference_arithmetic(self, m, monkeypatch):
+        fast = self.formatted(m)
+        monkeypatch.setattr(series, "DiffPolynomial", ReferencePoly)
+        assert type(modschwarz_series(m, 1).coeff(-1)) is ReferencePoly
+        assert self.formatted(m) == fast
 
 
 class TestZetaChain:
