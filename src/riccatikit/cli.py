@@ -512,7 +512,7 @@ def _verify_finitegap(rng):
     dub = fg.dubrovin_checks(traj, c)
     checks.append(check("dubrovin_item1", dub.item1_max, 1e-6))
     checks.append(check("dubrovin_division_remainder", dub.remainder_max, 1e-6))
-    disc = fg.floquet_discriminant(spec, spec.lam1, traj=traj)
+    disc = fg.floquet_discriminant(spec, spec.lam1)
     checks.append(check("floquet_band_edge", abs(abs(disc) - 2.0), 1e-4))
     return checks
 

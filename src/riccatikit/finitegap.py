@@ -10,7 +10,9 @@ For N root variables the coupled system
 gamma_{j,x}^2 = C(gamma_j) / prod_{k != j} (gamma_j - gamma_k)^2 is exposed
 both as a magnitude right-hand side (caller-managed signs) and as a smooth
 second-order integrator.  The Dubrovin identities are checked at every grid
-point of a trajectory in one array pass.
+point of a trajectory in one array pass, and the turning points of a
+trajectory are bisected all at once.  A Floquet discriminant is one
+integration that carries gamma and both columns of the transfer matrix.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ class RootTrajectory:
         self.gammas = np.atleast_2d(np.asarray(gammas, dtype=float).T).T
         self.dgammas = np.atleast_2d(np.asarray(dgammas, dtype=float).T).T
         self.ddgammas = np.atleast_2d(np.asarray(ddgammas, dtype=float).T).T
-        self.signs = np.sign(self.dgammas)
         self._dense = dense
 
     @property
@@ -115,16 +116,13 @@ class RootTrajectory:
             raise ValueError("trajectory has no dense interpolant")
         return self._dense(x)
 
-    def gamma_at(self, x):
-        state = self(x)
-        return state[..., : self.n]
-
     def turning_points(self, kind="max"):
         """x locations where gamma_1' crosses zero (maxima or minima).
 
         Each sign change of the sampled gamma_1' is bisected on the dense
-        interpolant for at most 80 halvings, stopping once the midpoint
-        rounds to an endpoint: no later halving could move the bracket.
+        interpolant for at most 80 halvings, a bracket stopping once its
+        midpoint rounds to an endpoint: no later halving could move it.  All
+        brackets halve together, one dense-output call per pass.
         """
         want_down = kind == "max"
         d = self.dgammas[:, 0]
@@ -132,19 +130,18 @@ class RootTrajectory:
             starts = np.flatnonzero((d[:-1] > 0) & (d[1:] < 0))
         else:
             starts = np.flatnonzero((d[:-1] < 0) & (d[1:] > 0))
-        out = []
-        for i in starts:
-            lo, hi = self.xs[i], self.xs[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if (self(mid)[self.n] > 0) == want_down:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(0.5 * (lo + hi))
-        return out
+        lo, hi = self.xs[starts], self.xs[starts + 1]
+        live = np.arange(len(starts))
+        for _ in range(80):
+            mid = 0.5 * (lo[live] + hi[live])
+            moves = (mid != lo[live]) & (mid != hi[live])
+            live, mid = live[moves], mid[moves]
+            if live.size == 0:
+                break
+            up = (self(mid)[:, self.n] > 0) == want_down
+            lo[live[up]] = mid[up]
+            hi[live[~up]] = mid[~up]
+        return list(0.5 * (lo + hi))
 
 
 def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=None):
@@ -154,15 +151,12 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     1e-8 * max(1, |C| scale); larger drift (step too large) is an error.
     """
     c = c_poly(spec)
-    dc = c.poly.deriv() if isinstance(c, CPoly) else c.deriv()
+    dc = c.deriv()
 
     def rhs(x, s):
         return np.array([s[1], 0.5 * dc(s[0])])
 
-    c0 = c(spec.gamma0)
-    if c0 < 0:
-        raise ValueError("C(gamma0) must be non-negative inside the band")
-    y0 = np.array([spec.gamma0, spec.sign * math.sqrt(c0)])
+    y0 = _gamma_start(spec, c)
     traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol, fixed_step=fixed_step)
 
     xs = np.arange(x_range[0], x_range[1] + 0.5 * step, step)
@@ -172,12 +166,20 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     ddgam = 0.5 * dc(gam)
 
     energy = np.abs(dgam**2 - c(gam))
-    scale = max(1.0, abs(c0))
+    scale = max(1.0, c(spec.gamma0))
     if np.max(energy) > 1e-8 * scale:
         raise numeric.NumericError(
             f"energy drift {np.max(energy):.3g} exceeds tolerance; reduce the step"
         )
     return RootTrajectory(xs, gam, dgam, ddgam, dense=traj)
+
+
+def _gamma_start(spec, c):
+    """Start state (gamma0, sign * sqrt(C(gamma0))) of gamma'' = C'(gamma)/2."""
+    c0 = c(spec.gamma0)
+    if c0 < 0:
+        raise ValueError("C(gamma0) must be non-negative inside the band")
+    return np.array([spec.gamma0, spec.sign * math.sqrt(c0)])
 
 
 def period(spec, tol=1e-12):
@@ -216,26 +218,28 @@ def trace_potential(traj, spec):
     return 2.0 * traj.gammas[:, 0] - spec.trace
 
 
-def floquet_discriminant(spec, lam, traj=None, tol=1e-10):
+def floquet_discriminant(spec, lam):
     """Trace of the one-period transfer matrix of psi'' = (lam + u) psi.
 
-    |trace| = 2 marks band edges of the periodic spectral problem.
+    |trace| = 2 marks band edges of the periodic spectral problem.  One
+    integration over the period T carries the state
+    (gamma, gamma', psi1, psi1', psi2, psi2') from
+    (gamma0, sign * sqrt(C(gamma0)), 1, 0, 0, 1), with gamma'' = C'(gamma)/2
+    and u = 2 gamma - lambda1 - lambda2 - lambda3 read from the state.  The
+    tolerance is 1e-12: at 1e-10 the error of |trace| = 2 at the band edges
+    grows about a hundredfold, to near 4e-7.
     """
-    t = period(spec)
-    if traj is None or traj.xs[-1] < t:
-        traj = integrate_gamma(spec, (0.0, 1.05 * t), step=t / 400, tol=1e-12)
-
-    def u(x):
-        return 2.0 * traj(x)[0] - spec.trace
+    c = c_poly(spec)
+    dc = c.deriv()
+    shift = lam - spec.trace
 
     def rhs(x, s):
-        return np.array([s[1], (lam + u(x)) * s[0]])
+        q = shift + 2.0 * s[0]
+        return np.array([s[1], 0.5 * dc(s[0]), s[3], q * s[2], s[5], q * s[4]])
 
-    m = np.empty((2, 2))
-    for col, init in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        sol = numeric.integrate_ivp(rhs, 0.0, np.array(init), t, tol=tol)
-        m[:, col] = sol.ys[-1]
-    return float(m[0, 0] + m[1, 1])
+    y0 = np.concatenate([_gamma_start(spec, c), [1.0, 0.0, 0.0, 1.0]])
+    end = numeric.integrate_ivp(rhs, 0.0, y0, period(spec), tol=1e-12).ys[-1]
+    return float(end[2] + end[5])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Shared numerical substrate.
 
-Adaptive embedded Runge-Kutta integration with dense output (a whole grid
-of x is interpolated in one array pass), adaptive Gauss-Kronrod quadrature
-to a whole array of upper limits in one sweep, small dense LU solves with
-reusable factorizations, companion-matrix polynomial roots and
+Adaptive embedded Runge-Kutta integration with dense output (one array
+pass per call, for one point or a whole grid of x), adaptive Gauss-Kronrod
+quadrature to a whole array of upper limits in one sweep, small dense LU
+solves with reusable factorizations, companion-matrix polynomial roots and
 finite-difference stencils.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "SingularMatrixError",
     "IntegrationBlowUp",
     "QuadratureError",
-    "IvpProblem",
     "Trajectory",
     "integrate_ivp",
     "pow2",
@@ -78,24 +76,6 @@ _DP_E = _DP_B5 - _DP_B4
 _TINY_STEP = 16 * np.finfo(float).eps
 
 
-class IvpProblem:
-    """Initial value problem record: y' = rhs(x, y), y(x0) = y0."""
-
-    def __init__(self, rhs, x0, y0):
-        self.rhs = rhs
-        self.x0 = float(x0)
-        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        if self.y0.size < 1:
-            raise ValueError("state dimension must be at least 1")
-        f0 = np.asarray(rhs(self.x0, self.y0), dtype=float)
-        if not np.all(np.isfinite(f0)):
-            raise ValueError("right-hand side is not finite at the initial point")
-
-    @property
-    def dimension(self):
-        return self.y0.size
-
-
 class Trajectory:
     """Dense solution of an IVP: accepted nodes plus cubic Hermite interpolation."""
 
@@ -110,7 +90,6 @@ class Trajectory:
         self._zero_steps = bool(np.any(self._h == 0))
         inner = self.xs[1:-1]
         self._inner = inner if self._forward else inner[::-1]
-        self._inner_list = self._inner.tolist()
 
     @property
     def x0(self):
@@ -128,12 +107,6 @@ class Trajectory:
         first or last step, and a zero-width step returns its node value.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            i = self._step_index(bisect.bisect_left(self._inner_list, float(x)))
-            h = self._h[i]
-            if h == 0:
-                return self.ys[i].copy()
-            return _hermite((x - self.xs[i]) / h, h, self.ys[i], self.fs[i], self.ys[i + 1], self.fs[i + 1])
         flat = x.reshape(-1)
         i = self._step_index(np.searchsorted(self._inner, flat))
         h = self._h[i]
@@ -166,19 +139,16 @@ def _hermite(t, h, y0, f0, y1, f1):
     return (1 + 2 * t) * s * y0 + t * s * h * f0 + t * t * (3 - 2 * t) * y1 + t * t * (t - 1) * h * f1
 
 
-def integrate_ivp(rhs, x0=None, y0=None, x_end=None, tol=1e-10, max_step=None, fixed_step=None):
+def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
     """Integrate y' = rhs(x, y) from x0 to x_end.
 
-    Also accepts an IvpProblem in place of (rhs, x0, y0).  Adaptive
-    Dormand-Prince 5(4) by default; ``fixed_step`` switches to classical
-    fixed-step RK4 for bit-reproducible runs.  Raises IntegrationBlowUp
-    (with location and the partial trajectory) when the step size underflows
-    or the state leaves [-1e100, 1e100].
+    Adaptive Dormand-Prince 5(4) by default, starting with a step of
+    min(span / 10, 1) and never stepping further than the span;
+    ``fixed_step`` switches to classical fixed-step RK4 for bit-reproducible
+    runs.  Raises IntegrationBlowUp (with location and the partial
+    trajectory) when the step size underflows or the state leaves
+    [-1e100, 1e100].
     """
-    if isinstance(rhs, IvpProblem):
-        if x_end is None:
-            x_end = x0  # integrate_ivp(problem, x_end)
-        rhs, x0, y0 = rhs.rhs, rhs.x0, rhs.y0
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     x0 = float(x0)
     x_end = float(x_end)
@@ -190,9 +160,7 @@ def integrate_ivp(rhs, x0=None, y0=None, x_end=None, tol=1e-10, max_step=None, f
 
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
-    if max_step is None:
-        max_step = span
-    h = direction * min(max_step, span / 10 if span > 0 else 1.0, 1.0)
+    h = direction * min(span / 10, 1.0)
 
     xs = [x0]
     ys = [y0.copy()]
@@ -237,8 +205,8 @@ def integrate_ivp(rhs, x0=None, y0=None, x_end=None, tol=1e-10, max_step=None, f
                 raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if abs(h) > max_step:
-            h = direction * max_step
+        if abs(h) > span:
+            h = direction * span
     return Trajectory(xs, ys, fs)
 
 

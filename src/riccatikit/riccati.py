@@ -459,7 +459,7 @@ def pole_series(alpha, eps, depth):
     for j in range(1, depth + 1):
         conv = sum((a[i] * a[j - 1 - i] for i in range(j)), zero)
         num = rhs.get(j - 1, zero) - conv
-        a.append(num / (j + 2) if exact else num / (j + 2))
+        a.append(num / (j + 2))
     return a
 
 

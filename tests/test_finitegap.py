@@ -142,6 +142,49 @@ class TestTracePotential:
         assert abs(fg.floquet_discriminant(SPEC, 2.5)) > 2.0 + 1e-3
 
 
+def _bench_style_specs(count, seed):
+    # bands drawn as the benchmark draws them: lambda3 in [-1, 1], width
+    # lambda1 - lambda3 in [1, 1.5], lambda2 at a ratio in [0.05, 0.95]
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        lam3 = rng.uniform(-1.0, 1.0)
+        width = rng.uniform(1.0, 1.5)
+        lam2 = lam3 + rng.uniform(0.05, 0.95) * width
+        gamma0 = lam3 + (lam2 - lam3) * rng.uniform(0.05, 0.95)
+        specs.append(fg.GapSpec(lam3 + width, lam2, lam3, gamma0, 1 if rng.random() < 0.5 else -1))
+    return specs
+
+
+class TestFloquetDiscriminant:
+    def test_one_integration_and_no_dense_output(self, monkeypatch):
+        calls = {"ivp": 0, "dense": 0}
+        integrate, dense = numeric.integrate_ivp, numeric.Trajectory.__call__
+
+        def counting_ivp(*args, **kwargs):
+            calls["ivp"] += 1
+            return integrate(*args, **kwargs)
+
+        def counting_dense(self, x):
+            calls["dense"] += 1
+            return dense(self, x)
+
+        monkeypatch.setattr(numeric, "integrate_ivp", counting_ivp)
+        monkeypatch.setattr(numeric.Trajectory, "__call__", counting_dense)
+        for lam in SPEC.lams:
+            before = calls["ivp"]
+            fg.floquet_discriminant(SPEC, lam)
+            assert calls["ivp"] == before + 1
+        assert calls["dense"] == 0
+
+    @pytest.mark.parametrize(
+        "spec", _bench_style_specs(20, 1018) + [fg.GapSpec(3.0, -0.999, -1.0, -0.9995)]
+    )
+    def test_band_edges_to_2e_8(self, spec):
+        for lam in spec.lams:
+            assert abs(abs(fg.floquet_discriminant(spec, lam)) - 2.0) <= 2e-8
+
+
 class TestDubrovinRhs:
     def test_single_phase_reduces_to_the_elliptic_speed(self):
         c = fg.c_poly(SPEC)
@@ -317,6 +360,21 @@ class TestTurningPoints:
         got = traj.turning_points(kind)
         assert len(got) >= 3
         assert got == self._reference(traj, kind)
+
+    def test_one_dense_output_call_per_halving_pass(self, monkeypatch):
+        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
+        calls = []
+        dense = numeric.Trajectory.__call__
+
+        def counting_dense(self, x):
+            calls.append(x)
+            return dense(self, x)
+
+        monkeypatch.setattr(numeric.Trajectory, "__call__", counting_dense)
+        for kind in ("max", "min"):
+            calls.clear()
+            assert len(traj.turning_points(kind)) >= 3
+            assert 0 < len(calls) <= 80
 
 
 class TestPolynomialIdentity:

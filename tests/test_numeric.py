@@ -368,16 +368,3 @@ class TestFdDerivative:
         with pytest.raises(ValueError):
             numeric.fd_derivative([1.0, 2.0], 3, 0.1)
 
-
-class TestIvpProblem:
-    def test_record_drives_the_integrator(self):
-        import math
-
-        prob = numeric.IvpProblem(lambda x, y: np.array([y[0]]), 0.0, [1.0])
-        assert prob.dimension == 1
-        traj = numeric.integrate_ivp(prob, 1.0, tol=1e-12)
-        assert traj.ys[-1][0] == pytest.approx(math.e, rel=1e-10)
-
-    def test_rejects_non_finite_start(self):
-        with pytest.raises(ValueError):
-            numeric.IvpProblem(lambda x, y: np.array([float("nan")]), 0.0, [1.0])
