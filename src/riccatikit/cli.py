@@ -13,6 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -183,8 +184,7 @@ def cmd_hermite(args):
     omega, y = rc.hermite_polynomial(n)
     rhs = ex.parse_expression(f"x^2 - {2 * n + 1}")
     witness = ex.add(ex.diff(y, "x"), ex.intpow(y, 2), ex.neg(rhs))
-    pts = [p for p in np.linspace(4.0, 9.0, 100)]
-    residual = np.max([abs(witness.evaluate(x=p)) for p in pts])  # a NaN at any point fails
+    residual = np.max(np.abs(witness.evaluate(x=np.linspace(4.0, 9.0, 100))))  # a NaN at any point fails
     report = {
         "command": "hermite",
         "n": n,
@@ -317,7 +317,7 @@ def cmd_soliton(args):
     sr = np.max(so.schrodinger_residual(spec, np.array([[0.5], [1.7]]), np.array([-1.0, 0.8])))
     checks.append(check("transparency_residual", sr, 1e-8))
     if spec.n <= 2:
-        gap = np.max(np.abs(tp.u - tp.closed_form.evaluate(x=grid)))
+        gap = np.max(np.abs(tp.u - so.closed_form_potential(spec).evaluate(x=grid)))
         checks.append(check("closed_form_match", gap, 1e-10))
     report = {
         "command": "soliton",
@@ -418,11 +418,9 @@ def _verify_symbolic(rng):
     checks.append(check("leibniz_rule_exact", 0.0 if leibniz.is_zero() else 1.0, 0.5))
     e = ex.parse_expression("exp(-x^2)*tanh(x) + x^3/(1+x^2)")
     d = ex.diff(e, "x")
-    errs = []
-    for p0 in rng.uniform(-2, 2, 8):
-        h0 = 1e-6
-        fd = (e.evaluate(x=p0 + h0) - e.evaluate(x=p0 - h0)) / (2 * h0)
-        errs.append(abs(fd - d.evaluate(x=p0)) / max(1.0, abs(fd)))
+    p0, h0 = rng.uniform(-2, 2, 8), 1e-6
+    fd = (e.evaluate(x=p0 + h0) - e.evaluate(x=p0 - h0)) / (2 * h0)
+    errs = np.abs(fd - d.evaluate(x=p0)) / np.maximum(1.0, np.abs(fd))
     checks.append(check("derivative_vs_central_difference", np.max(errs), 1e-7))  # a NaN at any point fails
     return checks
 
@@ -542,21 +540,21 @@ def cmd_verify(args):
 # argument wiring
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="riccati",
         description="Riccati-equation toolkit: transformations, solvable potentials, verification.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None, help="JSON file with flag values")
     sub = parser.add_subparsers(dest="command")
-    subparsers = {}
 
     def new(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+        p = sub.add_parser(name, allow_abbrev=False, **kw)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--deterministic", action="store_true", help="fixed-step integrators")
-        p.set_defaults(handler=fn)
-        subparsers[name] = p
+        p.set_defaults(handler=fn.__name__)  # looked up per call, so a rebound cmd_* takes effect
         return p
 
     p = new("transform", cmd_transform, help="apply a fraction-linear map to a Riccati equation")
@@ -607,11 +605,12 @@ def build_parser():
     p.add_argument("--gamma0", type=float, required=True)
     p.add_argument("--sign", default="+", choices=["+", "-"])
     p.add_argument("--grid", default="0:12:0.01")
+    p.add_argument("--deterministic", action="store_true", help="fixed-step RK4 integrator")
 
     p = new("verify", cmd_verify, help="run the invariant suites")
     p.add_argument("--suite", default="all")
 
-    return parser, subparsers
+    return parser
 
 
 def _merge_negative_values(argv):
@@ -637,37 +636,45 @@ def _merge_negative_values(argv):
     return out
 
 
+def _config_argv(argv):
+    """Replace ``--config FILE`` by the file's flags, right after the subcommand.
+
+    A key ``k`` with value ``v`` becomes ``--k=v``, ``true`` a bare ``--k``;
+    ``false`` and ``null`` are left out.  The user's own flags come after
+    them, so they win.  ``command`` names the subcommand when argv has none.
+    """
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config")
+    if i + 1 == len(argv):
+        return argv  # argparse reports the missing file name
+    path = argv[i + 1]
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    rest = argv[:i] + argv[i + 2:]
+    command = cfg.pop("command", None)
+    if rest and not rest[0].startswith("-"):
+        command, rest = rest[0], rest[1:]
+    if command is None:
+        return rest
+    flags = [f"--{k}" if v is True else f"--{k}={v}" for k, v in cfg.items() if v is not False and v is not None]
+    return [command, *flags, *rest]
+
+
 def main(argv=None):
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
-    parser, subparsers = build_parser()
-    # --config supplies defaults for the chosen subcommand
-    if "--config" in argv:
-        idx = argv.index("--config")
-        cfg_path = argv[idx + 1]
-        try:
-            cfg = json.loads(Path(cfg_path).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read config {cfg_path}: {err}", file=sys.stderr)
-            return 2
-        command = cfg.pop("command", None)
-        supplied = {k.replace("-", "_"): v for k, v in cfg.items()}
-        for name, p in subparsers.items():
-            p.set_defaults(**supplied)
-            for action in p._actions:
-                if action.dest in supplied:
-                    action.required = False
-        if command and not any(a in subparsers for a in argv):
-            argv = [command] + [a for a in argv if a not in ("--config", cfg_path)]
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_help()
-        return 2
+    parser = build_parser()
     try:
-        return args.handler(args)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        args = parser.parse_args(_config_argv(argv))
+        if args.command is None:
+            parser.print_help()
+            return 2
+        return globals()[args.handler](args)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except numeric.NumericError as err:

@@ -35,7 +35,6 @@ __all__ = [
     "neg",
     "recip",
     "intpow",
-    "div",
     "exp",
     "log",
     "sinh",
@@ -70,10 +69,6 @@ def _eval_masked(e, env):
     env[_MASKED] = True
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return e._eval(env)
-
-
-def _is_scalar(v):
-    return isinstance(v, (int, Fraction, float)) and not isinstance(v, bool)
 
 
 def as_expression(v):
@@ -429,55 +424,10 @@ class Recip(Expression):
         return f"({s})" if prec > 2 else s
 
 
-def _fn_exp(u):
-    return exp(u)
-
-
-def _fn_log(u):
-    return recip(u)
-
-
-def _fn_sinh(u):
-    return cosh(u)
-
-
-def _fn_cosh(u):
-    return sinh(u)
-
-
-def _fn_tanh(u):
-    return recip(intpow(cosh(u), 2))
-
-
-def _fn_sin(u):
-    return cos(u)
-
-
-def _fn_cos(u):
-    return neg(sin(u))
-
-
-def _fn_tan(u):
-    return recip(intpow(cos(u), 2))
-
-
 def _eval_log(v):
     if np.any(v <= 0):
         raise EvalDomainError("log of non-positive argument")
     return np.log(v)
-
-
-_FUNCTIONS = {
-    # name: (numeric evaluation, derivative of outer function)
-    "exp": (np.exp, _fn_exp),
-    "log": (_eval_log, _fn_log),
-    "sinh": (np.sinh, _fn_sinh),
-    "cosh": (np.cosh, _fn_cosh),
-    "tanh": (np.tanh, _fn_tanh),
-    "sin": (np.sin, _fn_sin),
-    "cos": (np.cos, _fn_cos),
-    "tan": (np.tan, _fn_tan),
-}
 
 
 class Func(Expression):
@@ -561,6 +511,18 @@ class Quadrature(Expression):
 ZERO = Rational(0)
 ONE = Rational(1)
 
+_FUNCTIONS = {
+    # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there))
+    "exp": (np.exp, lambda u: exp(u), (0, ONE)),
+    "log": (_eval_log, lambda u: recip(u), (1, ZERO)),
+    "sinh": (np.sinh, lambda u: cosh(u), (0, ZERO)),
+    "cosh": (np.cosh, lambda u: sinh(u), (0, ONE)),
+    "tanh": (np.tanh, lambda u: recip(intpow(cosh(u), 2)), (0, ZERO)),
+    "sin": (np.sin, lambda u: cos(u), (0, ZERO)),
+    "cos": (np.cos, lambda u: neg(sin(u)), (0, ONE)),
+    "tan": (np.tan, lambda u: recip(intpow(cos(u), 2)), (0, ZERO)),
+}
+
 
 def _const_value(e):
     if isinstance(e, Rational):
@@ -572,10 +534,6 @@ def _const_value(e):
 
 def is_zero(e):
     return isinstance(e, Rational) and e.value == 0
-
-
-def _is_one(e):
-    return isinstance(e, Rational) and e.value == 1
 
 
 def _leading_const(p):
@@ -821,29 +779,20 @@ def intpow(e, n):
     return IntPower(e, n)
 
 
-def div(a, b):
-    return mul(as_expression(a), recip(as_expression(b)))
+def _func(name, e):
+    """``name(e)``, exact at the table's special argument; log(exp(u)) is u."""
+    e = as_expression(e)
+    at, value = _FUNCTIONS[name][2]
+    if isinstance(e, Rational) and e.value == at:
+        return value
+    if name == "log" and isinstance(e, Func) and e.name == "exp":
+        return e.arg
+    return Func(name, e)
 
 
 def _make_func(name):
-    special = {
-        "exp": {Fraction(0): ONE},
-        "log": {Fraction(1): ZERO},
-        "sinh": {Fraction(0): ZERO},
-        "cosh": {Fraction(0): ONE},
-        "tanh": {Fraction(0): ZERO},
-        "sin": {Fraction(0): ZERO},
-        "cos": {Fraction(0): ONE},
-        "tan": {Fraction(0): ZERO},
-    }[name]
-
     def build(e):
-        e = as_expression(e)
-        if isinstance(e, Rational) and e.value in special:
-            return special[e.value]
-        if name == "log" and isinstance(e, Func) and e.name == "exp":
-            return e.arg
-        return Func(name, e)
+        return _func(name, e)
 
     build.__name__ = name
     return build
@@ -1205,7 +1154,7 @@ def _parse_atom(toks):
             toks.expect("(")
             arg = _parse_sum(toks)
             toks.expect(")")
-            return _FUNCTIONS_BUILDERS[text](arg)
+            return _func(text, arg)
         return Var(text)
     if kind == "op" and text == "(":
         toks.next()
@@ -1214,14 +1163,3 @@ def _parse_atom(toks):
         return inner
     raise ValueError(f"unexpected token {text!r}")
 
-
-_FUNCTIONS_BUILDERS = {
-    "exp": exp,
-    "log": log,
-    "sinh": sinh,
-    "cosh": cosh,
-    "tanh": tanh,
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-}

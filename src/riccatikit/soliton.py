@@ -193,12 +193,6 @@ class TransparentPotential:
         _, da = solve_coefficients(self.spec, x, order=1)
         return 2.0 * da[..., 0]
 
-    @property
-    def closed_form(self):
-        if self.spec.n <= 2:
-            return closed_form_potential(self.spec)
-        return None
-
 
 def potential(spec, grid):
     """Transparent potential evaluated on a grid, u = 2 a_1' with exact a_1'."""

@@ -40,8 +40,7 @@ class TestSoliton:
         b = tmp_path / "b"
         for out in (a, b):
             code = cli.main([
-                "soliton", "--k", "2,1", "--beta", "0,0", "--grid", "-3:3:0.05",
-                "--deterministic", "--out", str(out)
+                "soliton", "--k", "2,1", "--beta", "0,0", "--grid", "-3:3:0.05", "--out", str(out)
             ])
             assert code == 0
             code = cli.main([
@@ -147,6 +146,24 @@ class TestHermite:
         assert not checks["riccati_witness_residual"]["pass"]
 
 
+def count_evaluate_calls(monkeypatch):
+    shapes = []
+    evaluate = ex.Expression.evaluate
+
+    def recording(self, *args, **kw):
+        shapes.append({k: np.shape(v) for k, v in kw.items()})
+        return evaluate(self, *args, **kw)
+
+    monkeypatch.setattr(ex.Expression, "evaluate", recording)
+    return shapes
+
+
+def test_hermite_witness_is_one_array_evaluation(tmp_path, monkeypatch):
+    shapes = count_evaluate_calls(monkeypatch)
+    assert cli.main(["hermite", "--n", "6", "--out", str(tmp_path)]) == 0
+    assert shapes == [{"x": (100,)}]
+
+
 class TestFiniteGap:
     def test_period_in_report(self, tmp_path):
         code = cli.main([
@@ -227,6 +244,66 @@ class TestConfigFile:
         assert read_report(tmp_path, "hermite")["polynomial"] == "8x^3-12x"
 
 
+class TestParser:
+    """One parser per process: parsing, --config included, never changes it."""
+
+    def usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        return exc.value.code == 2
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_config_values_do_not_leak_into_later_calls(self, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"command": "hermite", "n": 2}))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert self.usage_error(["hermite", "--out", str(tmp_path)])  # --n is required again
+
+    def test_deterministic_is_a_finite_gap_flag_only(self, tmp_path):
+        assert self.usage_error(["soliton", "--k", "1", "--beta", "0", "--deterministic", "--out", str(tmp_path)])
+        for name, action in cli.build_parser()._subparsers._group_actions[0].choices.items():
+            flags = {s for a in action._actions for s in a.option_strings}
+            assert ("--deterministic" in flags) == (name == "finite-gap")
+
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path):
+        for key in ("order", "o"):  # "o" is a prefix of --out, not a flag
+            cfg = tmp_path / "job.json"
+            cfg.write_text(json.dumps({"command": "hermite", "n": 2, key: 3, "out": str(tmp_path)}))
+            assert self.usage_error(["--config", str(cfg)])
+
+    def test_flags_are_not_abbreviated(self, tmp_path):
+        assert self.usage_error(["hermite", "--n", "2", "--o", str(tmp_path)])
+        assert self.usage_error(["schwarz", "--phi", "tan(x)", "--gr", "-1:1:0.5", "--out", str(tmp_path)])
+
+    def test_dispatch_sees_a_rebound_handler(self, tmp_path, monkeypatch):
+        assert cli.main(["hermite", "--n", "2", "--out", str(tmp_path)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_hermite", lambda args: seen.append(args.n) or 0)
+        assert cli.main(["hermite", "--n", "3", "--out", str(tmp_path)]) == 0
+        assert seen == [3]
+
+    def test_unreadable_config_exits_2(self, tmp_path):
+        assert cli.main(["--config", str(tmp_path / "missing.json")]) == 2
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["--config", str(cfg)]) == 2
+
+    def test_config_booleans_switch_a_flag(self, tmp_path):
+        argv = ["finite-gap", "--lambdas", "1.2,0.5,-0.1", "--gamma0", "0.2", "--grid", "0:8:0.01"]
+        runs = {}
+        for name, extra, cfg in (("flag", ["--deterministic"], {}), ("true", [], {"deterministic": True}),
+                                 ("plain", [], {}), ("false", [], {"deterministic": False}),
+                                 ("null", [], {"deterministic": None})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            out = tmp_path / name
+            assert cli.main(["--config", str(tmp_path / f"{name}.json"), *argv, *extra, "--out", str(out)]) == 0
+            runs[name] = [(out / f).read_bytes() for f in ("finite_gap.csv", "finite_gap_report.json")]
+        assert runs["true"] == runs["flag"]
+        assert runs["false"] == runs["null"] == runs["plain"] != runs["flag"]
+
+
 class TestEmission:
     def test_empty_table_writes_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -296,6 +373,11 @@ class TestVerify:
         checks = {c["name"]: c for c in read_report(tmp_path, "verify")["checks"]}
         assert not checks["derivative_vs_central_difference"]["pass"]
         assert sum(not c["pass"] for c in checks.values()) == 1
+
+    def test_derivative_check_is_one_array_evaluation_per_expression(self, tmp_path, monkeypatch):
+        shapes = count_evaluate_calls(monkeypatch)
+        assert cli.main(["verify", "--suite", "symbolic", "--out", str(tmp_path)]) == 0
+        assert shapes == [{"x": (8,)}] * 3
 
     def test_nan_density_at_a_later_time_fails(self, tmp_path, monkeypatch):
         quadrature = numeric.quadrature
