@@ -164,6 +164,8 @@ def cmd_solve_re(args):
     phi1 = parse_expr_arg(args.phi1) if args.phi1 is not None else None
     family = rc.general_from_particular(eq, phi1)
     constants = parse_list(args.constants)
+    if not constants:
+        raise ConfigError("--constants needs at least one value")
     grid = parse_grid(args.grid)
     columns = [("x", grid)]
     checks = []
@@ -236,6 +238,8 @@ def _maybe_rational(text):
     s = str(text)
     try:
         return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in a constant: {s!r}") from None
     except ValueError:
         return float(s)
 
@@ -282,7 +286,7 @@ def cmd_series(args):
         report["checks"] = [check("order_matching_residual", residual, 0.5)]
     elif what == "zeta":
         u = parse_expr_arg(args.u)
-        chain = se.zeta_chain(u, depth if depth >= 1 else 1)
+        chain = se.zeta_chain(u, depth)
         report["coefficients"] = {f"zeta_{j + 1}": str(z) for j, z in enumerate(chain)}
         z1 = chain[0]
         rel = ex.sub(ex.intpow(z1, 2), ex.diff(z1, "x"))

@@ -17,6 +17,8 @@ adaptive quadrature from a fixed anchor point, for all points in one sweep.
 
 from __future__ import annotations
 
+import ast
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -570,18 +572,12 @@ def add(*terms):
             return
         cv = _const_value(t)
         if cv is not None:
-            const = const + cv if not isinstance(const, float) else const + float(cv)
-            if isinstance(cv, float) and not isinstance(const, float):
-                const = float(const)
+            const = const + cv  # a float on either side makes the sum a float
             return
         coeff, core = _split_coeff(t)
         k = core.key()
         if k in merged:
-            old = merged[k][0]
-            new = old + coeff
-            if isinstance(old, float) or isinstance(coeff, float):
-                new = float(old) + float(coeff)
-            merged[k][0] = new
+            merged[k][0] += coeff
         else:
             merged[k] = [coeff, core]
 
@@ -599,7 +595,7 @@ def add(*terms):
         else:
             out.append(mul(_make_const(coeff), core))
     if const != 0:
-        out.append(_make_const(const if isinstance(const, (Fraction, float)) else Fraction(const)))
+        out.append(_make_const(const))
     if not out:
         return ZERO
     out.sort(key=lambda e: e.key())
@@ -650,15 +646,12 @@ def mul(*factors):
                 absorb(g)
             return
         if isinstance(f, Neg):
-            sign_flip()
+            sign = -sign
             absorb(f.arg)
             return
         cv = _const_value(f)
         if cv is not None:
-            if isinstance(cv, float) or isinstance(const, float):
-                const = float(const) * float(cv)
-            else:
-                const = const * cv
+            const = const * cv
             return
         if isinstance(f, Func) and f.name == "exp":
             exp_args.append(f.arg)
@@ -670,10 +663,6 @@ def mul(*factors):
         else:
             bases[k] = [base, n]
 
-    def sign_flip():
-        nonlocal sign
-        sign = -sign
-
     for f in factors:
         absorb(as_expression(f))
 
@@ -681,7 +670,7 @@ def mul(*factors):
         combined = exp(add(*exp_args)) if len(exp_args) > 1 else exp(exp_args[0])
         cv = _const_value(combined)
         if cv is not None:
-            const = const * cv if not isinstance(const, float) else const * float(cv)
+            const = const * cv
         else:
             bases[combined.key()] = [combined, 1]
 
@@ -1035,131 +1024,65 @@ def _antiderivative_term(e, var):
 # parser
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch.isdigit() or ch == ".":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isdigit() or self.text[j] == "."):
-                j += 1
-            return ("num", self.text[self.pos : j])
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[self.pos : j])
-        return ("op", ch)
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += len(tok[1])
-        return tok
-
-    def accept(self, op):
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == op:
-            self.next()
-            return True
-        return False
-
-    def expect(self, op):
-        if not self.accept(op):
-            raise ValueError(f"expected {op!r} at position {self.pos} in {self.text!r}")
+_ALPHABET = re.compile(r"[\w .+\-*/^()]*")  # word characters, spaces and . + - * / ^ ( )
+_LEVEL = {ast.Add: add, ast.Sub: add, ast.Mult: mul, ast.Div: mul}  # one constructor call per level
+_INVERSE = {ast.Sub: neg, ast.Div: recip}  # applied to the right operand
+_UNARY = {ast.UAdd: as_expression, ast.USub: neg}
 
 
 def parse_expression(text: str):
     """Parse "2*x^2 - 1/cosh(x)^2" style strings into an Expression.
 
-    Decimal literals become exact rationals; ``^`` takes integer exponents.
+    Python's arithmetic with ``^`` for the power, parsed by :func:`ast.parse`
+    and walked against a whitelist: exact integer and decimal literals, names,
+    ``+ - * /``, integer exponents, parentheses and one-argument calls of the
+    ``_FUNCTIONS``.  Nothing is evaluated; anything else raises ValueError.
     """
-    toks = _Tokens(text)
-    e = _parse_sum(toks)
-    if toks.peek() is not None:
-        raise ValueError(f"trailing input at position {toks.pos} in {text!r}")
-    return e
+    src = " ".join(str(text).split())
+    if not _ALPHABET.fullmatch(src) or "**" in src:
+        raise ValueError("unexpected character")
+    raw = src.replace("^", "**").encode()  # ast offsets count UTF-8 bytes
 
+    def seg(node):
+        return raw[node.col_offset : node.end_col_offset].decode()
 
-def _parse_sum(toks):
-    terms = [_parse_term(toks)]
-    while True:
-        if toks.accept("+"):
-            terms.append(_parse_term(toks))
-        elif toks.accept("-"):
-            terms.append(neg(_parse_term(toks)))
-        else:
-            return add(*terms)
+    def walk(node):
+        op = type(getattr(node, "op", None))
+        if op in _LEVEL:  # a - b + c (or a * b / c) flattened as the old grammar's loop built it
+            parts = []
+            while isinstance(node, ast.BinOp) and _LEVEL.get(type(node.op)) is _LEVEL[op]:
+                parts.append((_INVERSE.get(type(node.op), as_expression), node.right))
+                node = node.left
+            return _LEVEL[op](walk(node), *[inverse(walk(n)) for inverse, n in reversed(parts)])
+        if op is ast.Pow:
+            return intpow(walk(node.left), exponent(node))
+        if op in _UNARY:
+            return _UNARY[op](walk(node.operand))
+        if isinstance(node, ast.Constant) and re.fullmatch(r"[0-9]*\.?[0-9]*", seg(node)):
+            return Rational(Fraction(seg(node)))
+        name = seg(node.func if isinstance(node, ast.Call) else node)
+        if isinstance(node, ast.Name) and name not in _FUNCTIONS and (name[0].isalpha() or name[0] == "_"):
+            return Var(name)
+        if isinstance(node, ast.Call) and name in _FUNCTIONS and len(node.args) == 1:  # no comma: no keywords
+            if node.func.col_offset == node.col_offset:  # not "(exp)(x)"
+                return _func(name, walk(node.args[0]))
+        raise ValueError(f"unsupported {seg(node)!r}")
 
-
-def _parse_term(toks):
-    factors = [_parse_unary(toks)]
-    while True:
-        if toks.accept("*"):
-            factors.append(_parse_unary(toks))
-        elif toks.accept("/"):
-            factors.append(recip(_parse_unary(toks)))
-        else:
-            return mul(*factors)
-
-
-def _parse_unary(toks):
-    if toks.accept("-"):
-        return neg(_parse_unary(toks))
-    if toks.accept("+"):
-        return _parse_unary(toks)
-    return _parse_power(toks)
-
-
-def _parse_power(toks):
-    base = _parse_atom(toks)
-    if toks.accept("^"):
-        sign = 1
-        if toks.accept("-"):
-            sign = -1
-        tok = toks.peek()
-        if tok is not None and tok[0] == "num" and "." not in tok[1]:
-            toks.next()
-            return intpow(base, sign * int(tok[1]))
-        if tok is not None and tok[0] == "op" and tok[1] == "(":
-            toks.next()
-            inner = _parse_sum(toks)
-            toks.expect(")")
-            cv = _const_value(inner)
-            if cv is not None and isinstance(cv, Fraction) and cv.denominator == 1:
-                return intpow(base, sign * int(cv))
+    def exponent(node):  # ['-'] then digits, or a parenthesised constant with an integer value
+        e, sign = node.right, 1
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub) and e.end_col_offset == node.end_col_offset:
+            node, e, sign = e, e.operand, -1
+        if e.end_col_offset < node.end_col_offset:  # e is parenthesised
+            value = _const_value(walk(e))
+            if isinstance(value, Fraction) and value.denominator == 1:
+                return sign * int(value)
+        elif isinstance(e, ast.Constant) and seg(e).isdigit():
+            return sign * int(seg(e))
         raise ValueError("exponent must be an integer")
-    return base
 
-
-def _parse_atom(toks):
-    tok = toks.peek()
-    if tok is None:
-        raise ValueError("unexpected end of expression")
-    kind, text = tok
-    if kind == "num":
-        toks.next()
-        return Rational(Fraction(text))
-    if kind == "name":
-        toks.next()
-        if text in _FUNCTIONS:
-            toks.expect("(")
-            arg = _parse_sum(toks)
-            toks.expect(")")
-            return _func(text, arg)
-        return Var(text)
-    if kind == "op" and text == "(":
-        toks.next()
-        inner = _parse_sum(toks)
-        toks.expect(")")
-        return inner
-    raise ValueError(f"unexpected token {text!r}")
-
+    try:
+        return walk(ast.parse(raw, mode="eval").body)
+    except ZeroDivisionError:
+        raise ValueError("division by zero in a constant") from None
+    except (SyntaxError, RecursionError) as err:
+        raise ValueError(getattr(err, "msg", str(err))) from None

@@ -3,8 +3,7 @@
 Adaptive embedded Runge-Kutta integration with dense output (one array
 pass per call, for one point or a whole grid of x), adaptive Gauss-Kronrod
 quadrature to a whole array of upper limits in one sweep, small dense LU
-solves with reusable factorizations, companion-matrix polynomial roots and
-finite-difference stencils.
+solves with reusable factorizations and companion-matrix polynomial roots.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "DensePoly",
     "polyroots",
     "RootResult",
-    "fd_derivative",
 ]
 
 
@@ -535,35 +533,3 @@ def polyroots(p, cluster_tol=1e-7):
     scale = max(abs(c) for c in p.coeffs)
     backward = max(abs(p(r)) for r, _ in roots) / scale
     return RootResult(roots, backward)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-_CENTRAL = {
-    1: (1, [-0.5, 0.0, 0.5]),
-    2: (1, [1.0, -2.0, 1.0]),
-    3: (2, [-0.5, 1.0, 0.0, -1.0, 0.5]),
-    4: (2, [1.0, -4.0, 6.0, -4.0, 1.0]),
-}
-
-
-def fd_derivative(samples, order, step):
-    """Derivative of uniformly spaced samples by O(step^2) central stencils.
-
-    Returns (derivatives, boundary_mask).  The first and last ``half``
-    entries, where the central stencil does not fit (half = 1 for orders 1
-    and 2, 2 for orders 3 and 4), repeat the nearest central value and are
-    flagged in the mask.
-    """
-    y = np.asarray(samples, dtype=float)
-    if order not in _CENTRAL:
-        raise ValueError("order must be between 1 and 4")
-    half, w = _CENTRAL[order]
-    if y.size < 2 * half + 1:
-        raise ValueError("grid too short for the requested order")
-    central = np.lib.stride_tricks.sliding_window_view(y, 2 * half + 1) @ np.array(w) / step**order
-    out = np.concatenate([np.full(half, central[0]), central, np.full(half, central[-1])])
-    boundary = np.zeros(y.size, dtype=bool)
-    boundary[:half] = boundary[-half:] = True
-    return out, boundary

@@ -445,6 +445,8 @@ def pole_series(alpha, eps, depth):
     where the right-hand side collects the coefficient of (x + eps)^{j-1} in
     (s - eps)^2 + alpha.  Exact rationals when alpha and eps are rational.
     """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     exact = not (isinstance(alpha, float) or isinstance(eps, float))
     if exact:
         alpha = Fraction(alpha)

@@ -227,6 +227,29 @@ class TestValidation:
     def test_bad_expression_exits_2(self, tmp_path):
         assert cli.main(["schwarz", "--phi", "tan(x", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schwarz", "--phi", "1/0"],
+            ["transform", "--a", "0^-1"],
+            ["series", "--what", "zeta", "--u", "1/(x-x)"],
+            ["pole-series", "--alpha", "1/0"],
+        ],
+    )
+    def test_constant_division_by_zero_exits_2(self, tmp_path, argv):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_zeta_depth_below_one_exits_2(self, tmp_path, depth):
+        assert cli.main(["series", "--what", "zeta", "--depth", depth, "--out", str(tmp_path)]) == 2
+
+    def test_negative_pole_series_depth_exits_2(self, tmp_path):
+        assert cli.main(["pole-series", "--alpha", "1", "--depth", "-3", "--out", str(tmp_path)]) == 2
+
+    def test_empty_constants_list_exits_2(self, tmp_path):
+        argv = ["solve-re", "--a", "1", "--c", "0", "--phi1", "0", "--constants", ",", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, tmp_path):

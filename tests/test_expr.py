@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccatikit import expr as ex
 
 X = ex.Var("x")
+Y = ex.Var("y")
+A, B, C = ex.Var("a"), ex.Var("b"), ex.Var("c")
 
 
 def fd(f, x0, h=1e-6):
@@ -197,6 +201,36 @@ class TestSimplification:
         assert isinstance(e, ex.Product)
 
 
+def _trees():
+    """Random expressions with Rational constants, built by the smart constructors."""
+    leaves = st.one_of(
+        st.sampled_from([X, Y]),
+        st.builds(lambda n, d: ex.Rational(Fraction(n, d)), st.integers(-9, 9), st.integers(1, 4)),
+    )
+
+    def extend(kids):
+        nonzero = kids.filter(lambda e: not ex.is_zero(e))
+        return st.one_of(
+            st.builds(ex.add, kids, kids),
+            st.builds(ex.sub, kids, kids),
+            st.builds(ex.mul, kids, kids),
+            st.builds(ex.neg, kids),
+            st.builds(ex.intpow, nonzero, st.integers(-3, 3)),
+            st.builds(lambda f, e: f(e), st.sampled_from([ex.exp, ex.tanh, ex.sin, ex.cosh]), kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _subtrees(e):
+    yield e
+    for kid in (*getattr(e, "terms", ()), *getattr(e, "factors", ())):
+        yield from _subtrees(kid)
+    for attr in ("arg", "base"):
+        if hasattr(e, attr):
+            yield from _subtrees(getattr(e, attr))
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "text",
@@ -220,6 +254,54 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ValueError):
             ex.parse_expression("x + ")
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("-x^2", ex.neg(ex.intpow(X, 2))),
+            ("2^-1", ex.Rational(Fraction(1, 2))),
+            ("x^(-2)", ex.recip(ex.intpow(X, 2))),
+            ("x^-(2)", ex.recip(ex.intpow(X, 2))),
+            ("x^(2.0)", ex.intpow(X, 2)),
+            ("x^(-(2))", ex.recip(ex.intpow(X, 2))),
+            ("a-b-c", ex.add(A, ex.neg(B), ex.neg(C))),
+            ("a/b/c", ex.mul(A, ex.recip(B), ex.recip(C))),
+            ("-x*y", ex.mul(ex.neg(X), Y)),
+            ("0.5*x", ex.mul(ex.Rational(Fraction(1, 2)), X)),
+            (".25", ex.Rational(Fraction(1, 4))),
+            ("5.", ex.Rational(5)),
+            ("exp(-x^2)*tanh(x)", ex.mul(ex.exp(ex.neg(ex.intpow(X, 2))), ex.tanh(X))),
+            ("3/4*x - 1/2", ex.add(ex.mul(ex.Rational(Fraction(3, 4)), X), ex.Rational(Fraction(-1, 2)))),
+            (" sin (x)\n+ 1 ", ex.add(ex.sin(X), 1)),
+        ],
+    )
+    def test_text_builds_the_constructor_tree(self, text, tree):
+        e = ex.parse_expression(text)
+        assert e == tree
+        assert str(e) == str(tree)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x**2", "1e-3", "1_0", "0x1f", "1j",  # only ^ and digit-and-dot literals
+            "x^2^3", "x^--2", "x^+2", "x^2.0", "x^y",  # bare exponent: one optional sign, then digits
+            "x^(1/2)", "07", "lambda", "True", "exp", "exp()", "exp(x,)", "(exp)(x)", "exp(x=1)",
+            "x # c", "x.real", "x//y", "x if y else x", "", "1/0", "0^-1", "x^(1/(x-x))",
+        ],
+    )
+    def test_rejected_inputs_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            ex.parse_expression(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees())
+    def test_printed_tree_parses_back(self, e):
+        back = ex.parse_expression(str(e))
+        # -(a + b) prints as written but parses to the distributed sum
+        if not any(isinstance(s, ex.Neg) and isinstance(s.arg, ex.Sum) for s in _subtrees(e)):
+            assert back == e
+        pts = {"x": np.linspace(0.3, 1.7, 7), "y": np.linspace(-1.1, 0.9, 7)}
+        np.testing.assert_allclose(back.evaluate(pts), e.evaluate(pts), rtol=1e-9, atol=1e-9)
 
 
 class TestAntiderivative:

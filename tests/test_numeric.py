@@ -341,30 +341,3 @@ class TestPolyroots:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             numeric.polyroots(numeric.DensePoly.from_roots(list(range(1, 19))))
-
-
-class TestFdDerivative:
-    def test_cubic_third_derivative(self):
-        xs = np.linspace(-1, 1, 41)
-        d, boundary = numeric.fd_derivative(xs**3, 3, xs[1] - xs[0])
-        assert np.max(np.abs(d[~boundary] - 6.0)) <= 1e-6
-
-    def test_sine_first_derivative(self):
-        xs = np.linspace(-0.5, 0.5, 101)
-        d, boundary = numeric.fd_derivative(np.sin(xs), 1, xs[1] - xs[0])
-        mid = len(xs) // 2
-        assert d[mid] == pytest.approx(1.0, abs=(xs[1] - xs[0]) ** 2)
-
-    def test_richardson_ratio_on_cosh(self):
-        def err(h):
-            xs = np.arange(-1, 1 + h / 2, h)
-            d, boundary = numeric.fd_derivative(np.cosh(xs), 2, h)
-            return np.max(np.abs(d[~boundary] - np.cosh(xs[~boundary])))
-
-        ratio = err(0.01) / err(0.005)
-        assert ratio == pytest.approx(4.0, abs=0.5)
-
-    def test_grid_too_short(self):
-        with pytest.raises(ValueError):
-            numeric.fd_derivative([1.0, 2.0], 3, 0.1)
-

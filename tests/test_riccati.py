@@ -325,6 +325,10 @@ class TestPoleSeries:
             assert a[0] == 0
             assert 4 * a[2] + 2 * eps == 0
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            rc.pole_series(1, 0, -1)
+
     def test_alpha_one_coefficients(self):
         a = rc.pole_series(1, 0, 5)
         assert a[1] == Fraction(1, 3)
