@@ -13,6 +13,7 @@ second-order integrator.  The Dubrovin identities are checked at every grid
 point of a trajectory in one array pass, and the turning points of a
 trajectory are bisected all at once.  A Floquet discriminant is one
 integration that carries gamma and both columns of the transfer matrix.
+report gives the named checks of a 1-phase trajectory.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "integrate_dubrovin",
     "dubrovin_checks",
     "DubrovinReport",
+    "report",
 ]
 
 
@@ -240,6 +242,28 @@ def floquet_discriminant(spec, lam):
     y0 = np.concatenate([_gamma_start(spec, c), [1.0, 0.0, 0.0, 1.0]])
     end = numeric.integrate_ivp(rhs, 0.0, y0, period(spec), tol=1e-12).ys[-1]
     return float(end[2] + end[5])
+
+
+def report(spec, traj):
+    """Quadrature and trajectory periods (NaN below two maxima) and the named checks of a 1-phase trajectory."""
+    t_quad = period(spec)
+    maxima = traj.turning_points("max")
+    t_traj = maxima[1] - maxima[0] if len(maxima) >= 2 else float("nan")
+    period_gap = abs(t_quad - t_traj) / t_quad if len(maxima) >= 2 else float("inf")
+    c = c_poly(spec)
+    energy = np.max(np.abs(numeric.pow2(traj.dgammas[:, 0]) - c(traj.gammas[:, 0])))
+    checks = [
+        numeric.check("period_quadrature_vs_trajectory", period_gap, 1e-6),
+        numeric.check("energy_invariant_drift", energy, 1e-8),
+    ]
+    if traj.xs[-1] - traj.xs[0] > t_quad:  # u(x + T) = u(x) where the grid spans a period
+        xs_check = traj.xs[traj.xs <= traj.xs[-1] - t_quad][::5]
+        per = np.max(np.abs(traj(xs_check + t_quad)[:, 0] - traj(xs_check)[:, 0]))
+        checks.append(numeric.check("periodicity_of_u", 2 * per, 1e-6))
+    dub = dubrovin_checks(traj, c)
+    checks.append(numeric.check("dubrovin_item1", dub.item1_max, 1e-6))
+    checks.append(numeric.check("dubrovin_division_remainder", dub.remainder_max, 1e-6))
+    return {"period": t_quad, "trajectory_period": t_traj, "checks": checks}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "check",
     "NumericError",
     "SingularMatrixError",
     "IntegrationBlowUp",
@@ -27,6 +28,12 @@ __all__ = [
     "polyroots",
     "RootResult",
 ]
+
+
+def check(name, value, tol):
+    """Named check record {name, value, tol, pass}: it passes when value <= tol, so NaN fails."""
+    value = float(value)
+    return {"name": name, "value": value, "tol": tol, "pass": bool(value <= tol)}
 
 
 class NumericError(RuntimeError):

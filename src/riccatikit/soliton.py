@@ -17,7 +17,7 @@ wells (u -> 0 at infinity, u <= 0 for equal phases), so the flows read
 u_t - 6 u u_x + u_xxx = 0 and (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.
 pde_residual builds each flow's residual from the closed form once and
 evaluates it on a whole grid; the KdV residual and the x-t part of the KP
-residual vanish, the KP term 3 u_yy does not.
+residual vanish, the KP term 3 u_yy does not.  report and kp_report give the named checks.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ __all__ = [
     "kdv_field",
     "pde_residual",
     "PdeResidualReport",
+    "report",
+    "kp_report",
 ]
 
 
@@ -414,3 +416,47 @@ def _fd_kdv(spec, x, t, h):
     u_x = (u(x + h, t) - u(x - h, t)) / (2 * h)
     u_xxx = (u(x + 2 * h, t) - 2 * u(x + h, t) + 2 * u(x - h, t) - u(x - 2 * h, t)) / (2 * h**3)
     return u_t - 6 * u(x, t) * u_x + u_xxx
+
+
+# ---------------------------------------------------------------------------
+# named checks
+
+
+def report(tp):
+    """u(0) and the named checks of potential(spec, grid): far field, Wronskian, transparency, N <= 2 closed form."""
+    spec = tp.spec
+    xe = 30.0 / spec.k[-1]
+    a_far, da_far = solve_coefficients(spec, np.array([xe, -xe]), order=1)
+    kprobe = np.array([0.3, 1.31, 2.17, 3.7, spec.k[0] + 0.5])
+    wk = wronskian_poly(spec)(kprobe)
+    wgap = np.max(np.abs(numeric_wronskian(spec, kprobe, 0.37) - wk) / np.maximum(1.0, np.abs(wk)))
+    sr = np.max(schrodinger_residual(spec, np.array([[0.5], [1.7]]), np.array([-1.0, 0.8])))
+    checks = [
+        numeric.check("a1_limit_plus_infinity", abs(a_far[0, 0] + sum(spec.k)), 1e-8),
+        numeric.check("a1_limit_minus_infinity", abs(a_far[1, 0] - sum(spec.k)), 1e-8),
+        numeric.check("decay_at_far_field", np.max(np.abs(2.0 * da_far[:, 0])), 1e-10),
+        numeric.check("wronskian_polynomial_match", wgap, 1e-8),
+        numeric.check("transparency_residual", sr, 1e-8),
+    ]
+    if spec.n <= 2:
+        gap = np.max(np.abs(tp.u - closed_form_potential(spec).evaluate(x=tp.grid)))
+        checks.append(numeric.check("closed_form_match", gap, 1e-10))
+    return {"u_at_zero": tp.u_at(0.0), "checks": checks}
+
+
+def kp_report(spec):
+    """The largest KP residual (3 u_yy survives) and the named checks of the KP-extended field."""
+    probe = np.array([-2.0, 0.4, 1.7])
+    reduction = np.max(np.abs(kp_field(spec, probe, 0.0, 0.0) - TransparentPotential(spec).u_at(probe)))
+    checks = [numeric.check("static_reduction_matches_potential", reduction, 1e-12)]
+    if spec.n <= 2:
+        # one closed form serves both: the x-t part at the probes, and the
+        # full residual on pde_residual(spec, "kp", box=2.0, n=3)'s grid
+        xt_part, uyy_term = _kp_residual_terms(spec)
+        worst = _max_abs_on_grid(xt_part, x=(-2.0, 0.5, 1.5), y=(-1.0, 0.7), t=(-0.8, 0.3))
+        checks.append(numeric.check("xt_flow_identity", worst, 1e-6))
+        box = np.linspace(-2.0, 2.0, 3)
+        transverse = _max_abs_on_grid(ex.add(xt_part, uyy_term), x=box, y=box, t=box)
+    else:
+        transverse = abs(_fd_kp(spec, 0.5, 0.4, 0.3, 0.05))
+    return {"transverse_term_max": transverse, "checks": checks}

@@ -22,6 +22,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def exit_code(argv):
+    """Exit status of main, whether it returns it or argparse raises SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSoliton:
     def test_one_soliton_run(self, tmp_path):
         code = cli.main([
@@ -145,6 +153,21 @@ class TestHermite:
         checks = {c["name"]: c for c in read_report(tmp_path, "hermite")["checks"]}
         assert not checks["riccati_witness_residual"]["pass"]
 
+    @pytest.mark.parametrize("n", ["17", "25"])
+    def test_degree_past_sixteen_exits_2(self, tmp_path, n):
+        assert cli.main(["hermite", "--n", n, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "hermite_report.json").exists()
+
+
+class TestPoleSeries:
+    @pytest.mark.parametrize("depth, has_line", [("0", False), ("1", False), ("2", True)])
+    def test_fourth_order_line_only_once_a2_is_computed(self, tmp_path, depth, has_line):
+        # a series this short misses the IVP check, so the exit status is 3
+        assert cli.main(["pole-series", "--alpha", "1", "--depth", depth, "--out", str(tmp_path)]) == 3
+        names = [c["name"] for c in read_report(tmp_path, "pole_series")["checks"]]
+        assert ("fourth_order_line" in names) == has_line
+        assert names[0] == "zeroth_coefficient_vanishes" and names[-1] == "series_vs_ivp_near_pole"
+
 
 def count_evaluate_calls(monkeypatch):
     shapes = []
@@ -250,6 +273,23 @@ class TestValidation:
         argv = ["solve-re", "--a", "1", "--c", "0", "--phi1", "0", "--constants", ",", "--out", str(tmp_path)]
         assert cli.main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kp", "--k", "1", "--beta", "0", "--y", "inf"],
+            ["solve-re", "--a", "1", "--c", "0", "--phi1", "0", "--constants", "inf"],
+            ["schwarz", "--phi", "x", "--grid", "0:inf:0.1"],
+            ["soliton", "--k", "inf", "--beta", "0"],
+            ["soliton", "--k", "1", "--beta", "nan"],
+            ["finite-gap", "--lambdas", "inf,1,0", "--gamma0", "0.5"],
+            ["pole-series", "--alpha", "inf"],
+            ["pole-series", "--alpha", "nan"],
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, argv):
+        assert exit_code([*argv, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, tmp_path):
@@ -306,6 +346,9 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_hermite", lambda args: seen.append(args.n) or 0)
         assert cli.main(["hermite", "--n", "3", "--out", str(tmp_path)]) == 0
         assert seen == [3]
+
+    def test_unknown_suite_is_a_usage_error(self, tmp_path):
+        assert self.usage_error(["verify", "--suite", "kdv", "--out", str(tmp_path)])
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "missing.json")]) == 2
@@ -369,6 +412,22 @@ class TestVerify:
         report = read_report(tmp_path, "verify")
         assert len(report["checks"]) >= 15
         assert all(c["pass"] for c in report["checks"])
+
+    SOLITON_CHECKS = {
+        f"{name}_n{n}"
+        for n in (1, 2)
+        for name in ("a1_limit_plus_infinity", "a1_limit_minus_infinity", "decay_at_far_field",
+                     "wronskian_polynomial_match", "transparency_residual", "closed_form_match")
+    } | {"interpolation_determinant_sign_constant", "zeta1_equals_a1", "kdv_density_time_drift"}
+    FINITEGAP_CHECKS = {"period_quadrature_vs_trajectory", "energy_invariant_drift", "periodicity_of_u",
+                        "dubrovin_item1", "dubrovin_division_remainder", "floquet_band_edge"}
+
+    @pytest.mark.parametrize("suite", ["soliton", "finitegap"])
+    def test_suite_check_names(self, tmp_path, suite):
+        assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
+        names = [c["name"] for c in read_report(tmp_path, "verify")["checks"]]
+        assert len(names) == len(set(names))
+        assert set(names) == {"soliton": self.SOLITON_CHECKS, "finitegap": self.FINITEGAP_CHECKS}[suite]
 
     def test_singular_interpolation_matrix_fails_the_sign_check(self, tmp_path, monkeypatch):
         system_matrix = so.system_matrix

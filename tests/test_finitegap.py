@@ -406,3 +406,27 @@ class TestCPoly:
     def test_leading_validation(self):
         with pytest.raises(ValueError):
             fg.CPoly(numeric.DensePoly.from_roots([3.0, 2.0, 1.0], leading=1.0), n_phases=1, m=1)
+
+
+class TestReport:
+    def test_full_grid_passes_every_check(self):
+        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
+        rep = fg.report(SPEC, traj)
+        assert list(rep) == ["period", "trajectory_period", "checks"]
+        assert rep["period"] == fg.period(SPEC)
+        assert [c["name"] for c in rep["checks"]] == [
+            "period_quadrature_vs_trajectory", "energy_invariant_drift", "periodicity_of_u",
+            "dubrovin_item1", "dubrovin_division_remainder",
+        ]
+        assert all(c["pass"] for c in rep["checks"])
+
+    def test_grid_shorter_than_two_maxima(self):
+        # T is about 2.62: [0, 2] spans no period and holds at most one maximum
+        traj = fg.integrate_gamma(SPEC, (0.0, 2.0), step=0.01)
+        rep = fg.report(SPEC, traj)
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert math.isnan(rep["trajectory_period"])
+        assert checks["period_quadrature_vs_trajectory"]["value"] == math.inf
+        assert not checks["period_quadrature_vs_trajectory"]["pass"]
+        assert "periodicity_of_u" not in checks
+        assert checks["energy_invariant_drift"]["pass"]

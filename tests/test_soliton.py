@@ -414,3 +414,33 @@ class TestPdeResidual:
             assert res.evaluate(x=x, y=y, t=t) == pytest.approx(
                 3 * uyy.evaluate(x=x, y=y, t=t), rel=1e-6, abs=1e-8
             )
+
+
+class TestReport:
+    SPEC5 = so.SolitonSpec((5.0, 4.0, 3.0, 2.0, 1.0), (0.0,) * 5)
+    NAMES = ["a1_limit_plus_infinity", "a1_limit_minus_infinity", "decay_at_far_field",
+             "wronskian_polynomial_match", "transparency_residual"]
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC3, SPEC4, SPEC5], ids=lambda s: f"N{s.n}")
+    def test_checks_pass_and_closed_form_only_up_to_two(self, spec):
+        grid = np.linspace(-10, 10, 201)
+        tp = so.potential(spec, grid)
+        rep = so.report(tp)
+        assert list(rep) == ["u_at_zero", "checks"]
+        assert rep["u_at_zero"] == tp.u_at(0.0)
+        names = [c["name"] for c in rep["checks"]]
+        assert names == self.NAMES + (["closed_form_match"] if spec.n <= 2 else [])
+        assert all(c["pass"] for c in rep["checks"])
+
+    def test_kp_report_two_solitons_uses_the_closed_form(self):
+        rep = so.kp_report(SPEC2)
+        assert list(rep) == ["transverse_term_max", "checks"]
+        assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential", "xt_flow_identity"]
+        assert all(c["pass"] for c in rep["checks"])
+        assert rep["transverse_term_max"] == so.pde_residual(SPEC2, "kp", box=2.0, n=3).max_abs
+
+    def test_kp_report_three_solitons_falls_back_to_differences(self):
+        rep = so.kp_report(SPEC3)
+        assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential"]
+        assert all(c["pass"] for c in rep["checks"])
+        assert rep["transverse_term_max"] == abs(so._fd_kp(SPEC3, 0.5, 0.4, 0.3, 0.05))
