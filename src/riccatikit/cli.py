@@ -85,6 +85,10 @@ def _finish(out_dir, command, report, tables=None):
 # ---------------------------------------------------------------------------
 # parsing helpers
 
+# far above the 2,001 points of a -10:10:0.01 grid; a larger grid is refused
+# before its count overflows an int or its array is allocated
+MAX_GRID_POINTS = 10**6
+
 
 def finite_float(text):
     value = float(text)
@@ -102,8 +106,10 @@ def parse_grid(text):
         raise ConfigError("grid must have min < max")
     if step <= 0:
         raise ConfigError("grid step must be positive")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:  # inf when the count overflows
+        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return lo + step * np.arange(int(math.floor(steps)) + 1)
 
 
 def parse_list(text):

@@ -154,9 +154,11 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     """
     c = c_poly(spec)
     dc = c.deriv()
+    d0, d1, d2 = dc.coeffs
 
     def rhs(x, s):
-        return np.array([s[1], 0.5 * dc(s[0])])
+        g = s[0]
+        return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as dc(g) rounds
 
     y0 = _gamma_start(spec, c)
     traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol, fixed_step=fixed_step)
@@ -232,12 +234,13 @@ def floquet_discriminant(spec, lam):
     grows about a hundredfold, to near 4e-7.
     """
     c = c_poly(spec)
-    dc = c.deriv()
+    d0, d1, d2 = c.deriv().coeffs
     shift = lam - spec.trace
 
     def rhs(x, s):
-        q = shift + 2.0 * s[0]
-        return np.array([s[1], 0.5 * dc(s[0]), s[3], q * s[2], s[5], q * s[4]])
+        g = s[0]
+        q = shift + 2.0 * g
+        return (s[1], 0.5 * ((d2 * g + d1) * g + d0), s[3], q * s[2], s[5], q * s[4])
 
     y0 = np.concatenate([_gamma_start(spec, c), [1.0, 0.0, 0.0, 1.0]])
     end = numeric.integrate_ivp(rhs, 0.0, y0, period(spec), tol=1e-12).ys[-1]

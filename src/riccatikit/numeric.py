@@ -144,6 +144,14 @@ def _hermite(t, h, y0, f0, y1, f1):
     return (1 + 2 * t) * s * y0 + t * s * h * f0 + t * t * (3 - 2 * t) * y1 + t * t * (t - 1) * h * f1
 
 
+def _bounded(values):
+    """Every value in [-1e100, 1e100]; NaN fails, wherever it sits."""
+    for v in values:
+        if not -1e100 <= v <= 1e100:
+            return False
+    return True
+
+
 def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
     """Integrate y' = rhs(x, y) from x0 to x_end.
 
@@ -153,6 +161,12 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
     runs.  Raises IntegrationBlowUp (with location and the partial
     trajectory) when the step size underflows or the state leaves
     [-1e100, 1e100].
+
+    ``rhs(x, y)`` reads the state by index and returns a sequence of floats
+    (a tuple, a list or a 1-d array).  The fixed-step RK4 passes ``y`` as a
+    list of Python floats and does its stage arithmetic on them, which rounds
+    exactly as numpy's elementwise operations do; the adaptive steps pass a
+    numpy array row.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     x0 = float(x0)
@@ -161,7 +175,7 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
         f0 = np.asarray(rhs(x0, y0), dtype=float)
         return Trajectory([x0, x0], [y0, y0], [f0, f0])
     if fixed_step is not None:
-        return _rk4_fixed(rhs, x0, y0, x_end, fixed_step)
+        return _rk4_fixed(rhs, x0, y0.tolist(), x_end, fixed_step)
 
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
@@ -169,9 +183,9 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
 
     xs = [x0]
     ys = [y0.copy()]
-    f = np.asarray(rhs(x0, y0), dtype=float)
-    fs = [f.copy()]
-    x, y = x0, y0.copy()
+    f = np.array(rhs(x0, y0), dtype=float)
+    fs = [f]
+    x, y = x0, ys[0]
     k = np.empty((7, y0.size))
 
     while (x_end - x) * direction > 0:
@@ -184,13 +198,14 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
         failed = False
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
-            # one NaN-safe test per stage: a non-finite stage k[i-1] enters
-            # yi through a nonzero weight, so it fails here as well
-            if not np.abs(yi).max() <= 1e100:
+            # one NaN-safe test per stage, before the rhs sees the state: a
+            # non-finite stage k[i-1] enters yi through a nonzero weight, so
+            # it fails here as well
+            if not _bounded(yi.tolist()):
                 failed = True
                 break
             k[i] = rhs(x + _DP_C[i] * h, yi)
-        if failed or not np.isfinite(k[6]).all():
+        if failed or not all(map(math.isfinite, k[6].tolist())):
             h *= 0.5
             continue
         y5 = y + h * (_DP_B5 @ k)
@@ -200,12 +215,15 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
         err = math.sqrt(np.add.reduce((err_vec / scale) ** 2) / y.size)
         if err <= 1.0 or abs(h) <= _TINY_STEP * max(1.0, abs(x)):
             x = x + h
-            y = y5
-            f = np.asarray(k[6], dtype=float)  # FSAL: last stage is f(x+h, y5)
+            y = y5  # a fresh array: no later operation writes into it
+            # FSAL: last stage is f(x+h, y5).  f is a view of k[6], so a step
+            # retried after a rejection starts from the rejected attempt's
+            # last stage, not from f(x, y)
+            f = k[6]
             xs.append(x)
-            ys.append(y.copy())
+            ys.append(y)
             fs.append(f.copy())
-            if not np.abs(y).max() <= 1e100:
+            if not _bounded(y.tolist()):
                 traj = Trajectory(xs, ys, fs)
                 raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
@@ -216,28 +234,32 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
 
 
 def _rk4_fixed(rhs, x0, y0, x_end, step):
+    """Classical RK4 on lists of Python floats; the Trajectory arrays are built once, at the end."""
     direction = 1.0 if x_end > x0 else -1.0
     h = direction * abs(step)
     n = max(1, int(round(abs(x_end - x0) / abs(h))))
     h = (x_end - x0) / n
-    k1 = np.asarray(rhs(x0, y0), dtype=float)
-    xs = [x0]
-    ys = [y0.copy()]
+    h2 = h / 2
+    h6 = h / 6
+    x, y = x0, y0
+    k1 = rhs(x, y)
+    xs = [x]
+    ys = [y]
     fs = [k1]
-    x, y = x0, y0.copy()
     for _ in range(n):
-        k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1), dtype=float)
-        k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2), dtype=float)
-        k4 = np.asarray(rhs(x + h, y + h * k3), dtype=float)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        xm = x + h2
+        k2 = rhs(xm, [a + h2 * b for a, b in zip(y, k1)])
+        k3 = rhs(xm, [a + h2 * b for a, b in zip(y, k2)])
         x = x + h
-        if not np.abs(y).max() <= 1e100:  # NaN-safe
+        k4 = rhs(x, [a + h * b for a, b in zip(y, k3)])
+        y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not _bounded(y):
             traj = Trajectory(xs, ys, fs)
             raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
         # the slope stored for dense output is the next step's first stage
-        k1 = np.asarray(rhs(x, y), dtype=float)
+        k1 = rhs(x, y)
         xs.append(x)
-        ys.append(y.copy())
+        ys.append(y)
         fs.append(k1)
     return Trajectory(xs, ys, fs)
 

@@ -241,6 +241,16 @@ class TestValidation:
     def test_bad_grid_exits_2(self, tmp_path):
         assert cli.main(["soliton", "--k", "1", "--beta", "0", "--grid", "5:1:0.1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-300", "0:1e12:1e-3"])
+    def test_grid_past_the_point_limit_exits_2(self, tmp_path, grid):
+        # the first point count overflows an int, the second would allocate 7 PiB
+        assert cli.main(["schwarz", "--phi", "x", "--grid", grid, "--out", str(tmp_path)]) == 2
+
+    def test_grid_limit_counts_points(self):
+        assert cli.parse_grid("0:0.999999:1e-6").size == cli.MAX_GRID_POINTS
+        with pytest.raises(cli.ConfigError):
+            cli.parse_grid("0:1:1e-6")
+
     def test_bad_wavenumbers_exit_2(self, tmp_path):
         assert cli.main(["soliton", "--k", "1,2", "--beta", "0,0", "--out", str(tmp_path)]) == 2
 

@@ -56,6 +56,50 @@ class TestIntegrateGamma:
         traj = fg.integrate_gamma(spec, (0.0, 3.0), step=0.01)
         assert traj.dgammas[0, 0] < 0
 
+    @staticmethod
+    def _numpy_rk4(rhs, y0, x_end, step):
+        """Classical RK4 with numpy-array states, one new slope per node."""
+        n = round(x_end / step)
+        h = x_end / n
+        x, y = 0.0, np.array(y0)
+        k1 = np.asarray(rhs(x, y), dtype=float)
+        xs, ys, fs = [x], [y], [k1]
+        for _ in range(n):
+            k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1), dtype=float)
+            k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2), dtype=float)
+            k4 = np.asarray(rhs(x + h, y + h * k3), dtype=float)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = x + h
+            k1 = np.asarray(rhs(x, y), dtype=float)
+            xs.append(x)
+            ys.append(y)
+            fs.append(k1)
+        return np.array(xs), np.array(ys), np.array(fs)
+
+    @pytest.mark.parametrize("form", ["tuple", "array"])
+    def test_fixed_step_is_the_numpy_rk4_bit_for_bit(self, monkeypatch, form):
+        dc = fg.c_poly(SPEC).deriv()
+
+        def rhs(x, s):
+            out = (s[1], 0.5 * dc(s[0]))
+            return out if form == "tuple" else np.array(out)
+
+        y0 = [SPEC.gamma0, math.sqrt(fg.c_poly(SPEC)(SPEC.gamma0))]
+        ref = self._numpy_rk4(rhs, y0, 12.0, 0.001)
+        integrate, seen = numeric.integrate_ivp, []
+
+        def keeping_ivp(*args, **kwargs):
+            seen.append(integrate(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(numeric, "integrate_ivp", keeping_ivp)
+        fg.integrate_gamma(SPEC, (0.0, 12.0), fixed_step=0.001)
+        direct = integrate(rhs, 0.0, y0, 12.0, fixed_step=0.001)  # this rhs through the kernel
+        for traj in (seen[0], direct):
+            assert len(traj.xs) == 12001
+            for got, want in zip((traj.xs, traj.ys, traj.fs), ref):
+                assert np.array_equal(got, want)
+
 
 class TestPeriod:
     def test_matches_complete_elliptic_integral(self):

@@ -78,6 +78,32 @@ class TestIntegrateIvp:
         assert err.value.x == pytest.approx(0.5, abs=1e-12)
         assert np.all(np.isfinite(err.value.trajectory.ys))
 
+    def test_huge_finite_stage_halves_the_step_before_the_rhs_sees_it(self):
+        # a slope of 1e120 past x = 0.5 puts every later stage state past 1e100:
+        # the step shrinks to underflow at 0.5 and no such state reaches the rhs
+        states = []
+
+        def rhs(x, y):
+            states.append(y.copy())
+            return np.array([1e120 if x > 0.5 else 1.0])
+
+        with pytest.raises(numeric.IntegrationBlowUp) as err:
+            numeric.integrate_ivp(rhs, 0.0, [0.0], 1.0)
+        assert err.value.x == pytest.approx(0.5, abs=1e-12)
+        assert np.all(np.abs(err.value.trajectory.ys) <= 1e100)
+        assert np.all(np.abs(states) <= 1e100)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e120])
+    def test_fixed_step_blow_up_in_the_second_component(self, bad):
+        # a fold over the state with Python's max drops a NaN that is not first
+        def rhs(x, y):
+            return (1.0, bad if x > 0.5 else 1.0)
+
+        with pytest.raises(numeric.IntegrationBlowUp) as err:
+            numeric.integrate_ivp(rhs, 0.0, [0.0, 0.0], 1.0, fixed_step=0.01)
+        assert 0.5 < err.value.x <= 0.52
+        assert np.all(np.abs(err.value.trajectory.ys) <= 1e100)
+
     def test_fixed_step_matches_classical_rk4_with_one_new_slope_per_node(self):
         calls = []
 
