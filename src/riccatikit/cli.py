@@ -340,7 +340,8 @@ def cmd_finite_gap(args):
     fixed = step / 10 if args.deterministic else None
     traj = fg.integrate_gamma(spec, (float(grid[0]), float(grid[-1])), step=step, fixed_step=fixed)
     u = fg.trace_potential(traj, spec)
-    report = {"command": "finite-gap", "lambdas": lams, "gamma0": args.gamma0, **fg.report(spec, traj)}
+    report = {"command": "finite-gap", "lambdas": lams, "gamma0": args.gamma0,
+              **fg.report(spec, traj, fg.period(spec))}
     return _finish(args.out, "finite_gap", report, [("x", traj.xs), ("gamma", traj.gammas[:, 0]), ("u", u)])
 
 
@@ -441,9 +442,10 @@ def _verify_soliton(rng):
 
 def _verify_finitegap(rng):
     spec = fg.GapSpec(2.0, 1.0, 0.0, 0.5)
-    traj = fg.integrate_gamma(spec, (0.0, 3.2 * fg.period(spec)), step=0.005)
+    t_quad = fg.period(spec)
+    traj = fg.integrate_gamma(spec, (0.0, 3.2 * t_quad), step=0.005)
     disc = fg.floquet_discriminant(spec, spec.lam1)
-    return [*fg.report(spec, traj)["checks"], check("floquet_band_edge", abs(abs(disc) - 2.0), 1e-4)]
+    return [*fg.report(spec, traj, t_quad)["checks"], check("floquet_band_edge", abs(abs(disc) - 2.0), 1e-4)]
 
 
 _SUITES = {

@@ -247,9 +247,12 @@ def floquet_discriminant(spec, lam):
     return float(end[2] + end[5])
 
 
-def report(spec, traj):
-    """Quadrature and trajectory periods (NaN below two maxima) and the named checks of a 1-phase trajectory."""
-    t_quad = period(spec)
+def report(spec, traj, t_quad):
+    """Quadrature and trajectory periods (NaN below two maxima) and the named checks of a 1-phase trajectory.
+
+    ``t_quad`` is ``period(spec)``, computed once by the caller, which may
+    also need it to size the trajectory.
+    """
     maxima = traj.turning_points("max")
     t_traj = maxima[1] - maxima[0] if len(maxima) >= 2 else float("nan")
     period_gap = abs(t_quad - t_traj) / t_quad if len(maxima) >= 2 else float("inf")

@@ -138,6 +138,17 @@ def _riccati_potential(m):
     raise ValueError("generalized potential degree m must be 1 or 2")
 
 
+def _square_convolution(s, k, lo):
+    """sum_{a=lo}^{k-lo} s_a s_{k-a}, forming each product s_a s_{k-a} with a != k - a once."""
+    half = DiffPolynomial.zero()
+    for a in range(lo, (k + 1) // 2):
+        half = half + s[a] * s[k - a]
+    total = half + half
+    if k % 2 == 0 and k // 2 >= lo:
+        total = total + s[k // 2] * s[k // 2]
+    return total
+
+
 def riccati_series(m, depth):
     """Asymptotic log-derivative series pair (f, g) for the degree-m potential.
 
@@ -155,24 +166,18 @@ def riccati_series(m, depth):
         raise ValueError("depth must be non-negative")
     potential = _riccati_potential(m)
     u1, u2 = potential.coeff(1), potential.coeff(0)
-    two = Fraction(2)
 
-    f = [u1 / two]
-    g = [-u1 / two]
+    f = [u1 / 2]
+    g = [-u1 / 2]
     if depth >= 1:
-        f.append((u2 - f[0].d_x() - f[0] * f[0]) / two)
-        g.append((g[0].d_x() + g[0] * g[0] - u2) / two)
+        f.append((u2 - f[0].d_x() - f[0] * f[0]) / 2)
+        g.append((g[0].d_x() + g[0] * g[0] - u2) / 2)
     for j in range(1, depth):
-        conv_f = sum((f[i] * f[j - i] for i in range(j + 1)), DiffPolynomial.zero())
-        conv_g = sum((g[i] * g[j - i] for i in range(j + 1)), DiffPolynomial.zero())
-        f.append(-(f[j].d_x() + conv_f) / two)
-        g.append((g[j].d_x() + conv_g) / two)
+        f.append(-(f[j].d_x() + _square_convolution(f, j, 0)) / 2)
+        g.append((g[j].d_x() + _square_convolution(g, j, 0)) / 2)
 
-    fs = FormalSeries({1: DiffPolynomial.constant(1)}, floor=-depth)
-    gs = FormalSeries({1: DiffPolynomial.constant(-1)}, floor=-depth)
-    for j in range(depth + 1):
-        fs = fs + FormalSeries({-j: f[j]})
-        gs = gs + FormalSeries({-j: g[j]})
+    fs = FormalSeries({1: 1, **{-j: p for j, p in enumerate(f)}}, floor=-depth)
+    gs = FormalSeries({1: -1, **{-j: p for j, p in enumerate(g)}}, floor=-depth)
     return fs, gs
 
 
@@ -189,20 +194,43 @@ def modschwarz_series(m, depth):
         (3/4) h_x^2 - (1/2) h h_xx + lambda^m h^4 = U(x, lambda) h^2,
 
     the equation multiplied through by h^2, where
-    U = lambda^m + u_1 lambda^{m-1} + ... + u_m.  Every unknown h_k enters its
-    order linearly with coefficient 2, so the system is triangular.
+    U = lambda^m + u_1 lambda^{m-1} + ... + u_m.  With H2_j the coefficient of
+    lambda^{-j} in h^2 (H2_0 = 1), the coefficient of lambda^{m-k} in the
+    residual is 2 h_k + res_k, where every other term is known from lower
+    orders:
+
+        H2*_k = sum_{a=1}^{k-1} h_a h_{k-a},
+        H4*_k = 2 H2*_k + sum_{a=1}^{k-1} H2_a H2_{k-a},
+        res_k = H4*_k - H2*_k - sum_{i=1}^{min(m,k)} u_i H2_{k-i}
+                + (3/4) sum_{a=1}^{j-1} h_a' h_{j-a}' - (1/2) sum_{a=0}^{j-1} h_a h_{j-a}''
+
+    with the last line only for j = k - m >= 1.  So the system is triangular:
+    h_k = -res_k / 2 and H2_k = H2*_k + 2 h_k.  Order k costs O(k) products,
+    the whole series O(depth^2).
     """
     if m < 1:
         raise ValueError("potential degree m must be at least 1")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    h = FormalSeries({0: DiffPolynomial.constant(1)}, floor=0)
+    zero = DiffPolynomial.zero()
+    one = DiffPolynomial.constant(1)
+    u = [None] + [DiffPolynomial.symbol(i) for i in range(1, m + 1)]
+    h, hx, hxx, h2 = [one], [zero], [zero], [one]
     for k in range(1, depth + 1):
-        h = FormalSeries(h.terms, floor=-k)
-        residual = modschwarz_residual(h, m)
-        hk = -(residual.coeff(m - k)) / Fraction(2)
-        h = h + FormalSeries({-k: hk})
-    return h
+        h2_star = _square_convolution(h, k, 1)
+        # H4*_k - H2*_k = H2*_k + sum_{a=1}^{k-1} H2_a H2_{k-a}
+        res = h2_star + _square_convolution(h2, k, 1)
+        res = res - sum((u[i] * h2[k - i] for i in range(1, min(m, k) + 1)), zero)
+        j = k - m
+        if j >= 1:
+            res = res + _square_convolution(hx, j, 1) * Fraction(3, 4)
+            res = res - sum((h[a] * hxx[j - a] for a in range(j)), zero) / 2
+        hk = -res / 2
+        h.append(hk)
+        hx.append(hk.d_x())
+        hxx.append(hx[k].d_x())
+        h2.append(h2_star + hk + hk)
+    return FormalSeries({-j: p for j, p in enumerate(h)}, floor=-depth)
 
 
 def modschwarz_residual(h, m):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,16 @@ def _canon(factors):
     return tuple(sorted((k, e) for k, e in factors.items() if e != 0))
 
 
-class ReferencePoly(DiffPolynomial):
-    """The dict-copying arithmetic the ring operations replaced, kept as an oracle.
+class ReferencePoly:
+    """The Fraction-valued, dict-copying arithmetic the ring operations replaced, kept as an oracle.
 
     Every result goes through the normalising constructor, and ``d_x`` adds
-    one Leibniz term at a time with ``+``.
+    one Leibniz term at a time with ``+``.  It stands alone, with only what
+    ``series`` and ``format_diffpoly`` use beyond the arithmetic: ``==``,
+    ``is_zero`` and ``_coerce``.
     """
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
@@ -84,9 +87,17 @@ class ReferencePoly(DiffPolynomial):
 
     @staticmethod
     def _coerce(v):
-        if isinstance(v, DiffPolynomial):
+        if isinstance(v, ReferencePoly):
             return v
         return ReferencePoly.constant(v)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ReferencePoly.constant(other)
+        return isinstance(other, ReferencePoly) and self.coeffs == other.coeffs
+
+    def is_zero(self):
+        return not self.coeffs
 
     def d_x(self):
         out = ReferencePoly()
@@ -156,6 +167,16 @@ def _coeffs_are_nonzero_fractions(p):
     return all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
 
 
+def _is_canonical(p):
+    """Nonzero int numerators over a positive int denominator, with no common factor."""
+    nums = list(p._num.values())
+    return (
+        type(p._den) is int and p._den > 0
+        and all(type(c) is int and c != 0 for c in nums)
+        and math.gcd(p._den, *nums) == 1
+    )
+
+
 class TestAgainstReferenceArithmetic:
     @settings(max_examples=80, deadline=None)
     @given(small_polys(), small_polys(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
@@ -180,20 +201,38 @@ class TestAgainstReferenceArithmetic:
             assert got.coeffs == want.coeffs
             assert _coeffs_are_nonzero_fractions(got)
             # a result never shares its dict with an operand
-            assert got.coeffs is not p.coeffs and got.coeffs is not q.coeffs
-        assert (p.coeffs, q.coeffs) == before
+            assert got._num is not p._num and got._num is not q._num
+        assert (dict(p.coeffs), dict(q.coeffs)) == before
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_polys(), small_polys(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    def test_every_result_is_canonical_and_eq_hash_follow_the_coefficients(self, p, q, k):
+        if k == 0:
+            k = Fraction(-5, 3)
+        results = [p + q, p - q, p - p, p * q, p * k, k - p, p / k, -p, p.d_x(), (p * q).d_x(),
+                   DiffPolynomial(p.coeffs), DiffPolynomial.constant(k)]
+        for r in results:
+            assert _is_canonical(r)
+            rebuilt = DiffPolynomial(dict(r.coeffs))
+            assert r == rebuilt and hash(r) == hash(rebuilt)
+        for a in results:
+            for b in results:
+                assert (a == b) == (dict(a.coeffs) == dict(b.coeffs))
+                if a == b:
+                    assert hash(a) == hash(b)
 
     def test_trivial_operations_return_a_copy(self):
         p = U * UX + 1
         for r in (p + 0, 0 + p, p + DiffPolynomial.zero(), p * 1, p / 1):
-            assert r == p and r.coeffs is not p.coeffs
-            r.coeffs.clear()
+            assert r == p and r._num is not p._num
+            r._num.clear()
         assert p == U * UX + 1
 
     def test_public_constructor_coerces_and_drops_zeros(self):
         p = DiffPolynomial({(): 2, (((1, 0), 1),): Fraction(0), (((1, 1), 1),): Fraction(1, 2)})
         assert p.coeffs == {(): Fraction(2), (((1, 1), 1),): Fraction(1, 2)}
         assert _coeffs_are_nonzero_fractions(p)
+        assert (p._num, p._den) == ({(): 4, (((1, 1), 1),): 1}, 2)
 
 
 class TestHashEq:

@@ -455,7 +455,7 @@ class TestCPoly:
 class TestReport:
     def test_full_grid_passes_every_check(self):
         traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
-        rep = fg.report(SPEC, traj)
+        rep = fg.report(SPEC, traj, fg.period(SPEC))
         assert list(rep) == ["period", "trajectory_period", "checks"]
         assert rep["period"] == fg.period(SPEC)
         assert [c["name"] for c in rep["checks"]] == [
@@ -464,10 +464,17 @@ class TestReport:
         ]
         assert all(c["pass"] for c in rep["checks"])
 
+    def test_takes_the_period_from_the_caller(self, monkeypatch):
+        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
+        t = fg.period(SPEC)
+        want = fg.report(SPEC, traj, t)
+        monkeypatch.setattr(fg, "period", lambda *a, **k: pytest.fail("report recomputed the period"))
+        assert fg.report(SPEC, traj, t) == want
+
     def test_grid_shorter_than_two_maxima(self):
         # T is about 2.62: [0, 2] spans no period and holds at most one maximum
         traj = fg.integrate_gamma(SPEC, (0.0, 2.0), step=0.01)
-        rep = fg.report(SPEC, traj)
+        rep = fg.report(SPEC, traj, fg.period(SPEC))
         checks = {c["name"]: c for c in rep["checks"]}
         assert math.isnan(rep["trajectory_period"])
         assert checks["period_quadrature_vs_trajectory"]["value"] == math.inf

@@ -6,10 +6,21 @@ from test_diffpoly import ReferencePoly
 from riccatikit import expr as ex
 from riccatikit import series
 from riccatikit.diffpoly import DiffPolynomial, format_diffpoly
-from riccatikit.series import FormalSeries, modschwarz_series, riccati_series, zeta_chain
+from riccatikit.series import FormalSeries, modschwarz_residual, modschwarz_series, riccati_series, zeta_chain
 
 U1 = DiffPolynomial.symbol(1)
 U2 = DiffPolynomial.symbol(2)
+
+
+def residual_driven_modschwarz_series(m, depth):
+    """h built by recomputing the whole residual at each order, kept as the oracle of the recurrence."""
+    h = FormalSeries({0: DiffPolynomial.constant(1)}, floor=0)
+    for k in range(1, depth + 1):
+        h = FormalSeries(h.terms, floor=-k)
+        residual = modschwarz_residual(h, m)
+        hk = -(residual.coeff(m - k)) / Fraction(2)
+        h = h + FormalSeries({-k: hk})
+    return h
 
 
 def zs_potential(m):
@@ -89,6 +100,33 @@ class TestModschwarzSeries:
         residual = hx * hx * Fraction(3, 4) - h * hxx * Fraction(1, 2) + (h2 * h2).shift(m) - pot * h2
         for d in range(residual.floor + 1, m + 1):
             assert residual.coeff(d).is_zero(), (m, d)
+
+
+class TestModschwarzRecurrence:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_the_residual_driven_construction(self, m):
+        for depth in range(8):
+            got = modschwarz_series(m, depth)
+            want = residual_driven_modschwarz_series(m, depth)
+            assert got.floor == want.floor
+            assert got.terms == want.terms, (m, depth)
+
+    def test_products_grow_quadratically_in_depth(self, monkeypatch):
+        calls = [0]
+        mul = DiffPolynomial.__mul__
+
+        def counted(self, other):
+            calls[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(DiffPolynomial, "__mul__", counted)
+        counts = []
+        for depth in (8, 16):
+            calls[0] = 0
+            modschwarz_series(1, depth)
+            counts.append(calls[0])
+        # doubling the depth: about 4x the products when quadratic, about 8x when cubic
+        assert counts[1] < 5 * counts[0], counts
 
 
 class TestAgainstReferenceArithmetic:
