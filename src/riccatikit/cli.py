@@ -29,7 +29,7 @@ from . import riccati as rc
 from . import schwarzian as sw
 from . import series as se
 from . import soliton as so
-from .diffpoly import DiffPolynomial, format_diffpoly
+from .diffpoly import DiffPolynomial
 from .numeric import check
 
 __all__ = ["main"]
@@ -123,48 +123,16 @@ def parse_expr_arg(text):
         raise ConfigError(f"bad expression {text!r}: {err}") from err
 
 
-def format_poly_string(coeffs):
-    """Compact polynomial rendering, e.g. [-2, 0, 4] -> '4x^2-2'."""
-    terms = []
-    for p in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[p]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if p == 0:
-            body = str(mag)
-        else:
-            xs = "x" if p == 1 else f"x^{p}"
-            body = xs if mag == 1 else f"{mag}{xs}"
-        sign = "-" if c < 0 else ("+" if terms else "")
-        terms.append(sign + body)
-    return "".join(terms) if terms else "0"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_transform(args):
     eq = rc.RiccatiEq(parse_expr_arg(args.a), parse_expr_arg(args.b), parse_expr_arg(args.c))
-    m = rc.MobiusMap(
-        parse_expr_arg(args.alpha),
-        parse_expr_arg(args.beta),
-        parse_expr_arg(args.gamma),
-        parse_expr_arg(args.delta),
-    )
-    out = rc.mobius_transform(eq, m)
-    inverse = rc.MobiusMap(m.delta, ex.neg(m.beta), ex.neg(m.gamma), m.alpha)
-    back = rc.mobius_transform(out, inverse)
-    pts = rc.sample_points([eq.a, eq.b, eq.c, back.a, back.b, back.c])
-    roundtrip = np.max([np.abs(getattr(eq, n).evaluate(x=pts) - getattr(back, n).evaluate(x=pts)) for n in "abc"])
-    report = {
-        "command": "transform",
-        "input": {"a": str(eq.a), "b": str(eq.b), "c": str(eq.c)},
-        "map": {k: str(getattr(m, k)) for k in ("alpha", "beta", "gamma", "delta")},
-        "output": {"a": str(out.a), "b": str(out.b), "c": str(out.c)},
-        "checks": [check("inverse_map_roundtrip", roundtrip, 1e-9)],
-    }
+    m = rc.MobiusMap(parse_expr_arg(args.alpha), parse_expr_arg(args.beta), parse_expr_arg(args.gamma),
+                     parse_expr_arg(args.delta))
+    report = {"command": "transform", "input": {k: str(v) for k, v in vars(eq).items()},
+              "map": {k: str(v) for k, v in vars(m).items()}, **rc.transform_report(eq, m)}
     return _finish(args.out, "transform", report)
 
 
@@ -175,14 +143,14 @@ def cmd_solve_re(args):
     constants = parse_list(args.constants)
     if not constants:
         raise ConfigError("--constants needs at least one value")
+    labels = [f"C{c0:g}" for c0 in constants]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--constants {args.constants!r} gives two columns the same label: {', '.join(labels)}")
     grid = parse_grid(args.grid)
-    columns = [("x", grid)]
-    checks = []
-    for c0 in constants:
-        sol = family(Fraction(c0) if c0 == int(c0) else c0)
-        columns.append((f"phi_C{c0:g}", sol.evaluate(x=grid)))  # NaN at singular points
-        checks.append(check(f"solution_residual_C{c0:g}", rc.riccati_residual(eq, sol), 1e-9))
-    report = {"command": "solve-re", "constants": constants, "checks": checks}
+    solutions = {label: family(Fraction(c0) if c0 == int(c0) else c0) for label, c0 in zip(labels, constants)}
+    # NaN at singular points
+    columns = [("x", grid)] + [(f"phi_{label}", sol.evaluate(x=grid)) for label, sol in solutions.items()]
+    report = {"command": "solve-re", "constants": constants, **rc.family_report(eq, solutions)}
     return _finish(args.out, "solve_re", report, columns)
 
 
@@ -191,56 +159,14 @@ def cmd_hermite(args):
     if not 0 <= n <= 16:
         # past degree 16 the float witness check cannot verify H_n: every n = 17..24 fails it
         raise ConfigError("--n must lie in 0..16")
-    coeffs = rc.hermite_coefficients(n)
-    rod = rc.rodrigues_coefficients(n)
-    omega, y = rc.hermite_polynomial(n)
-    rhs = ex.parse_expression(f"x^2 - {2 * n + 1}")
-    witness = ex.add(ex.diff(y, "x"), ex.intpow(y, 2), ex.neg(rhs))
-    residual = np.max(np.abs(witness.evaluate(x=np.linspace(4.0, 9.0, 100))))  # a NaN at any point fails
-    report = {
-        "command": "hermite",
-        "n": n,
-        "polynomial": format_poly_string([int(c) for c in coeffs]),
-        "riccati_witness": str(y),
-        "equation_rhs": f"x^2{-(2 * n + 1):+d}",
-        "checks": [
-            check("recurrence_matches_derivative_route", 0.0 if coeffs == rod else 1.0, 0.5),
-            check("riccati_witness_residual", residual, 1e-10),
-        ],
-    }
-    return _finish(args.out, "hermite", report)
+    return _finish(args.out, "hermite", {"command": "hermite", "n": n, **rc.hermite_report(n)})
 
 
 def cmd_pole_series(args):
-    depth = args.depth
     alpha = _maybe_rational(args.alpha)
     eps = _maybe_rational(args.eps)
-    coeffs = rc.pole_series(alpha, eps, depth)
-
-    # IVP cross-check: start on the series a bit off the pole and march outward
-    def series_val(xv):
-        s = xv + float(eps)
-        return 1.0 / s + sum(float(c) * s**j for j, c in enumerate(coeffs))
-
-    x_start = -float(eps) + 0.2
-    x_end = -float(eps) + 0.4
-    traj = numeric.integrate_ivp(
-        lambda xv, yv: np.array([xv**2 + float(alpha) - yv[0] ** 2]),
-        x_start, np.array([series_val(x_start)]), x_end, tol=1e-12,
-    )
-    ivp_gap = abs(traj.ys[-1][0] - series_val(x_end))
-    checks = [check("zeroth_coefficient_vanishes", abs(float(coeffs[0])), 1e-15)]
-    if depth >= 2:  # a_2 exists only from depth 2 on
-        checks.append(check("fourth_order_line", abs(4 * float(coeffs[2]) + 2 * float(eps)), 1e-12))
-    checks.append(check("series_vs_ivp_near_pole", ivp_gap, 5e-4))
-    report = {
-        "command": "pole-series",
-        "alpha": float(alpha),
-        "eps": float(eps),
-        "coefficients": [float(c) for c in coeffs],
-        "exact": [str(c) for c in coeffs],
-        "checks": checks,
-    }
+    built = rc.pole_series_report(alpha, eps, args.depth)
+    report = {"command": "pole-series", "alpha": float(alpha), "eps": float(eps), **built}
     return _finish(args.out, "pole_series", report)
 
 
@@ -259,58 +185,20 @@ def cmd_schwarz(args):
     s_expr = sw.schwarz(phi)
     grid = parse_grid(args.grid)
     vals = s_expr.evaluate(x=grid)  # NaN at singular points
-    m = rc.MobiusMap(1.25, -0.5, 0.75, 2.0)
-    mapped = sw.schwarz(m.apply(phi))
-    gap = ex.sub(mapped, s_expr)
-    pts = rc.sample_points([phi, s_expr, mapped], interval=(float(grid[0]), float(grid[-1])))
-    invariance = np.max(np.abs(gap.evaluate(x=pts)))
-    report = {
-        "command": "schwarz",
-        "phi": str(phi),
-        "checks": [check("mobius_invariance", invariance, 1e-9)],
-    }
+    report = {"command": "schwarz", "phi": str(phi), **sw.report(phi, s_expr, (float(grid[0]), float(grid[-1])))}
     return _finish(args.out, "schwarz", report, [("x", grid), ("schwarzian", vals)])
 
 
 def cmd_series(args):
-    what = args.what
-    depth = args.depth
-    m = args.m
-    report = {"command": "series", "what": what, "m": m, "depth": depth}
-    single = m == 1
-    if what in ("f", "g"):
-        f, g = se.riccati_series(m, depth)
-        chosen = f if what == "f" else g
-        names = [f"{what}_{j}" for j in range(depth + 1)]
-        report["coefficients"] = {
-            nm: format_diffpoly(chosen.coeff(-j), single=single) for j, nm in enumerate(names)
-        }
-        residual = sum(_unmatched_orders(se.riccati_series_residual(s, m), 2) for s in (f, g))
-        report["checks"] = [check("triangular_system_residual_orders", residual, 0.5)]
+    what, m, depth = args.what, args.m, args.depth
+    if what == "zeta":
+        built = se.zeta_chain(parse_expr_arg(args.u), depth)
     elif what == "h":
-        h = se.modschwarz_series(m, depth)
-        report["coefficients"] = {
-            f"h_{j}": format_diffpoly(h.coeff(-j), single=single) for j in range(0, depth + 1)
-        }
-        residual = _unmatched_orders(se.modschwarz_residual(h, m), m)
-        report["checks"] = [check("order_matching_residual", residual, 0.5)]
-    elif what == "zeta":
-        u = parse_expr_arg(args.u)
-        chain = se.zeta_chain(u, depth)
-        report["coefficients"] = {f"zeta_{j + 1}": str(z) for j, z in enumerate(chain)}
-        z1 = chain[0]
-        rel = ex.sub(ex.intpow(z1, 2), ex.diff(z1, "x"))
-        vals = rel.evaluate(x=rc.sample_points([rel]))
-        drift = np.max(vals) - np.min(vals)
-        report["checks"] = [check("zeta1_truncation_constant_drift", drift, 1e-9)]
+        built = se.modschwarz_series(m, depth)
     else:
-        raise ConfigError("series --what must be one of f, g, h, zeta")
+        built = se.riccati_series(m, depth)
+    report = {"command": "series", "what": what, "m": m, "depth": depth, **se.report(what, m, depth, built)}
     return _finish(args.out, "series", report)
-
-
-def _unmatched_orders(residual, top):
-    """How many exactly known orders floor+1..top of a series residual fail to cancel."""
-    return sum(not residual.coeff(d).is_zero() for d in range(residual.floor + 1, top + 1))
 
 
 def cmd_soliton(args):
@@ -355,9 +243,8 @@ def _verify_symbolic(rng):
     checks.append(check("series_f0_is_half_u1", 0.0 if f.coeff(0) == DiffPolynomial.symbol(1) / 2 else 1.0, 0.5))
     h = se.modschwarz_series(1, 3)
     checks.append(check("series_h1_is_half_u", 0.0 if h.coeff(-1) == DiffPolynomial.symbol(1) / 2 else 1.0, 0.5))
-    unmatched = sum(_unmatched_orders(se.riccati_series_residual(s, 2), 2) for s in (f, g))
-    checks.append(check("riccati_series_order_matching", unmatched, 0.5))
-    checks.append(check("modschwarz_order_matching", _unmatched_orders(se.modschwarz_residual(h, 1), 1), 0.5))
+    for what, m, depth, built in (("f", 2, 4, (f, g)), ("h", 1, 3, h)):
+        checks.extend({**c, "name": f"{c['name']}_m{m}"} for c in se.report(what, m, depth, built)["checks"])
     p = DiffPolynomial.symbol(1) * DiffPolynomial.symbol(1, 1) + DiffPolynomial.constant(Fraction(1, 3))
     q = DiffPolynomial.symbol(1, 2) - DiffPolynomial.symbol(1) * 2
     leibniz = (p * q).d_x() - (p.d_x() * q + p * q.d_x())
@@ -391,21 +278,12 @@ def _verify_riccati(rng):
 
 
 def _verify_schwarzian(rng):
-    checks = []
     x = ex.Var("x")
     phi = ex.add(x, ex.mul(ex.Rational(Fraction(1, 5)), ex.exp(x)))
-    s0 = sw.schwarz(phi)
-    gaps = [0.0]
-    for _ in range(5):
-        alpha, beta, gamma, delta = (float(v) for v in rng.uniform(-2, 2, 4))
-        if abs(alpha * delta - beta * gamma) < 0.1:
-            continue
-        m = rc.MobiusMap(alpha, beta, gamma, delta)
-        gap = ex.sub(sw.schwarz(m.apply(phi)), s0)
-        den = ex.add(ex.mul(m.gamma, phi), m.delta)
-        pts = rc.sample_points([gap, ex.recip(den)], interval=(-2, 2))
-        gaps.append(np.max(np.abs(gap.evaluate(x=pts))))
-    checks.append(check("schwarzian_mobius_invariance", np.max(gaps), 1e-9))
+    draws = [[float(v) for v in rng.uniform(-2, 2, 4)] for _ in range(5)]
+    maps = [rc.MobiusMap(*d) for d in draws if abs(d[0] * d[3] - d[1] * d[2]) >= 0.1]
+    invariance = sw.mobius_invariance(phi, maps, (-2, 2), sw.schwarz(phi))
+    checks = [check("schwarzian_mobius_invariance", invariance, 1e-9)]
     c = ex.Rational(-1)
     phi3 = ex.mul(ex.sin(x), ex.cos(x))
     res = sw.third_order_residual(phi3, c)

@@ -6,7 +6,7 @@ cross-ratio formula for a fourth solution from three, the equivalence with
 second-order linear ODEs (in the convention psi_xx = b psi_x + c psi), the
 Hermite ladder and polynomials, movable-pole series, first-order operator
 factorization, constant-coefficient kernels, and the first-integral check for
-the coupled Riccati system studied by Kovalevskii.
+the coupled Riccati system studied by Kovalevskii; ``*_report`` builds the named checks of each.
 """
 
 from __future__ import annotations
@@ -28,15 +28,19 @@ __all__ = [
     "sample_points",
     "riccati_residual",
     "mobius_transform",
+    "transform_report",
     "general_from_particular",
+    "family_report",
     "cross_ratio_solution",
     "convert_re_lode",
     "canonical_form",
     "second_solution",
     "hermite_polynomial",
+    "hermite_report",
     "hermite_ladder",
     "inverse_hermite_ladder",
     "pole_series",
+    "pole_series_report",
     "lodo_const_kernel",
     "KernelBasis",
     "lode_factor",
@@ -225,6 +229,16 @@ def _is_const_one(e):
     return isinstance(e, ex.Rational) and e.value == 1
 
 
+def transform_report(eq, m):
+    """Coefficients of ``mobius_transform(eq, m)`` and the check that the inverse map brings back ``eq``."""
+    out = mobius_transform(eq, m)
+    back = mobius_transform(out, MobiusMap(m.delta, ex.neg(m.beta), ex.neg(m.gamma), m.alpha))
+    pts = sample_points([eq.a, eq.b, eq.c, back.a, back.b, back.c])
+    roundtrip = np.max([np.abs(getattr(eq, n).evaluate(x=pts) - getattr(back, n).evaluate(x=pts)) for n in "abc"])
+    output = {n: str(getattr(out, n)) for n in "abc"}
+    return {"output": output, "checks": [numeric.check("inverse_map_roundtrip", roundtrip, 1e-9)]}
+
+
 # ---------------------------------------------------------------------------
 # solution construction
 
@@ -272,6 +286,12 @@ def general_from_particular(eq, phi1=None, var="x", check=True):
         return ex.add(phi1, ex.recip(w))
 
     return SolutionFamily(eq, build, particular=phi1)
+
+
+def family_report(eq, solutions):
+    """One residual check ``solution_residual_<label>`` per member of ``{label: solution}``."""
+    residuals = {label: riccati_residual(eq, sol) for label, sol in solutions.items()}
+    return {"checks": [numeric.check(f"solution_residual_{label}", r, RESIDUAL_TOL) for label, r in residuals.items()]}
 
 
 def cross_ratio_solution(phi1, phi2, phi3, a_const, var="x"):
@@ -406,6 +426,35 @@ def hermite_polynomial(n):
     return omega, y
 
 
+def hermite_report(n):
+    """H_n and its Riccati witness, checked: both coefficient routes agree, the witness solves its equation."""
+    coeffs = hermite_coefficients(n)
+    rod = rodrigues_coefficients(n)
+    _, y = hermite_polynomial(n)
+    rhs = ex.parse_expression(f"x^2 - {2 * n + 1}")
+    witness = ex.add(ex.diff(y, "x"), ex.intpow(y, 2), ex.neg(rhs))
+    residual = np.max(np.abs(witness.evaluate(x=np.linspace(4.0, 9.0, 100))))  # a NaN at any point fails
+    return {
+        "polynomial": _format_poly([int(c) for c in coeffs]),
+        "riccati_witness": str(y),
+        "equation_rhs": f"x^2{-(2 * n + 1):+d}",
+        "checks": [
+            numeric.check("recurrence_matches_derivative_route", 0.0 if coeffs == rod else 1.0, 0.5),
+            numeric.check("riccati_witness_residual", residual, 1e-10),
+        ],
+    }
+
+
+def _format_poly(coeffs):
+    """Compact polynomial rendering, e.g. [-2, 0, 4] -> '4x^2-2'."""
+    terms = []
+    for p, c in reversed(list(enumerate(coeffs))):
+        if c:
+            xs = "" if p == 0 else "x" if p == 1 else f"x^{p}"
+            terms.append(("-" if c < 0 else "+" if terms else "") + ("" if abs(c) == 1 and xs else str(abs(c))) + xs)
+    return "".join(terms) or "0"
+
+
 def hermite_ladder(y, alpha, var="x"):
     """One rung up the ladder for y' + y^2 = x^2 + alpha.
 
@@ -463,6 +512,28 @@ def pole_series(alpha, eps, depth):
         num = rhs.get(j - 1, zero) - conv
         a.append(num / (j + 2))
     return a
+
+
+def pole_series_report(alpha, eps, depth):
+    """Coefficients of ``pole_series(alpha, eps, depth)``, checked: a_0 = 0, 4 a_2 + 2 eps = 0, an IVP follows them."""
+    coeffs = pole_series(alpha, eps, depth)
+
+    def series_val(xv):
+        s = xv + float(eps)
+        return 1.0 / s + sum(float(c) * s**j for j, c in enumerate(coeffs))
+
+    x_start = -float(eps) + 0.2
+    x_end = -float(eps) + 0.4
+    traj = numeric.integrate_ivp(
+        lambda xv, yv: np.array([xv**2 + float(alpha) - yv[0] ** 2]),
+        x_start, np.array([series_val(x_start)]), x_end, tol=1e-12,
+    )
+    ivp_gap = abs(traj.ys[-1][0] - series_val(x_end))
+    checks = [numeric.check("zeroth_coefficient_vanishes", abs(float(coeffs[0])), 1e-15)]
+    if depth >= 2:  # a_2 exists only from depth 2 on
+        checks.append(numeric.check("fourth_order_line", abs(4 * float(coeffs[2]) + 2 * float(eps)), 1e-12))
+    checks.append(numeric.check("series_vs_ivp_near_pole", ivp_gap, 5e-4))
+    return {"coefficients": [float(c) for c in coeffs], "exact": [str(c) for c in coeffs], "checks": checks}
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .riccati import DEFAULT_INTERVAL, sample_points
+from . import numeric
+from .riccati import DEFAULT_INTERVAL, MobiusMap, sample_points
 
 __all__ = [
     "SchwarzTriple",
     "schwarz",
+    "mobius_invariance",
+    "report",
     "dmod",
     "third_order_residual",
     "first_integral",
@@ -48,6 +51,22 @@ def schwarz(phi, var="x"):
     first = ex.mul(_THREE_QUARTERS, ex.intpow(ex.mul(d2, ex.recip(d1)), 2))
     second = ex.mul(_HALF, d3, ex.recip(d1))
     return ex.sub(first, second)
+
+
+def mobius_invariance(phi, maps, interval, s0):
+    """Largest |schwarz(m.apply(phi)) - s0| over the maps on sample points of ``interval``; NaN if any map's is NaN."""
+    gaps = []
+    for m in maps:
+        mapped = schwarz(m.apply(phi))
+        pts = sample_points([phi, s0, mapped], interval=interval)
+        gaps.append(np.max(np.abs(ex.sub(mapped, s0).evaluate(x=pts))))
+    return float(np.max(gaps, initial=0.0))
+
+
+def report(phi, s0, interval):
+    """The check of ``riccati schwarz``: s0 = schwarz(phi) is invariant under one fixed fraction-linear map."""
+    invariance = mobius_invariance(phi, [MobiusMap(1.25, -0.5, 0.75, 2.0)], interval, s0)
+    return {"checks": [numeric.check("mobius_invariance", invariance, 1e-9)]}
 
 
 def dmod(a, var="x", interval=DEFAULT_INTERVAL):

@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .diffpoly import DiffPolynomial
+from . import numeric
+from .diffpoly import DiffPolynomial, format_diffpoly
+from .riccati import sample_points
 
 __all__ = [
     "FormalSeries",
@@ -21,6 +23,7 @@ __all__ = [
     "modschwarz_series",
     "modschwarz_residual",
     "zeta_chain",
+    "report",
 ]
 
 
@@ -268,3 +271,32 @@ def zeta_chain(u, count, var="x", constants=None, allow_quadrature=True):
         zeta = ex.add(anti, ex.as_expression(constants[j]))
         out.append(zeta)
     return out
+
+
+def report(what, m, depth, series):
+    """Printed coefficients and named check of a built series.
+
+    ``series`` is ``riccati_series(m, depth)`` for "f" and "g", ``modschwarz_series(m, depth)`` for
+    "h" and ``zeta_chain(u, depth)`` for "zeta".  The check counts the exactly known residual orders
+    that fail to cancel, or for "zeta" takes the spread of zeta_1^2 - zeta_1' over sample points.
+    """
+    if what == "zeta":
+        rel = ex.sub(ex.intpow(series[0], 2), ex.diff(series[0], "x"))
+        vals = rel.evaluate(x=sample_points([rel]))
+        return {"coefficients": {f"zeta_{j + 1}": str(z) for j, z in enumerate(series)},
+                "checks": [numeric.check("zeta1_truncation_constant_drift", vals.max() - vals.min(), 1e-9)]}
+    if what == "h":
+        chosen, name = series, "order_matching_residual"
+        unmatched = _unmatched_orders(modschwarz_residual(series, m), m)
+    elif what in ("f", "g"):
+        chosen, name = series[what == "g"], "triangular_system_residual_orders"
+        unmatched = sum(_unmatched_orders(riccati_series_residual(s, m), 2) for s in series)
+    else:
+        raise ValueError("series what must be one of f, g, h, zeta")
+    coefficients = {f"{what}_{j}": format_diffpoly(chosen.coeff(-j), single=m == 1) for j in range(depth + 1)}
+    return {"coefficients": coefficients, "checks": [numeric.check(name, unmatched, 0.5)]}
+
+
+def _unmatched_orders(residual, top):
+    """How many exactly known orders floor+1..top of a series residual fail to cancel."""
+    return sum(not residual.coeff(d).is_zero() for d in range(residual.floor + 1, top + 1))

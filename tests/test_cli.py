@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,15 @@ class TestSolveRe:
             else:
                 assert float(r["phi_C1"]) == pytest.approx(ref, rel=1e-10)
         assert sum(r["phi_C1"] == "nan" for r in rows) == 13  # x = -5 .. -2
+
+    @pytest.mark.parametrize("constants", ["1,1", "1,1.0000001", "2,0.5,2"])
+    def test_constants_sharing_a_label_exit_2(self, tmp_path, capsys, constants):
+        # both 1 and 1.0000001 print as C1 under :g, which named two columns phi_C1
+        code = cli.main(["solve-re", "--a", "1", "--c", "0", "--phi1", "0", "--constants", constants,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "same label" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHermite:
@@ -431,13 +442,22 @@ class TestVerify:
     } | {"interpolation_determinant_sign_constant", "zeta1_equals_a1", "kdv_density_time_drift"}
     FINITEGAP_CHECKS = {"period_quadrature_vs_trajectory", "energy_invariant_drift", "periodicity_of_u",
                         "dubrovin_item1", "dubrovin_division_remainder", "floquet_band_edge"}
+    SUITE_CHECKS = {
+        "symbolic": {"series_f0_is_half_u1", "series_h1_is_half_u", "triangular_system_residual_orders_m2",
+                     "order_matching_residual_m1", "leibniz_rule_exact", "derivative_vs_central_difference"},
+        "riccati": {"solution_transport", "ladder_reaches_x_plus_1_over_x", "hermite_recurrence_vs_derivative_route",
+                    "kovalevskii_n3_integral_drift"},
+        "schwarzian": {"schwarzian_mobius_invariance", "product_solution_residual", "first_integral_is_one"},
+        "soliton": SOLITON_CHECKS,
+        "finitegap": FINITEGAP_CHECKS,
+    }
 
-    @pytest.mark.parametrize("suite", ["soliton", "finitegap"])
+    @pytest.mark.parametrize("suite", ["symbolic", "riccati", "schwarzian", "soliton", "finitegap"])
     def test_suite_check_names(self, tmp_path, suite):
         assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
         names = [c["name"] for c in read_report(tmp_path, "verify")["checks"]]
         assert len(names) == len(set(names))
-        assert set(names) == {"soliton": self.SOLITON_CHECKS, "finitegap": self.FINITEGAP_CHECKS}[suite]
+        assert set(names) == self.SUITE_CHECKS[suite]
 
     def test_singular_interpolation_matrix_fails_the_sign_check(self, tmp_path, monkeypatch):
         system_matrix = so.system_matrix
@@ -489,3 +509,19 @@ class TestVerify:
         checks = {c["name"]: c for c in read_report(tmp_path, "verify")["checks"]}
         assert not checks["kdv_density_time_drift"]["pass"]
         assert sum(not c["pass"] for c in checks.values()) == 1
+
+
+def test_cli_is_wiring_only():
+    """Checks are built by the library: no handler but cmd_verify builds one, and cli uses no private library name."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_") and fn.name != "cmd_verify":
+            called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            assert "check" not in called, fn.name
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("rc", "sw", "se", "so", "fg", "ex", "numeric") and node.attr.startswith("_")
+    ]
+    assert private == []

@@ -525,3 +525,69 @@ class TestArrayChecks:
         lode = rc.Lode2(ex.ZERO, ex.Rational(-1))
         assert math.isnan(lode.residual(ex.sin(X), points=pts))
         assert not cli.check("solution_residual", rc.riccati_residual(eq, phi, points=pts), 1e-9)["pass"]
+
+
+def passes(report):
+    return {c["name"]: c["pass"] for c in report["checks"]}
+
+
+class TestReports:
+    """Each builder passes on a fixed input, and a broken object fails the check that watches it."""
+
+    def test_transform_report(self):
+        eq = rc.RiccatiEq(ex.parse_expression("x"), 2, ex.cosh(X))
+        report = rc.transform_report(eq, rc.MobiusMap(0, 1, 1, 0))
+        assert list(report) == ["output", "checks"]
+        assert report["output"] == {"a": "-cosh(x)", "b": "-2", "c": "-x"}
+        assert passes(report) == {"inverse_map_roundtrip": True}
+
+    def test_transform_report_fails_on_a_wrong_transform(self, monkeypatch):
+        mobius_transform = rc.mobius_transform
+
+        def loses_c(eq, m):
+            out = mobius_transform(eq, m)
+            return rc.RiccatiEq(out.a, out.b, 0)
+
+        monkeypatch.setattr(rc, "mobius_transform", loses_c)
+        eq = rc.RiccatiEq(1, 0, ex.parse_expression("x^2 + 1"))
+        assert passes(rc.transform_report(eq, rc.MobiusMap(1, 0, 0, 1))) == {"inverse_map_roundtrip": False}
+
+    def test_family_report(self):
+        eq = rc.RiccatiEq(-1, 0, ex.parse_expression("x^2+1"))
+        family = rc.general_from_particular(eq, X)
+        report = rc.family_report(eq, {"C1": family(1), "C2": family(2), "bad": ex.add(family(3), X)})
+        assert [c["tol"] for c in report["checks"]] == [rc.RESIDUAL_TOL] * 3
+        assert passes(report) == {"solution_residual_C1": True, "solution_residual_C2": True,
+                                  "solution_residual_bad": False}
+
+    def test_hermite_report(self):
+        report = rc.hermite_report(3)
+        assert list(report) == ["polynomial", "riccati_witness", "equation_rhs", "checks"]
+        assert report["polynomial"] == "8x^3-12x"
+        assert report["equation_rhs"] == "x^2-7"
+        assert passes(report) == {"recurrence_matches_derivative_route": True, "riccati_witness_residual": True}
+
+    def test_hermite_report_fails_on_a_wrong_derivative_route(self, monkeypatch):
+        rodrigues = rc.rodrigues_coefficients
+        monkeypatch.setattr(rc, "rodrigues_coefficients", lambda n: rodrigues(n)[:-1] + [rodrigues(n)[-1] + 1])
+        assert passes(rc.hermite_report(4)) == {"recurrence_matches_derivative_route": False,
+                                                "riccati_witness_residual": True}
+
+    def test_pole_series_report(self):
+        report = rc.pole_series_report(Fraction(1), Fraction(0), 6)
+        assert list(report) == ["coefficients", "exact", "checks"]
+        assert report["exact"][:4] == ["0", "1/3", "0", "8/45"]
+        assert passes(report) == {"zeroth_coefficient_vanishes": True, "fourth_order_line": True,
+                                  "series_vs_ivp_near_pole": True}
+
+    def test_pole_series_report_fails_on_a_wrong_coefficient(self, monkeypatch):
+        pole_series = rc.pole_series
+        monkeypatch.setattr(rc, "pole_series", lambda *a: [c + Fraction(1, 10) for c in pole_series(*a)])
+        assert passes(rc.pole_series_report(Fraction(1), Fraction(0), 6)) == {
+            "zeroth_coefficient_vanishes": False, "fourth_order_line": False, "series_vs_ivp_near_pole": False}
+
+
+@pytest.mark.parametrize("coeffs, text", [([], "0"), ([0, 0], "0"), ([-2, 0, 4], "4x^2-2"), ([0, -1], "-x"),
+                                          ([1, 1, -1], "-x^2+x+1"), ([-12, 0, 1], "x^2-12")])
+def test_polynomial_rendering(coeffs, text):
+    assert rc._format_poly(coeffs) == text

@@ -226,3 +226,36 @@ class TestPotentialRecovery:
         c_rec = ex.add(d, ex.mul(ex.Rational(1, 4), ex.as_expression(v2), ex.intpow(a, 2)))
         for p in (0.3, 0.7, 1.1):
             assert c_rec.evaluate(x=p) == pytest.approx(-1.0, abs=1e-8)
+
+
+class TestMobiusInvariance:
+    PHI = ex.add(X, ex.mul(ex.Rational(1, 5), ex.exp(X)))
+    MAPS = [rc.MobiusMap(1.25, -0.5, 0.75, 2.0), rc.MobiusMap(-1.0, 0.5, 1.5, 0.3), rc.MobiusMap(0, 1, 1, 0)]
+
+    def test_invariant_under_every_map(self):
+        s0 = sw.schwarz(self.PHI)
+        assert sw.mobius_invariance(self.PHI, self.MAPS, (-2, 2), s0) <= 1e-9
+        assert sw.mobius_invariance(self.PHI, [], (-2, 2), s0) == 0.0
+
+    def test_a_wrong_s0_is_seen(self):
+        s0 = ex.add(sw.schwarz(self.PHI), ex.Real(1e-6))
+        assert sw.mobius_invariance(self.PHI, self.MAPS, (-2, 2), s0) == pytest.approx(1e-6, rel=1e-3)
+
+    def test_nan_gap_at_a_later_map_is_nan(self, monkeypatch):
+        sample_points = sw.sample_points
+        calls = []
+
+        def nan_point_from_the_second_call(exprs, **kw):
+            calls.append(exprs)
+            pts = sample_points(exprs, **kw)
+            return np.append(pts, np.nan) if len(calls) >= 2 else pts
+
+        monkeypatch.setattr(sw, "sample_points", nan_point_from_the_second_call)
+        # Python's max would keep the first map's finite gap (max(0.0, nan) is 0.0)
+        assert np.isnan(sw.mobius_invariance(self.PHI, self.MAPS, (-2, 2), sw.schwarz(self.PHI)))
+        assert len(calls) == len(self.MAPS)
+
+    def test_report(self):
+        phi = ex.tan(X)
+        report = sw.report(phi, sw.schwarz(phi), (-1.0, 1.0))
+        assert [(c["name"], c["tol"], c["pass"]) for c in report["checks"]] == [("mobius_invariance", 1e-9, True)]

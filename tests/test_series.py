@@ -183,3 +183,39 @@ class TestZetaChain:
         u = ex.ZERO
         z1 = zeta_chain(u, 1, constants=[Fraction(5)])[0]
         assert z1 == ex.Rational(5)
+
+
+class TestReport:
+    """``series.report`` prints a built series and checks it; a broken series fails its check."""
+
+    def test_f_and_g(self):
+        f, g = riccati_series(2, 1)
+        report = series.report("f", 2, 1, (f, g))
+        assert report["coefficients"] == {"f_0": "1/2*u_1", "f_1": "1/2*u_2 - 1/4*u_1' - 1/8*u_1^2"}
+        assert report["checks"] == [{"name": "triangular_system_residual_orders", "value": 0.0, "tol": 0.5,
+                                     "pass": True}]
+        assert list(series.report("g", 2, 1, (f, g))["coefficients"]) == ["g_0", "g_1"]
+
+    def test_h(self):
+        report = series.report("h", 1, 2, modschwarz_series(1, 2))
+        assert report["coefficients"]["h_1"] == "1/2*u"
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [("order_matching_residual", True)]
+
+    def test_zeta(self):
+        report = series.report("zeta", 1, 1, zeta_chain(ex.parse_expression("-2/cosh(x)^2"), 1))
+        assert report["coefficients"] == {"zeta_1": "-tanh(x)"}
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [("zeta1_truncation_constant_drift", True)]
+
+    def test_broken_series_fail(self):
+        f, g = riccati_series(2, 3)
+        bad_f = FormalSeries({**f.terms, -1: f.coeff(-1) + U1}, floor=f.floor)
+        assert series.report("f", 2, 3, (bad_f, g))["checks"][0]["value"] >= 1
+        h = modschwarz_series(2, 3)
+        bad_h = FormalSeries({**h.terms, -2: h.coeff(-2) + U2}, floor=h.floor)
+        assert not series.report("h", 2, 3, bad_h)["checks"][0]["pass"]
+        two_soliton_chain = zeta_chain(ex.parse_expression("-6/cosh(x)^2"), 1)
+        assert not series.report("zeta", 1, 1, two_soliton_chain)["checks"][0]["pass"]
+
+    def test_unknown_series_rejected(self):
+        with pytest.raises(ValueError):
+            series.report("q", 1, 1, None)
