@@ -173,11 +173,15 @@ def cmd_pole_series(args):
 def _maybe_rational(text):
     s = str(text)
     try:
-        return Fraction(s)
+        value = Fraction(s)
+        float(value)  # overflows past the float range
     except ZeroDivisionError:
         raise ValueError(f"division by zero in a constant: {s!r}") from None
+    except OverflowError:
+        raise ValueError(f"not a finite number: {s!r}") from None
     except ValueError:
         return finite_float(s)
+    return value
 
 
 def cmd_schwarz(args):

@@ -6,7 +6,8 @@ gamma_x^2 = C(gamma), C(g) = 4 (g - lambda1)(g - lambda2)(g - lambda3), and
 u = 2 gamma - lambda1 - lambda2 - lambda3 is a smooth periodic potential.
 Turning points are crossed by integrating the differentiated second-order
 form gamma_xx = C'(gamma)/2, which removes square-root branch bookkeeping.
-For N root variables the coupled system
+C is a descending coefficient array (c_poly), evaluated with np.polyval.
+For N root variables C has degree 2N + m, and the coupled system
 gamma_{j,x}^2 = C(gamma_j) / prod_{k != j} (gamma_j - gamma_k)^2 is exposed
 both as a magnitude right-hand side (caller-managed signs) and as a smooth
 second-order integrator.  The Dubrovin identities are checked at every grid
@@ -27,7 +28,6 @@ from . import numeric
 
 __all__ = [
     "GapSpec",
-    "CPoly",
     "RootTrajectory",
     "c_poly",
     "integrate_gamma",
@@ -75,27 +75,9 @@ class GapSpec:
 
 
 def c_poly(spec_or_lams):
-    """C(lambda) = 4 (lambda - lambda1)(lambda - lambda2)(lambda - lambda3)."""
+    """Descending coefficients of C(lambda) = 4 prod_i (lambda - lambda_i)."""
     lams = spec_or_lams.lams if isinstance(spec_or_lams, GapSpec) else tuple(spec_or_lams)
-    return numeric.DensePoly.from_roots(lams, leading=4.0)
-
-
-@dataclass(frozen=True)
-class CPoly:
-    """Integration-constant polynomial C(lambda) of degree 2N + m, leading 4."""
-
-    poly: numeric.DensePoly
-    n_phases: int
-    m: int
-
-    def __post_init__(self):
-        if self.poly.degree != 2 * self.n_phases + self.m:
-            raise ValueError("degree must equal 2N + m")
-        if abs(self.poly.coeffs[-1] - 4.0) > 1e-12:
-            raise ValueError("leading coefficient must be 4")
-
-    def __call__(self, x):
-        return self.poly(x)
+    return 4.0 * np.poly(lams)
 
 
 class RootTrajectory:
@@ -153,12 +135,12 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     1e-8 * max(1, |C| scale); larger drift (step too large) is an error.
     """
     c = c_poly(spec)
-    dc = c.deriv()
-    d0, d1, d2 = dc.coeffs
+    dc = np.polyder(c)
+    d2, d1, d0 = dc.tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
 
     def rhs(x, s):
         g = s[0]
-        return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as dc(g) rounds
+        return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as np.polyval(dc, g) rounds
 
     y0 = _gamma_start(spec, c)
     traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol, fixed_step=fixed_step)
@@ -167,10 +149,10 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     states = traj(xs)
     gam = states[:, 0]
     dgam = states[:, 1]
-    ddgam = 0.5 * dc(gam)
+    ddgam = 0.5 * np.polyval(dc, gam)
 
-    energy = np.abs(dgam**2 - c(gam))
-    scale = max(1.0, c(spec.gamma0))
+    energy = np.abs(dgam**2 - np.polyval(c, gam))
+    scale = max(1.0, np.polyval(c, spec.gamma0))
     if np.max(energy) > 1e-8 * scale:
         raise numeric.NumericError(
             f"energy drift {np.max(energy):.3g} exceeds tolerance; reduce the step"
@@ -180,7 +162,7 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
 
 def _gamma_start(spec, c):
     """Start state (gamma0, sign * sqrt(C(gamma0))) of gamma'' = C'(gamma)/2."""
-    c0 = c(spec.gamma0)
+    c0 = np.polyval(c, spec.gamma0)
     if c0 < 0:
         raise ValueError("C(gamma0) must be non-negative inside the band")
     return np.array([spec.gamma0, spec.sign * math.sqrt(c0)])
@@ -234,7 +216,7 @@ def floquet_discriminant(spec, lam):
     grows about a hundredfold, to near 4e-7.
     """
     c = c_poly(spec)
-    d0, d1, d2 = c.deriv().coeffs
+    d2, d1, d0 = np.polyder(c).tolist()
     shift = lam - spec.trace
 
     def rhs(x, s):
@@ -257,7 +239,7 @@ def report(spec, traj, t_quad):
     t_traj = maxima[1] - maxima[0] if len(maxima) >= 2 else float("nan")
     period_gap = abs(t_quad - t_traj) / t_quad if len(maxima) >= 2 else float("inf")
     c = c_poly(spec)
-    energy = np.max(np.abs(numeric.pow2(traj.dgammas[:, 0]) - c(traj.gammas[:, 0])))
+    energy = np.max(np.abs(numeric.pow2(traj.dgammas[:, 0]) - np.polyval(c, traj.gammas[:, 0])))
     checks = [
         numeric.check("period_quadrature_vs_trajectory", period_gap, 1e-6),
         numeric.check("energy_invariant_drift", energy, 1e-8),
@@ -286,7 +268,7 @@ def dubrovin_rhs(c, gamma):
     n = gamma.size
     out = np.empty(n)
     for j in range(n):
-        cj = c(gamma[j])
+        cj = np.polyval(c, gamma[j])
         if cj < 0:
             raise ValueError(f"C(gamma_{j + 1}) < 0: root left its band")
         prod = 1.0
@@ -314,7 +296,7 @@ def _dubrovin_accel(c, dc, gamma, dgamma):
             d = gamma[..., j] - gamma[..., k]
             q = q * d
             cross = cross + (dgamma[..., j] - dgamma[..., k]) / d
-        acc[..., j] = 0.5 * dc(gamma[..., j]) / (q * q) - dgamma[..., j] * cross
+        acc[..., j] = 0.5 * np.polyval(dc, gamma[..., j]) / (q * q) - dgamma[..., j] * cross
     return acc
 
 
@@ -325,15 +307,14 @@ def integrate_dubrovin(c, gamma0, signs, x_range, step=0.005, tol=1e-12):
     (gamma_j' - gamma_k')/(gamma_j - gamma_k), with Q_j the signed distance
     product; starting speeds come from ``dubrovin_rhs`` with caller signs.
     """
-    poly = c.poly if isinstance(c, CPoly) else c
-    dc = poly.deriv()
+    dc = np.polyder(c)
     gamma0 = np.asarray(gamma0, dtype=float)
     n = gamma0.size
-    speeds = dubrovin_rhs(poly, gamma0) * np.asarray(signs, dtype=float)
+    speeds = dubrovin_rhs(c, gamma0) * np.asarray(signs, dtype=float)
 
     def rhs(x, s):
         gam, dgam = s[:n], s[n:]
-        return np.concatenate([dgam, _dubrovin_accel(poly, dc, gam, dgam)])
+        return np.concatenate([dgam, _dubrovin_accel(c, dc, gam, dgam)])
 
     y0 = np.concatenate([gamma0, speeds])
     traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol)
@@ -341,7 +322,7 @@ def integrate_dubrovin(c, gamma0, signs, x_range, step=0.005, tol=1e-12):
     states = traj(xs)
     gam = states[:, :n]
     dgam = states[:, n:]
-    ddgam = _dubrovin_accel(poly, dc, gam, dgam)
+    ddgam = _dubrovin_accel(c, dc, gam, dgam)
     return RootTrajectory(xs, gam, dgam, ddgam, dense=traj)
 
 
@@ -368,8 +349,7 @@ def dubrovin_checks(traj, c, tol=1e-6):
     monic phi^2 is a synthetic division over the quotient columns.
     Returns per-identity maxima; ``passed`` reflects the given tolerance.
     """
-    poly = c.poly if isinstance(c, CPoly) else c
-    m_expected = (poly.degree - 2 * traj.n) if not isinstance(c, CPoly) else c.m
+    m_expected = len(c) - 1 - 2 * traj.n
     gam, dgam, ddgam = traj.gammas, traj.dgammas, traj.ddgammas
     points, n = gam.shape
 
@@ -378,7 +358,7 @@ def dubrovin_checks(traj, c, tol=1e-6):
         for k in range(n):
             if k != j:
                 q[:, j] *= gam[:, j] - gam[:, k]
-    item1 = float(np.max(np.abs(poly(gam) - numeric.pow2(dgam * q))))
+    item1 = float(np.max(np.abs(np.polyval(c, gam) - numeric.pow2(dgam * q))))
 
     phi = _from_roots(gam)
     phi_x = np.zeros((points, n))
@@ -392,10 +372,9 @@ def dubrovin_checks(traj, c, tol=1e-6):
                 pjk = _from_roots(np.delete(gam, [j, k], axis=1))
                 phi_xx[:, 1:] += (dgam[:, j] * dgam[:, k])[:, None] * pjk
 
-    c_desc = np.array(poly.coeffs[::-1])
-    width = max(c_desc.size, 2 * n)
+    width = max(len(c), 2 * n)
     numerator = np.zeros((points, width))
-    numerator[:, width - c_desc.size :] = c_desc
+    numerator[:, width - len(c) :] = c
     numerator[:, width - (2 * n - 1) :] -= _polymul(phi_x, phi_x)
     numerator[:, width - 2 * n :] += 2.0 * _polymul(phi, phi_xx)
 

@@ -2,8 +2,9 @@
 
 Adaptive embedded Runge-Kutta integration with dense output (one array
 pass per call, for one point or a whole grid of x), adaptive Gauss-Kronrod
-quadrature to a whole array of upper limits in one sweep, small dense LU
-solves with reusable factorizations and companion-matrix polynomial roots.
+quadrature to a whole array of upper limits in one sweep, and small dense LU
+solves with reusable factorizations.  Polynomials across the package are
+numpy's descending coefficient arrays, evaluated with np.polyval.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ __all__ = [
     "quadrature",
     "LUFactorization",
     "linsolve",
-    "DensePoly",
-    "polyroots",
-    "RootResult",
 ]
 
 
@@ -466,99 +464,3 @@ class LUFactorization:
 def linsolve(matrix, b):
     """Solve M x = b by partial-pivoting LU."""
     return LUFactorization(matrix).solve(b)
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-
-class DensePoly:
-    """Real polynomial with ascending coefficient list, trimmed."""
-
-    def __init__(self, coeffs):
-        c = [float(v) for v in coeffs]
-        while len(c) > 1 and c[-1] == 0.0:
-            c.pop()
-        self.coeffs = c
-
-    @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        c = [1.0]
-        for r in roots:
-            c = [0.0] + c
-            for i in range(len(c) - 1):
-                c[i] -= r * c[i + 1]
-        return cls([leading * v for v in c])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def deriv(self):
-        return DensePoly([i * c for i, c in enumerate(self.coeffs)][1:] or [0.0])
-
-    def __eq__(self, other):
-        return isinstance(other, DensePoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"DensePoly({self.coeffs})"
-
-
-class RootResult:
-    def __init__(self, roots, backward_error):
-        self.roots = roots  # list of (value, multiplicity)
-        self.backward_error = backward_error
-
-    def values(self):
-        out = []
-        for r, m in self.roots:
-            out.extend([r] * m)
-        return out
-
-
-def polyroots(p, cluster_tol=1e-7):
-    """All complex roots with multiplicities from companion-matrix eigenvalues.
-
-    Roots closer than ``cluster_tol`` (relative to their magnitude) are merged
-    into multiplicity groups; a backward-error bound from evaluating the
-    polynomial at the computed roots is always reported.
-    """
-    if not isinstance(p, DensePoly):
-        p = DensePoly(p)
-    if p.degree < 1:
-        raise ValueError("polynomial degree must be at least 1")
-    if p.degree > 16:
-        raise ValueError("root finding is limited to degree <= 16")
-    monic = np.array(p.coeffs, dtype=float) / p.coeffs[-1]
-    n = p.degree
-    comp = np.zeros((n, n))
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    raw = sorted(np.linalg.eigvals(comp), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-
-    groups = []
-    for z in raw:
-        placed = False
-        for g in groups:
-            center = sum(g) / len(g)
-            if abs(z - center) <= cluster_tol * max(1.0, abs(center)):
-                g.append(z)
-                placed = True
-                break
-        if not placed:
-            groups.append([z])
-    roots = []
-    for g in groups:
-        center = sum(g) / len(g)
-        if abs(center.imag) <= cluster_tol * max(1.0, abs(center)):
-            center = complex(center.real, 0.0)
-        roots.append((center, len(g)))
-
-    scale = max(abs(c) for c in p.coeffs)
-    backward = max(abs(p(r)) for r, _ in roots) / scale
-    return RootResult(roots, backward)

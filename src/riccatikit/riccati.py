@@ -552,26 +552,30 @@ def lodo_const_kernel(coeffs):
 
     Every characteristic root lambda of multiplicity m contributes
     x^s e^{lambda x} for s < m; complex pairs are returned as
-    x^s e^{px} cos(qx), x^s e^{px} sin(qx).
+    x^s e^{px} cos(qx), x^s e^{px} sin(qx).  The characteristic roots come
+    from np.roots, for degree n <= 16; roots within a relative 1e-7 merge
+    into one of higher multiplicity, and a backward error
+    max |p(root)| / max |coefficient| above 1e-6 is an error.
     """
-    coeffs = [float(v) for v in coeffs]
-    n = len(coeffs)
+    char = np.array([1.0, *coeffs], dtype=float)
+    n = char.size - 1
     if n < 1:
         raise ValueError("need at least one coefficient")
-    char = numeric.DensePoly(list(reversed(coeffs)) + [1.0])
-    if all(v == 0 for v in coeffs):
-        roots = numeric.RootResult([(0j, n)], 0.0)
-    else:
-        roots = numeric.polyroots(char)
-    if roots.backward_error > 1e-6:
+    if n > 16:
+        raise ValueError("characteristic roots are limited to degree <= 16")
+    if not np.all(np.isfinite(char)):
+        raise ValueError("coefficients must be finite")
+    roots = _cluster_roots(np.roots(char))
+    backward_error = max(abs(np.polyval(char, r)) for r, _ in roots) / np.max(np.abs(char))
+    if backward_error > 1e-6:
         raise numeric.NumericError(
-            f"characteristic roots are ill-conditioned: backward error {roots.backward_error:.3g}"
+            f"characteristic roots are ill-conditioned: backward error {backward_error:.3g}"
         )
 
     x = ex.Var("x")
     basis = []
     used = set()
-    for idx, (lam, mult) in enumerate(roots.roots):
+    for idx, (lam, mult) in enumerate(roots):
         if idx in used:
             continue
         if abs(lam.imag) <= 1e-10:
@@ -580,7 +584,7 @@ def lodo_const_kernel(coeffs):
                 basis.append(ex.mul(ex.intpow(x, s), *carrier))
         else:
             partner = None
-            for jdx, (mu, mult2) in enumerate(roots.roots):
+            for jdx, (mu, mult2) in enumerate(roots):
                 if jdx != idx and jdx not in used and abs(mu - lam.conjugate()) < 1e-7 * max(1.0, abs(lam)):
                     partner = jdx
                     break
@@ -593,7 +597,28 @@ def lodo_const_kernel(coeffs):
                 basis.append(ex.mul(ex.intpow(x, s), *damp, ex.cos(ex.mul(ex.Real(q), x))))
                 basis.append(ex.mul(ex.intpow(x, s), *damp, ex.sin(ex.mul(ex.Real(q), x))))
         used.add(idx)
-    return KernelBasis(basis, roots.roots, roots.backward_error)
+    return KernelBasis(basis, roots, float(backward_error))
+
+
+def _cluster_roots(raw):
+    """(value, multiplicity) pairs: roots within 1e-7 of a group's mean, relative to max(1, |mean|), merge."""
+    tol = 1e-7
+    groups = []
+    for z in sorted(map(complex, raw), key=lambda z: (round(z.real, 6), round(z.imag, 6))):
+        for g in groups:
+            center = sum(g) / len(g)
+            if abs(z - center) <= tol * max(1.0, abs(center)):
+                g.append(z)
+                break
+        else:
+            groups.append([z])
+    roots = []
+    for g in groups:
+        center = sum(g) / len(g)
+        if abs(center.imag) <= tol * max(1.0, abs(center)):
+            center = complex(center.real, 0.0)
+        roots.append((center, len(g)))
+    return roots
 
 
 @dataclass

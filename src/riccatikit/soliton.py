@@ -22,6 +22,7 @@ residual vanish, the KP term 3 u_yy does not.  report and kp_report give the nam
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,17 +248,9 @@ def numeric_wronskian(spec, k, x):
 
 
 def wronskian_poly(spec):
-    """Coefficients of W(k) = -2k prod_j (k^2 - k_j^2) as a DensePoly."""
-    poly = [1.0]
-    for kj in spec.k:
-        # multiply by (k^2 - kj^2)
-        new = [0.0] * (len(poly) + 2)
-        for i, c in enumerate(poly):
-            new[i + 2] += c
-            new[i] -= kj * kj * c
-        poly = new
-    poly = [0.0] + [-2.0 * c for c in poly]  # times -2k
-    return numeric.DensePoly(poly)
+    """Descending coefficients of W(k) = -2k prod_j (k^2 - k_j^2), for np.polyval."""
+    poly = functools.reduce(np.polymul, [[1.0, 0.0, -kj * kj] for kj in spec.k])
+    return np.polymul(poly, [-2.0, 0.0])
 
 
 def schrodinger_residual(spec, k, x):
@@ -428,7 +421,7 @@ def report(tp):
     xe = 30.0 / spec.k[-1]
     a_far, da_far = solve_coefficients(spec, np.array([xe, -xe]), order=1)
     kprobe = np.array([0.3, 1.31, 2.17, 3.7, spec.k[0] + 0.5])
-    wk = wronskian_poly(spec)(kprobe)
+    wk = np.polyval(wronskian_poly(spec), kprobe)
     wgap = np.max(np.abs(numeric_wronskian(spec, kprobe, 0.37) - wk) / np.maximum(1.0, np.abs(wk)))
     sr = np.max(schrodinger_residual(spec, np.array([[0.5], [1.7]]), np.array([-1.0, 0.8])))
     checks = [

@@ -70,7 +70,7 @@ def test_criterion_04_wronskian():
     for k in (0.4, 0.9, 1.6, 2.5, 3.3):
         vals = [so.numeric_wronskian(spec, k, x) for x in (-3.0, -0.5, 0.0, 1.2, 4.0)]
         drift = max(drift, (max(vals) - min(vals)) / max(1.0, abs(vals[0])))
-        match = max(match, abs(vals[2] - wp(k)) / abs(wp(k)))
+        match = max(match, abs(vals[2] - np.polyval(wp, k)) / abs(np.polyval(wp, k)))
     ok = drift <= 1e-8 and match <= 1e-8
     report(4, ok, f"Wronskian: x-drift {drift:.3g}, polynomial mismatch {match:.3g} (tol 1e-8)")
 

@@ -1,6 +1,9 @@
 import ast
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -305,6 +308,8 @@ class TestValidation:
             ["finite-gap", "--lambdas", "inf,1,0", "--gamma0", "0.5"],
             ["pole-series", "--alpha", "inf"],
             ["pole-series", "--alpha", "nan"],
+            ["pole-series", "--alpha", "1e400"],
+            ["pole-series", "--alpha", "1", "--eps", "1e400"],
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, argv):
@@ -525,3 +530,15 @@ def test_cli_is_wiring_only():
         and node.value.id in ("rc", "sw", "se", "so", "fg", "ex", "numeric") and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_import_loads_no_test_only_module():
+    """Independent oracles stay test-only, and numpy.polynomial stays out of start-up time."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, riccatikit.cli; "
+        "print([m for m in ('scipy', 'sympy', 'mpmath', 'hypothesis', 'numpy.polynomial') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -337,33 +337,3 @@ class TestLinsolve:
         assert numeric.LUFactorization(np.diag([2.0, 3.0])).det_sign() == 1
         assert numeric.LUFactorization(np.diag([2.0, -3.0])).det_sign() == -1
 
-
-class TestPolyroots:
-    def test_distinct_roots(self):
-        r = numeric.polyroots([2.0, -3.0, 1.0])  # 2 - 3x + x^2
-        vals = sorted(v.real for v, _ in r.roots)
-        assert vals == pytest.approx([1.0, 2.0], abs=1e-10)
-
-    def test_double_root_clusters(self):
-        r = numeric.polyroots([1.0, -2.0, 1.0])
-        assert len(r.roots) == 1
-        root, mult = r.roots[0]
-        assert mult == 2
-        assert root.real == pytest.approx(1.0, abs=1e-7)
-
-    def test_soliton_wronskian_roots(self):
-        r = numeric.polyroots([0.0, 2.0, 0.0, -2.0])  # -2k^3 + 2k
-        vals = sorted(v.real for v, _ in r.roots)
-        assert vals == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
-
-    def test_degree_eight_against_numpy(self):
-        roots = [-3.5, -2.0, -1.0, 0.5, 1.0, 2.5, 3.0, 4.0]
-        p = numeric.DensePoly.from_roots(roots, leading=2.0)
-        r = numeric.polyroots(p)
-        mine = sorted(v.real for v, _ in r.roots)
-        assert mine == pytest.approx(sorted(roots), abs=1e-9)
-        assert r.backward_error <= 1e-9
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            numeric.polyroots(numeric.DensePoly.from_roots(list(range(1, 19))))

@@ -385,6 +385,43 @@ class TestLodoConstKernel:
         names = {str(b) for b in out.functions}
         assert names == {"cos(x)", "sin(x)"}
 
+    def test_distinct_roots(self):
+        out = rc.lodo_const_kernel([-3.0, 2.0])  # 2 - 3x + x^2
+        vals = sorted(v.real for v, _ in out.roots)
+        assert vals == pytest.approx([1.0, 2.0], abs=1e-10)
+
+    def test_double_root_clusters(self):
+        out = rc.lodo_const_kernel([-2.0, 1.0])
+        assert len(out.roots) == 1
+        root, mult = out.roots[0]
+        assert mult == 2
+        assert root.real == pytest.approx(1.0, abs=1e-7)
+        assert [str(b) for b in out.functions] == ["exp(x)", "x*exp(x)"]
+
+    def test_soliton_wronskian_roots(self):
+        out = rc.lodo_const_kernel([0.0, -1.0, 0.0])  # roots of -2k^3 + 2k
+        vals = sorted(v.real for v, _ in out.roots)
+        assert vals == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
+
+    def test_degree_eight_against_known_roots(self):
+        roots = [-3.5, -2.0, -1.0, 0.5, 1.0, 2.5, 3.0, 4.0]
+        out = rc.lodo_const_kernel(np.poly(roots)[1:])
+        mine = sorted(v.real for v, _ in out.roots)
+        assert mine == pytest.approx(sorted(roots), abs=1e-9)
+        assert out.backward_error <= 1e-9
+
+    @pytest.mark.parametrize(
+        "coeffs", [np.poly(range(1, 19))[1:], [1.0] * 17, [0.0] * 17], ids=["degree_18", "ones_17", "zeros_17"]
+    )
+    def test_degree_cap(self, coeffs):
+        with pytest.raises(ValueError):
+            rc.lodo_const_kernel(coeffs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError):
+            rc.lodo_const_kernel([bad, 1.0])
+
 
 class TestLodeFactor:
     def test_kernel_member_divides_exactly(self):

@@ -225,24 +225,24 @@ class TestArrayProbes:
 class TestWronskian:
     def test_one_soliton_polynomial(self):
         wp = so.wronskian_poly(SPEC1)
-        assert wp.coeffs == [0.0, 2.0, 0.0, -2.0]  # -2k^3 + 2k
+        assert wp.tolist() == [-2.0, 0.0, 2.0, 0.0]  # -2k^3 + 2k
 
     def test_zeros_at_the_wavenumbers(self):
         wp = so.wronskian_poly(SPEC2)
         for kj in SPEC2.k:
-            assert abs(wp(kj)) <= 1e-12
+            assert abs(np.polyval(wp, kj)) <= 1e-12
 
     def test_odd_function(self):
         wp = so.wronskian_poly(SPEC3)
         for k in (0.3, 1.1, 2.7):
-            assert wp(-k) == pytest.approx(-wp(k), rel=1e-13)
+            assert np.polyval(wp, -k) == pytest.approx(-np.polyval(wp, k), rel=1e-13)
 
     def test_numeric_wronskian_matches_and_is_x_independent(self):
         wp = so.wronskian_poly(SPEC2)
         for k in (0.4, 0.9, 1.6, 2.5, 3.3):
             vals = [so.numeric_wronskian(SPEC2, k, x) for x in (-3.0, -0.5, 0.0, 1.2, 4.0)]
             assert max(vals) - min(vals) <= 1e-8 * max(1.0, abs(vals[0]))
-            assert vals[2] == pytest.approx(wp(k), rel=1e-8)
+            assert vals[2] == pytest.approx(np.polyval(wp, k), rel=1e-8)
 
 
 class TestSchrodingerResidual:
