@@ -327,7 +327,7 @@ def _verify_finitegap(rng):
     t_quad = fg.period(spec)
     traj = fg.integrate_gamma(spec, (0.0, 3.2 * t_quad), step=0.005)
     disc = fg.floquet_discriminant(spec, spec.lam1)
-    return [*fg.report(spec, traj, t_quad)["checks"], check("floquet_band_edge", abs(abs(disc) - 2.0), 1e-4)]
+    return [*fg.report(spec, traj, t_quad)["checks"], check("floquet_band_edge", abs(abs(disc) - 2.0), 2e-8)]
 
 
 _SUITES = {

@@ -1,4 +1,4 @@
-"""1-phase finite-gap potentials and the Dubrovin root-variable system.
+"""1-phase finite-gap potentials and their root variable.
 
 For branch points lambda1 > lambda2 > lambda3 the root variable gamma(x)
 oscillates in the band [lambda3, lambda2] according to
@@ -7,14 +7,11 @@ u = 2 gamma - lambda1 - lambda2 - lambda3 is a smooth periodic potential.
 Turning points are crossed by integrating the differentiated second-order
 form gamma_xx = C'(gamma)/2, which removes square-root branch bookkeeping.
 C is a descending coefficient array (c_poly), evaluated with np.polyval.
-For N root variables C has degree 2N + m, and the coupled system
-gamma_{j,x}^2 = C(gamma_j) / prod_{k != j} (gamma_j - gamma_k)^2 is exposed
-both as a magnitude right-hand side (caller-managed signs) and as a smooth
-second-order integrator.  The Dubrovin identities are checked at every grid
-point of a trajectory in one array pass, and the turning points of a
-trajectory are bisected all at once.  A Floquet discriminant is one
-integration that carries gamma and both columns of the transfer matrix.
-report gives the named checks of a 1-phase trajectory.
+The Dubrovin identities are checked at every grid point of a trajectory in
+one array pass, and the turning points of a trajectory are bisected all at
+once.  A Floquet discriminant is one integration that carries gamma and both
+columns of the transfer matrix.  report gives the named checks of a
+trajectory.
 """
 
 from __future__ import annotations
@@ -34,8 +31,6 @@ __all__ = [
     "period",
     "trace_potential",
     "floquet_discriminant",
-    "dubrovin_rhs",
-    "integrate_dubrovin",
     "dubrovin_checks",
     "DubrovinReport",
     "report",
@@ -81,13 +76,13 @@ def c_poly(spec_or_lams):
 
 
 class RootTrajectory:
-    """Sampled root variables gamma_j(x) with their first two derivatives."""
+    """Sampled root variable gamma(x) and its first two derivatives, each a (points, 1) column."""
 
     def __init__(self, xs, gammas, dgammas, ddgammas, dense=None):
         self.xs = np.asarray(xs, dtype=float)
-        self.gammas = np.atleast_2d(np.asarray(gammas, dtype=float).T).T
-        self.dgammas = np.atleast_2d(np.asarray(dgammas, dtype=float).T).T
-        self.ddgammas = np.atleast_2d(np.asarray(ddgammas, dtype=float).T).T
+        self.gammas = np.asarray(gammas, dtype=float).reshape(-1, 1)
+        self.dgammas = np.asarray(dgammas, dtype=float).reshape(-1, 1)
+        self.ddgammas = np.asarray(ddgammas, dtype=float).reshape(-1, 1)
         self._dense = dense
 
     @property
@@ -95,15 +90,15 @@ class RootTrajectory:
         return self.gammas.shape[1]
 
     def __call__(self, x):
-        """Dense state [gamma_j, gamma_j'] at x."""
+        """Dense state [gamma, gamma'] at x."""
         if self._dense is None:
             raise ValueError("trajectory has no dense interpolant")
         return self._dense(x)
 
     def turning_points(self, kind="max"):
-        """x locations where gamma_1' crosses zero (maxima or minima).
+        """x locations where gamma' crosses zero (maxima or minima).
 
-        Each sign change of the sampled gamma_1' is bisected on the dense
+        Each sign change of the sampled gamma' is bisected on the dense
         interpolant for at most 80 halvings, a bracket stopping once its
         midpoint rounds to an endpoint: no later halving could move it.  All
         brackets halve together, one dense-output call per pass.
@@ -131,8 +126,8 @@ class RootTrajectory:
 def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=None):
     """Root-variable trajectory from the second-order form gamma'' = C'(gamma)/2.
 
-    The first integral gamma'^2 - C(gamma) of the oscillation must stay below
-    1e-8 * max(1, |C| scale); larger drift (step too large) is an error.
+    The drift of the first integral gamma'^2 - C(gamma) is not judged here:
+    ``report`` checks it as ``energy_invariant_drift``.
     """
     c = c_poly(spec)
     dc = np.polyder(c)
@@ -150,13 +145,6 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     gam = states[:, 0]
     dgam = states[:, 1]
     ddgam = 0.5 * np.polyval(dc, gam)
-
-    energy = np.abs(dgam**2 - np.polyval(c, gam))
-    scale = max(1.0, np.polyval(c, spec.gamma0))
-    if np.max(energy) > 1e-8 * scale:
-        raise numeric.NumericError(
-            f"energy drift {np.max(energy):.3g} exceeds tolerance; reduce the step"
-        )
     return RootTrajectory(xs, gam, dgam, ddgam, dense=traj)
 
 
@@ -199,8 +187,6 @@ def period(spec, tol=1e-12):
 
 def trace_potential(traj, spec):
     """u(x) = 2 gamma(x) - lambda1 - lambda2 - lambda3 on the trajectory grid."""
-    if traj.n != 1:
-        raise ValueError("the trace formula applies to 1-phase trajectories")
     return 2.0 * traj.gammas[:, 0] - spec.trace
 
 
@@ -230,7 +216,7 @@ def floquet_discriminant(spec, lam):
 
 
 def report(spec, traj, t_quad):
-    """Quadrature and trajectory periods (NaN below two maxima) and the named checks of a 1-phase trajectory.
+    """Quadrature and trajectory periods (NaN below two maxima) and the named checks of a trajectory.
 
     ``t_quad`` is ``period(spec)``, computed once by the caller, which may
     also need it to size the trajectory.
@@ -238,92 +224,19 @@ def report(spec, traj, t_quad):
     maxima = traj.turning_points("max")
     t_traj = maxima[1] - maxima[0] if len(maxima) >= 2 else float("nan")
     period_gap = abs(t_quad - t_traj) / t_quad if len(maxima) >= 2 else float("inf")
-    c = c_poly(spec)
-    energy = np.max(np.abs(numeric.pow2(traj.dgammas[:, 0]) - np.polyval(c, traj.gammas[:, 0])))
+    dub = dubrovin_checks(traj, c_poly(spec))
+    # for one root, Dubrovin's item 1 |C(gamma) - gamma'^2| is the energy drift
     checks = [
         numeric.check("period_quadrature_vs_trajectory", period_gap, 1e-6),
-        numeric.check("energy_invariant_drift", energy, 1e-8),
+        numeric.check("energy_invariant_drift", dub.item1_max, 1e-8),
     ]
     if traj.xs[-1] - traj.xs[0] > t_quad:  # u(x + T) = u(x) where the grid spans a period
         xs_check = traj.xs[traj.xs <= traj.xs[-1] - t_quad][::5]
         per = np.max(np.abs(traj(xs_check + t_quad)[:, 0] - traj(xs_check)[:, 0]))
         checks.append(numeric.check("periodicity_of_u", 2 * per, 1e-6))
-    dub = dubrovin_checks(traj, c)
     checks.append(numeric.check("dubrovin_item1", dub.item1_max, 1e-6))
     checks.append(numeric.check("dubrovin_division_remainder", dub.remainder_max, 1e-6))
     return {"period": t_quad, "trajectory_period": t_traj, "checks": checks}
-
-
-# ---------------------------------------------------------------------------
-# Dubrovin system for N root variables
-
-
-def dubrovin_rhs(c, gamma):
-    """Magnitudes |gamma_j'| = sqrt(C(gamma_j)) / prod_{k != j} |gamma_j - gamma_k|.
-
-    Signs are the caller's branch state.  A root that left its band
-    (C(gamma_j) < 0) or a collision gamma_j = gamma_k is an error.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.size
-    out = np.empty(n)
-    for j in range(n):
-        cj = np.polyval(c, gamma[j])
-        if cj < 0:
-            raise ValueError(f"C(gamma_{j + 1}) < 0: root left its band")
-        prod = 1.0
-        for k in range(n):
-            if k == j:
-                continue
-            d = gamma[j] - gamma[k]
-            if d == 0:
-                raise ValueError(f"root collision gamma_{j + 1} = gamma_{k + 1}")
-            prod *= abs(d)
-        out[j] = math.sqrt(cj) / prod
-    return out
-
-
-def _dubrovin_accel(c, dc, gamma, dgamma):
-    """gamma_j'' for one state (n,) or for many at once (points, n)."""
-    n = gamma.shape[-1]
-    acc = np.empty(gamma.shape)
-    for j in range(n):
-        q = 1.0
-        cross = 0.0
-        for k in range(n):
-            if k == j:
-                continue
-            d = gamma[..., j] - gamma[..., k]
-            q = q * d
-            cross = cross + (dgamma[..., j] - dgamma[..., k]) / d
-        acc[..., j] = 0.5 * np.polyval(dc, gamma[..., j]) / (q * q) - dgamma[..., j] * cross
-    return acc
-
-
-def integrate_dubrovin(c, gamma0, signs, x_range, step=0.005, tol=1e-12):
-    """Integrate the N-root Dubrovin system in its smooth second-order form.
-
-    gamma_j'' = C'(gamma_j)/(2 Q_j^2) - gamma_j' sum_{k != j}
-    (gamma_j' - gamma_k')/(gamma_j - gamma_k), with Q_j the signed distance
-    product; starting speeds come from ``dubrovin_rhs`` with caller signs.
-    """
-    dc = np.polyder(c)
-    gamma0 = np.asarray(gamma0, dtype=float)
-    n = gamma0.size
-    speeds = dubrovin_rhs(c, gamma0) * np.asarray(signs, dtype=float)
-
-    def rhs(x, s):
-        gam, dgam = s[:n], s[n:]
-        return np.concatenate([dgam, _dubrovin_accel(c, dc, gam, dgam)])
-
-    y0 = np.concatenate([gamma0, speeds])
-    traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol)
-    xs = np.arange(x_range[0], x_range[1] + 0.5 * step, step)
-    states = traj(xs)
-    gam = states[:, :n]
-    dgam = states[:, n:]
-    ddgam = _dubrovin_accel(c, dc, gam, dgam)
-    return RootTrajectory(xs, gam, dgam, ddgam, dense=traj)
 
 
 @dataclass
@@ -339,73 +252,30 @@ class DubrovinReport:
 def dubrovin_checks(traj, c, tol=1e-6):
     """Verify the two root-variable identities along a trajectory.
 
-    (1) C(gamma_j) equals phi_x^2 at lambda = gamma_j, where
-        phi(x, lambda) = prod_j (lambda - gamma_j(x));
-    (2) 2 phi phi_xx + C(lambda) - phi_x^2 is exactly divisible by phi^2 and
-        the quotient is 4U with U monic of degree m.
+    With phi(x, lambda) = lambda - gamma(x), so phi_x = -gamma' and
+    phi_xx = -gamma'':
+    (1) C(gamma) equals phi_x^2 = gamma'^2;
+    (2) 2 phi phi_xx + C(lambda) - phi_x^2 is exactly divisible by
+        phi^2 = lambda^2 - 2 gamma lambda + gamma^2, and the quotient is
+        4U with U monic of degree 1.
 
-    Every grid point is checked in one array pass: phi, phi_x and phi_xx are
-    (points, n + 1) descending-coefficient arrays, and the division by the
-    monic phi^2 is a synthetic division over the quotient columns.
-    Returns per-identity maxima; ``passed`` reflects the given tolerance.
+    Every grid point is checked in one array pass: the division by phi^2 is
+    two synthetic-division steps on the four numerator columns.  Returns
+    per-identity maxima; ``passed`` reflects the given tolerance.
     """
-    m_expected = len(c) - 1 - 2 * traj.n
-    gam, dgam, ddgam = traj.gammas, traj.dgammas, traj.ddgammas
-    points, n = gam.shape
+    c0, c1, c2, c3 = c
+    g, gp, gpp = traj.gammas[:, 0], traj.dgammas[:, 0], traj.ddgammas[:, 0]
+    item1 = float(np.max(np.abs(np.polyval(c, g) - numeric.pow2(gp))))
 
-    q = np.ones((points, n))
-    for j in range(n):
-        for k in range(n):
-            if k != j:
-                q[:, j] *= gam[:, j] - gam[:, k]
-    item1 = float(np.max(np.abs(np.polyval(c, gam) - numeric.pow2(dgam * q))))
+    # numerator [c0, c1, c2 - 2 gamma'', c3 - gamma'^2 + 2 gamma gamma''] over phi^2 = [1, d1, d2]:
+    # n1 and n2 are columns 1 and 2 after the first step, n3 is column 3
+    d1, d2 = -g + -g, -g * -g
+    n1 = c1 - c0 * d1
+    n2 = c2 + -2.0 * gpp - c0 * d2
+    n3 = (c3 - gp * gp) + 2.0 * (-g * -gpp)
+    quotients = np.stack([np.full_like(g, c0), n1], axis=1)
+    remainder_max = float(np.max(np.abs([n2 - n1 * d1, n3 - n1 * d2])))
 
-    phi = _from_roots(gam)
-    phi_x = np.zeros((points, n))
-    phi_xx = np.zeros((points, n))
-    for j in range(n):
-        pj = _from_roots(np.delete(gam, j, axis=1))
-        phi_x -= dgam[:, j, None] * pj
-        phi_xx -= ddgam[:, j, None] * pj
-        for k in range(n):
-            if k != j:
-                pjk = _from_roots(np.delete(gam, [j, k], axis=1))
-                phi_xx[:, 1:] += (dgam[:, j] * dgam[:, k])[:, None] * pjk
-
-    width = max(len(c), 2 * n)
-    numerator = np.zeros((points, width))
-    numerator[:, width - len(c) :] = c
-    numerator[:, width - (2 * n - 1) :] -= _polymul(phi_x, phi_x)
-    numerator[:, width - 2 * n :] += 2.0 * _polymul(phi, phi_xx)
-
-    divisor = _polymul(phi, phi)  # monic, degree 2n
-    n_quot = width - 2 * n
-    quotients = np.zeros((points, max(n_quot, 1)))
-    for k in range(n_quot):
-        quotients[:, k] = numerator[:, k]
-        numerator[:, k : k + 2 * n + 1] -= numerator[:, k, None] * divisor
-    remainder = numerator[:, max(n_quot, 0) :]
-    remainder_max = float(np.max(np.abs(remainder)))
-
-    degree = quotients.shape[1] - 1
-    lead = float(np.mean(quotients[:, 0]))
-    passed = item1 <= tol and remainder_max <= tol and degree == m_expected and abs(lead - 4.0) <= tol
-    return DubrovinReport(item1, remainder_max, degree, lead, quotients, passed)
-
-
-def _from_roots(roots):
-    """Descending coefficients of prod_j (lambda - roots[:, j]), one row per point."""
-    points, n = roots.shape
-    out = np.zeros((points, n + 1))
-    out[:, 0] = 1.0
-    for j in range(n):
-        out[:, 1 : j + 2] -= roots[:, j, None] * out[:, : j + 1]
-    return out
-
-
-def _polymul(a, b):
-    """Row-wise product of descending-coefficient arrays."""
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[1]):
-        out[:, i : i + b.shape[1]] += a[:, i, None] * b
-    return out
+    lead = float(c0)
+    passed = item1 <= tol and remainder_max <= tol and abs(lead - 4.0) <= tol
+    return DubrovinReport(item1, remainder_max, 1, lead, quotients, passed)

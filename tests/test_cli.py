@@ -222,6 +222,17 @@ class TestFiniteGap:
         ])
         assert code == 3
 
+    def test_energy_drift_fails_its_check_and_writes_the_outputs(self, tmp_path):
+        code = cli.main([
+            "finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5",
+            "--grid", "0:12:0.5", "--deterministic", "--out", str(tmp_path)
+        ])
+        assert code == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        assert not checks["energy_invariant_drift"]["pass"]
+        assert checks["energy_invariant_drift"]["value"] == checks["dubrovin_item1"]["value"]
+        assert len(read_csv(tmp_path / "finite_gap.csv")) == 25
+
     def test_narrow_band_runs_and_passes(self, tmp_path):
         # lambda2 - lambda3 = 1e-3: the period quadrature used to divide by zero here
         code = cli.main([

@@ -623,6 +623,14 @@ class TestReports:
         assert passes(rc.pole_series_report(Fraction(1), Fraction(0), 6)) == {
             "zeroth_coefficient_vanishes": False, "fourth_order_line": False, "series_vs_ivp_near_pole": False}
 
+    def test_pole_series_report_fails_its_check_when_the_ivp_blows_up(self):
+        # at alpha = -100 the IVP from 0.2 off the pole runs into a nearer pole and underflows its step
+        report = rc.pole_series_report(Fraction(-100), Fraction(0), 6)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["series_vs_ivp_near_pole"]["value"] == math.inf
+        assert passes(report) == {"zeroth_coefficient_vanishes": True, "fourth_order_line": True,
+                                  "series_vs_ivp_near_pole": False}
+
 
 @pytest.mark.parametrize("coeffs, text", [([], "0"), ([0, 0], "0"), ([-2, 0, 4], "4x^2-2"), ([0, -1], "-x"),
                                           ([1, 1, -1], "-x^2+x+1"), ([-12, 0, 1], "x^2-12")])
