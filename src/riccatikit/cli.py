@@ -118,9 +118,13 @@ def parse_list(text):
 
 def parse_expr_arg(text):
     try:
-        return ex.parse_expression(str(text))
+        e = ex.parse_expression(str(text))
     except ValueError as err:
         raise ConfigError(f"bad expression {text!r}: {err}") from err
+    others = ex.variables(e) - {"x"}
+    if others:
+        raise ConfigError(f"bad expression {text!r}: x is the only variable, got {', '.join(sorted(others))}")
+    return e
 
 
 # ---------------------------------------------------------------------------

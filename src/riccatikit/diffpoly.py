@@ -202,17 +202,17 @@ class DiffPolynomial:
         return self._reduced(_drop_zeros(out), self._den)
 
     # -- conversion ----------------------------------------------------------
-    def to_expression(self, potentials, var="x"):
+    def to_expression(self, potentials):
         """Substitute concrete expressions for the potential symbols.
 
-        ``potentials`` maps symbol index -> Expression in ``var``; derivative
+        ``potentials`` maps symbol index -> Expression in x; derivative
         orders are realised by exact symbolic differentiation.
         """
         total = ex.ZERO
         for mono, c in self.coeffs.items():
             factors = [ex.Rational(c)]
             for (sym, order), e in mono:
-                base = ex.diff(potentials[sym], var, order)
+                base = ex.diff(potentials[sym], "x", order)
                 factors.append(ex.intpow(base, e))
             total = ex.add(total, ex.mul(*factors))
         return total

@@ -71,9 +71,6 @@ class RiccatiEq:
     def is_linear(self):
         return ex.is_zero(self.a)
 
-    def residual(self, phi, var="x", points=None):
-        return riccati_residual(self, phi, var=var, points=points)
-
 
 @dataclass(frozen=True)
 class Lode2:
@@ -86,13 +83,13 @@ class Lode2:
         object.__setattr__(self, "b", ex.as_expression(self.b))
         object.__setattr__(self, "c", ex.as_expression(self.c))
 
-    def residual(self, psi, var="x", points=None):
-        d1 = ex.diff(psi, var)
-        d2 = ex.diff(d1, var)
+    def residual(self, psi, points=None):
+        d1 = ex.diff(psi, "x")
+        d2 = ex.diff(d1, "x")
         res = ex.sub(d2, ex.add(ex.mul(self.b, d1), ex.mul(self.c, psi)))
-        pts = _points(points, [psi, res], var)
-        scale = np.maximum(1.0, np.max(np.abs(d2.evaluate({var: pts}))))
-        return float(np.max(np.abs(res.evaluate({var: pts}))) / scale)
+        pts = _points(points, [psi, res])
+        scale = np.maximum(1.0, np.max(np.abs(d2.evaluate(x=pts))))
+        return float(np.max(np.abs(res.evaluate(x=pts))) / scale)
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,10 @@ class MobiusMap:
         )
 
 
-def sample_points(exprs, interval=DEFAULT_INTERVAL, n=SAMPLE_COUNT, var="x", limit=1e8):
+def sample_points(exprs, interval=DEFAULT_INTERVAL, n=SAMPLE_COUNT):
     """Evaluation points in the working interval where all exprs stay finite.
 
-    Singular points (evaluation errors or magnitudes above ``limit``) are
+    Singular points (evaluation errors or magnitudes above 1e8) are
     skipped; at least half of the requested points must survive.  Each
     expression is evaluated once, on the candidates that the previous ones
     left.  Returns an array.
@@ -139,32 +136,36 @@ def sample_points(exprs, interval=DEFAULT_INTERVAL, n=SAMPLE_COUNT, var="x", lim
     lo, hi = interval
     pts = np.linspace(lo, hi, 4 * n + 1)[1:-1]
     for e in exprs:
-        v = ex.as_expression(e).evaluate({var: pts})
-        pts = pts[np.abs(v) <= limit]  # NaN and inf fail the comparison
+        v = ex.as_expression(e).evaluate(x=pts)
+        pts = pts[np.abs(v) <= 1e8]  # NaN and inf fail the comparison
     if len(pts) < n // 2:
         raise ValueError("could not find enough regular sample points in the interval")
     stride = max(1, len(pts) // n)
     return pts[::stride][:n]
 
 
-def _points(points, exprs, var):
+def _points(points, exprs):
     """The caller's points as an array, else sample points of ``exprs``."""
     if points is None:
-        return sample_points(exprs, var=var)
+        return sample_points(exprs)
     return np.asarray(points, dtype=float)
 
 
-def riccati_residual(eq, phi, var="x", points=None):
+def _vanishes(e, points=None):
+    """Whether |e| < 1e-12 at every one of ``points``, else of the sample points of ``e``."""
+    return np.max(np.abs(e.evaluate(x=_points(points, [e])))) < 1e-12
+
+
+def riccati_residual(eq, phi, points=None):
     """Relative residual of phi against the equation, maximised over samples.
 
     A NaN at any point makes the result NaN, so a check on it fails.
     """
     phi = ex.as_expression(phi)
-    dphi = ex.diff(phi, var)
+    dphi = ex.diff(phi, "x")
     rhs = ex.add(ex.mul(eq.a, ex.intpow(phi, 2)), ex.mul(eq.b, phi), eq.c)
     res = ex.sub(dphi, rhs)
-    pts = _points(points, [phi, res], var)
-    env = {var: pts}
+    env = {"x": _points(points, [phi, res])}
     scale = np.maximum(1.0, np.maximum(np.abs(rhs.evaluate(env)), np.abs(dphi.evaluate(env))))
     return float(np.max(np.abs(res.evaluate(env)) / scale, initial=0.0))
 
@@ -177,8 +178,8 @@ def _invert(eq):
     return RiccatiEq(ex.neg(eq.c), ex.neg(eq.b), ex.neg(eq.a))
 
 
-def _scale(eq, alpha, var):
-    dlog = ex.mul(ex.diff(alpha, var), ex.recip(alpha))
+def _scale(eq, alpha):
+    dlog = ex.mul(ex.diff(alpha, "x"), ex.recip(alpha))
     return RiccatiEq(
         ex.mul(eq.a, ex.recip(alpha)),
         ex.add(eq.b, dlog),
@@ -186,17 +187,17 @@ def _scale(eq, alpha, var):
     )
 
 
-def _shift(eq, beta, var):
+def _shift(eq, beta):
     new_c = ex.add(
         ex.mul(eq.a, ex.intpow(beta, 2)),
         ex.neg(ex.mul(eq.b, beta)),
         eq.c,
-        ex.diff(beta, var),
+        ex.diff(beta, "x"),
     )
     return RiccatiEq(eq.a, ex.sub(eq.b, ex.mul(2, eq.a, beta)), new_c)
 
 
-def mobius_transform(eq, m, var="x"):
+def mobius_transform(eq, m):
     """Riccati equation satisfied by (alpha phi + beta)/(gamma phi + delta).
 
     The map is decomposed into the three generators (scale, shift, invert);
@@ -204,24 +205,23 @@ def mobius_transform(eq, m, var="x"):
     scale by -det/gamma, shift by alpha/gamma.
     """
     det = m.determinant()
-    pts = sample_points([det], var=var)
-    if np.max(np.abs(det.evaluate({var: pts}))) < 1e-12:
+    if _vanishes(det):
         raise ValueError("degenerate map: determinant vanishes identically")
 
     if ex.is_zero(m.gamma):
-        out = _scale(eq, ex.mul(m.alpha, ex.recip(m.delta)), var)
-        return _shift(out, ex.mul(m.beta, ex.recip(m.delta)), var)
+        out = _scale(eq, ex.mul(m.alpha, ex.recip(m.delta)))
+        return _shift(out, ex.mul(m.beta, ex.recip(m.delta)))
     out = eq
     if not _is_const_one(m.gamma):
-        out = _scale(out, m.gamma, var)
+        out = _scale(out, m.gamma)
     if not ex.is_zero(m.delta):
-        out = _shift(out, m.delta, var)
+        out = _shift(out, m.delta)
     out = _invert(out)
     scale2 = ex.neg(ex.mul(det, ex.recip(m.gamma)))
-    out = _scale(out, scale2, var)
+    out = _scale(out, scale2)
     shift2 = ex.mul(m.alpha, ex.recip(m.gamma))
     if not ex.is_zero(shift2):
-        out = _shift(out, shift2, var)
+        out = _shift(out, shift2)
     return out
 
 
@@ -255,7 +255,7 @@ class SolutionFamily:
         return self._build(ex.as_expression(constant))
 
 
-def general_from_particular(eq, phi1=None, var="x", check=True):
+def general_from_particular(eq, phi1=None):
     """General solution family from one particular solution.
 
     In the linear case (a == 0) no particular solution is needed: the family
@@ -264,22 +264,21 @@ def general_from_particular(eq, phi1=None, var="x", check=True):
     linear equation for w which is solved by variation of constants.
     """
     if eq.is_linear:
-        z = ex.exp(ex.antiderivative(eq.b, var))
-        f = ex.antiderivative(ex.mul(eq.c, ex.recip(z)), var)
+        z = ex.exp(ex.antiderivative(eq.b, "x"))
+        f = ex.antiderivative(ex.mul(eq.c, ex.recip(z)), "x")
         return SolutionFamily(eq, lambda c: ex.mul(z, ex.add(f, c)))
 
     if phi1 is None:
         raise ValueError("a particular solution is required when a != 0")
     phi1 = ex.as_expression(phi1)
-    if check:
-        r = riccati_residual(eq, phi1, var=var)
-        if r > RESIDUAL_TOL:
-            raise ValueError(f"phi1 is not a solution: relative residual {r:.3g}")
+    r = riccati_residual(eq, phi1)
+    if r > RESIDUAL_TOL:
+        raise ValueError(f"phi1 is not a solution: relative residual {r:.3g}")
 
     b_tilde = ex.add(eq.b, ex.mul(2, eq.a, phi1))
-    z = ex.exp(ex.antiderivative(ex.neg(b_tilde), var))
+    z = ex.exp(ex.antiderivative(ex.neg(b_tilde), "x"))
     # phi = phi1 + 1/w with w' = -b_tilde w - a, solved by variation of constants
-    f = ex.antiderivative(ex.neg(ex.mul(eq.a, ex.recip(z))), var)
+    f = ex.antiderivative(ex.neg(ex.mul(eq.a, ex.recip(z))), "x")
 
     def build(c):
         w = ex.mul(z, ex.add(f, c))
@@ -294,7 +293,7 @@ def family_report(eq, solutions):
     return {"checks": [numeric.check(f"solution_residual_{label}", r, RESIDUAL_TOL) for label, r in residuals.items()]}
 
 
-def cross_ratio_solution(phi1, phi2, phi3, a_const, var="x"):
+def cross_ratio_solution(phi1, phi2, phi3, a_const):
     """Fourth solution from three known ones via the cross-ratio formula.
 
     With R = A (phi3 - phi1)/(phi3 - phi2), the new solution is
@@ -302,13 +301,12 @@ def cross_ratio_solution(phi1, phi2, phi3, a_const, var="x"):
     """
     phi1, phi2, phi3 = map(ex.as_expression, (phi1, phi2, phi3))
     diffs = [ex.sub(phi3, phi1), ex.sub(phi3, phi2), ex.sub(phi1, phi2)]
-    pts = sample_points(diffs, var=var)
-    for d in diffs:
-        if np.max(np.abs(d.evaluate({var: pts}))) < 1e-12:
-            raise ValueError("the three solutions must be pairwise distinct")
+    pts = sample_points(diffs)
+    if any(_vanishes(d, pts) for d in diffs):
+        raise ValueError("the three solutions must be pairwise distinct")
     r = ex.mul(ex.as_expression(a_const), diffs[0], ex.recip(diffs[1]))
     one_minus = ex.sub(ex.ONE, r)
-    if np.max(np.abs(one_minus.evaluate({var: pts}))) < 1e-12:
+    if _vanishes(one_minus, pts):
         raise ValueError("degenerate constant: R is identically 1")
     return ex.mul(ex.sub(phi1, ex.mul(r, phi2)), ex.recip(one_minus))
 
@@ -317,7 +315,7 @@ def cross_ratio_solution(phi1, phi2, phi3, a_const, var="x"):
 # second-order linear equations
 
 
-def convert_re_lode(direction, eq, var="x"):
+def convert_re_lode(direction, eq):
     """Convert between Riccati form and second-order linear form.
 
     direction="lode_to_re": psi_xx = b psi_x + c psi with phi = -psi_x/psi
@@ -335,13 +333,13 @@ def convert_re_lode(direction, eq, var="x"):
     if direction == "re_to_lode":
         if eq.is_linear:
             raise ValueError("a == 0: the equation is already linear first-order")
-        b_new = ex.add(ex.mul(ex.diff(eq.a, var), ex.recip(eq.a)), eq.b)
+        b_new = ex.add(ex.mul(ex.diff(eq.a, "x"), ex.recip(eq.a)), eq.b)
         c_new = ex.neg(ex.mul(eq.c, eq.a))
         return Lode2(b_new, c_new), "phi = -psi_x/(a*psi)"
     raise ValueError("direction must be 'lode_to_re' or 're_to_lode'")
 
 
-def canonical_form(l, var="x"):
+def canonical_form(l):
     """Gauge away the first-derivative term of a second-order equation.
 
     For psi_xx = b psi_x + c psi the substitution psi = gauge * psi_hat with
@@ -351,13 +349,13 @@ def canonical_form(l, var="x"):
     c_hat = ex.add(
         ex.neg(l.c),
         ex.neg(ex.mul(ex.Rational(Fraction(1, 4)), ex.intpow(l.b, 2))),
-        ex.mul(ex.Rational(Fraction(1, 2)), ex.diff(l.b, var)),
+        ex.mul(ex.Rational(Fraction(1, 2)), ex.diff(l.b, "x")),
     )
-    gauge = ex.exp(ex.mul(ex.Rational(Fraction(1, 2)), ex.antiderivative(l.b, var)))
+    gauge = ex.exp(ex.mul(ex.Rational(Fraction(1, 2)), ex.antiderivative(l.b, "x")))
     return c_hat, gauge
 
 
-def second_solution(l, psi1, var="x", interval=DEFAULT_INTERVAL):
+def second_solution(l, psi1, interval=DEFAULT_INTERVAL):
     """Independent second solution psi1 * int dx/psi1^2 of a canonical equation.
 
     Requires the first-derivative coefficient to vanish and psi1 to be free
@@ -367,11 +365,11 @@ def second_solution(l, psi1, var="x", interval=DEFAULT_INTERVAL):
     if not ex.is_zero(l.b):
         raise ValueError("second_solution expects a canonical equation (b == 0)")
     psi1 = ex.as_expression(psi1)
-    vals = psi1.evaluate({var: np.linspace(interval[0], interval[1], 257)})
+    vals = psi1.evaluate(x=np.linspace(interval[0], interval[1], 257))
     finite = vals[np.isfinite(vals)]
     if finite.size and (np.nanmin(finite) < 0 < np.nanmax(finite) or np.any(finite == 0)):
         raise ValueError("psi1 changes sign or vanishes in the interval; split the quadrature")
-    integral = ex.antiderivative(ex.recip(ex.intpow(psi1, 2)), var)
+    integral = ex.antiderivative(ex.recip(ex.intpow(psi1, 2)), "x")
     return ex.mul(psi1, integral)
 
 
@@ -455,29 +453,27 @@ def _format_poly(coeffs):
     return "".join(terms) or "0"
 
 
-def hermite_ladder(y, alpha, var="x"):
+def hermite_ladder(y, alpha):
     """One rung up the ladder for y' + y^2 = x^2 + alpha.
 
     Returns (y_hat, alpha + 2) with y_hat = x + (alpha + 1)/(y + x); the
     denominator must not vanish identically.
     """
     y = ex.as_expression(y)
-    x = ex.Var(var)
+    x = ex.Var("x")
     den = ex.add(y, x)
-    pts = sample_points([den], var=var)
-    if np.max(np.abs(den.evaluate({var: pts}))) < 1e-12:
+    if _vanishes(den):
         raise ValueError("y + x vanishes identically: ladder undefined")
     y_hat = ex.add(x, ex.mul(ex.as_expression(alpha + 1), ex.recip(den)))
     return y_hat, alpha + 2
 
 
-def inverse_hermite_ladder(y_hat, alpha_hat, var="x"):
+def inverse_hermite_ladder(y_hat, alpha_hat):
     """One rung down: y = -x + (alpha_hat - 1)/(y_hat - x), parameter alpha_hat - 2."""
     y_hat = ex.as_expression(y_hat)
-    x = ex.Var(var)
+    x = ex.Var("x")
     den = ex.sub(y_hat, x)
-    pts = sample_points([den], var=var)
-    if np.max(np.abs(den.evaluate({var: pts}))) < 1e-12:
+    if _vanishes(den):
         raise ValueError("y_hat - x vanishes identically: inverse ladder undefined")
     y = ex.add(ex.neg(x), ex.mul(ex.as_expression(alpha_hat - 1), ex.recip(den)))
     return y, alpha_hat - 2
@@ -631,7 +627,7 @@ class FactorizationResult:
     magnitude: float
 
 
-def lode_factor(l, psi1, var="x"):
+def lode_factor(l, psi1):
     """Right-divide the operator of ``l`` by (d/dx - psi1'/psi1).
 
     For psi_xx = b psi_x + c psi the operator is D^2 - b D - c; with
@@ -640,15 +636,15 @@ def lode_factor(l, psi1, var="x"):
     Non-membership shows up as a large remainder, not an error.
     """
     psi1 = ex.as_expression(psi1)
-    a = ex.mul(ex.diff(psi1, var), ex.recip(psi1))
+    a = ex.mul(ex.diff(psi1, "x"), ex.recip(psi1))
     remainder = ex.add(
-        ex.diff(a, var),
+        ex.diff(a, "x"),
         ex.intpow(a, 2),
         ex.neg(ex.mul(l.b, a)),
         ex.neg(l.c),
     )
-    pts = sample_points([a, remainder], var=var)
-    magnitude = float(np.max(np.abs(remainder.evaluate({var: pts}))))
+    pts = sample_points([a, remainder])
+    magnitude = float(np.max(np.abs(remainder.evaluate(x=pts))))
     return FactorizationResult(a, remainder, magnitude)
 
 
@@ -663,7 +659,7 @@ class KovalevskiiReport:
     span: tuple
 
 
-def kovalevskii_check(n, y0, span, tol=1e-10, samples=201):
+def kovalevskii_check(n, y0, span, tol=1e-10):
     """Integrate y_j' = s y_j - 2 y_j^2 (s = sum of all y) and track integrals.
 
     For n = 3 the quadratic integrals F1 = (y1 - y2) y3 and F2 = (y2 - y3) y1
@@ -686,7 +682,7 @@ def kovalevskii_check(n, y0, span, tol=1e-10, samples=201):
         return s * y - 2 * y * y
 
     traj = numeric.integrate_ivp(rhs, span[0], y0, span[1], tol=tol)
-    xs = np.linspace(span[0], span[1], samples)
+    xs = np.linspace(span[0], span[1], 201)
     ys = traj(xs)
 
     integrals = {}

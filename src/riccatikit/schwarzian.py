@@ -36,21 +36,16 @@ _HALF = ex.Rational(Fraction(1, 2))
 _THREE_QUARTERS = ex.Rational(Fraction(3, 4))
 
 
-def schwarz(phi, var="x"):
-    """Schwarzian derivative (3/4)(phi''/phi')^2 - (1/2) phi'''/phi'.
+def schwarz(phi):
+    """Schwarzian derivative (3/4)(phi''/phi')^2 - (1/2) phi'''/phi', the modified Schwarzian of phi'.
 
     Invariant under constant fraction-linear maps of phi; equals c(x) when
     phi is a ratio of independent solutions of psi_xx = c psi.
     """
-    phi = ex.as_expression(phi)
-    d1 = ex.diff(phi, var)
+    d1 = ex.diff(ex.as_expression(phi), "x")
     if ex.is_zero(d1):
         raise ValueError("phi is constant: the Schwarzian is undefined")
-    d2 = ex.diff(d1, var)
-    d3 = ex.diff(d2, var)
-    first = ex.mul(_THREE_QUARTERS, ex.intpow(ex.mul(d2, ex.recip(d1)), 2))
-    second = ex.mul(_HALF, d3, ex.recip(d1))
-    return ex.sub(first, second)
+    return _modified_schwarzian(d1)
 
 
 def mobius_invariance(phi, maps, interval, s0):
@@ -69,38 +64,43 @@ def report(phi, s0, interval):
     return {"checks": [numeric.check("mobius_invariance", invariance, 1e-9)]}
 
 
-def dmod(a, var="x", interval=DEFAULT_INTERVAL):
+def dmod(a, interval=DEFAULT_INTERVAL):
     """Modified Schwarzian (3/4) a_x^2/a^2 - (1/2) a_xx/a.
 
     Satisfies dmod(e^{2b}) = b_x^2 - b_xx; requires a to be nonvanishing on
     the working interval.
     """
     a = ex.as_expression(a)
-    _require_one_signed(a, var, "a", interval)
-    d1 = ex.diff(a, var)
-    d2 = ex.diff(d1, var)
+    _require_one_signed(a, interval)
+    return _modified_schwarzian(a)
+
+
+def _modified_schwarzian(a):
+    """(3/4)(a'/a)^2 - (1/2) a''/a, without a check on the zeros of a."""
+    d1 = ex.diff(a, "x")
+    d2 = ex.diff(d1, "x")
     first = ex.mul(_THREE_QUARTERS, ex.intpow(ex.mul(d1, ex.recip(a)), 2))
     second = ex.mul(_HALF, d2, ex.recip(a))
     return ex.sub(first, second)
 
 
-def _require_one_signed(a, var, name, interval=DEFAULT_INTERVAL):
-    vals = a.evaluate({var: sample_points([a], interval=interval, var=var)})
+def _require_one_signed(a, interval):
+    vals = a.evaluate(x=sample_points([a], interval=interval))
     if np.any(vals == 0) or (np.min(vals) < 0 < np.max(vals)):
-        raise ValueError(f"{name} vanishes on the working interval")
+        raise ValueError("a vanishes on the working interval")
 
 
-def third_order_residual(phi, c, var="x"):
+def third_order_residual(phi, c):
     """Residual phi''' - 4 c phi' - 2 c' phi of the product-solutions equation."""
     phi = ex.as_expression(phi)
     c = ex.as_expression(c)
     return ex.sub(
-        ex.diff(phi, var, 3),
-        ex.add(ex.mul(4, c, ex.diff(phi, var)), ex.mul(2, ex.diff(c, var), phi)),
+        ex.diff(phi, "x", 3),
+        ex.add(ex.mul(4, c, ex.diff(phi, "x")), ex.mul(2, ex.diff(c, "x"), phi)),
     )
 
 
-def first_integral(phi, c, var="x"):
+def first_integral(phi, c):
     """The combination 4 c phi^2 + phi_x^2 - 2 phi phi_xx.
 
     Constant (equal to the squared Wronskian of the underlying pair) along
@@ -108,8 +108,8 @@ def first_integral(phi, c, var="x"):
     """
     phi = ex.as_expression(phi)
     c = ex.as_expression(c)
-    d1 = ex.diff(phi, var)
-    d2 = ex.diff(d1, var)
+    d1 = ex.diff(phi, "x")
+    d2 = ex.diff(d1, "x")
     return ex.add(
         ex.mul(4, c, ex.intpow(phi, 2)),
         ex.intpow(d1, 2),
@@ -117,16 +117,16 @@ def first_integral(phi, c, var="x"):
     )
 
 
-def recover_potential(a, z, var="x"):
+def recover_potential(a, z):
     """c(x) consistent with first_integral(a, c) == z, solved for c."""
     a = ex.as_expression(a)
-    d1 = ex.diff(a, var)
-    d2 = ex.diff(d1, var)
+    d1 = ex.diff(a, "x")
+    d2 = ex.diff(d1, "x")
     num = ex.add(ex.as_expression(z), ex.neg(ex.intpow(d1, 2)), ex.mul(2, a, d2))
     return ex.mul(num, ex.recip(ex.mul(4, ex.intpow(a, 2))))
 
 
-def riccati_pair(a, z, var="x", interval=DEFAULT_INTERVAL):
+def riccati_pair(a, z, interval=DEFAULT_INTERVAL):
     """The two log-derivative solutions riding on a product solution.
 
     If a = psi1 psi2 with Wronskian v and z = v^2, then
@@ -138,9 +138,9 @@ def riccati_pair(a, z, var="x", interval=DEFAULT_INTERVAL):
         raise TypeError("z must be a number (the squared Wronskian constant)")
     if z < 0:
         raise ValueError("z must be non-negative")
-    _require_one_signed(a, var, "a", interval)
+    _require_one_signed(a, interval)
     root = ex.as_expression(math.sqrt(z)) if not _is_exact_square(z) else ex.Rational(_exact_sqrt(z))
-    d1 = ex.diff(a, var)
+    d1 = ex.diff(a, "x")
     half_recip = ex.mul(_HALF, ex.recip(a))
     f_plus = ex.mul(ex.add(d1, root), half_recip)
     f_minus = ex.mul(ex.sub(d1, root), half_recip)
@@ -174,25 +174,17 @@ class SchwarzTriple:
     wronskian: float
 
     @classmethod
-    def from_pair(cls, psi1, psi2, var="x", drift_tol=1e-8):
+    def from_pair(cls, psi1, psi2):
         psi1 = ex.as_expression(psi1)
         psi2 = ex.as_expression(psi2)
-        w = ex.sub(
-            ex.mul(psi1, ex.diff(psi2, var)),
-            ex.mul(psi2, ex.diff(psi1, var)),
-        )
-        vals = w.evaluate({var: sample_points([w], var=var)})
+        w = ex.sub(ex.mul(psi1, ex.diff(psi2, "x")), ex.mul(psi2, ex.diff(psi1, "x")))
+        vals = w.evaluate(x=sample_points([w]))
         v = float(np.mean(vals))
-        if np.max(np.abs(vals - v)) > drift_tol * max(1.0, abs(v)):
+        if np.max(np.abs(vals - v)) > 1e-8 * max(1.0, abs(v)):
             raise ValueError("Wronskian is not constant: the pair does not solve psi_xx = c psi")
         if abs(v) < 1e-12:
             raise ValueError("the pair is linearly dependent")
-        return cls(
-            ex.intpow(psi1, 2),
-            ex.intpow(psi2, 2),
-            ex.mul(psi1, psi2),
-            v,
-        )
+        return cls(ex.intpow(psi1, 2), ex.intpow(psi2, 2), ex.mul(psi1, psi2), v)
 
     def basis(self):
         return (self.phi1, self.phi2, self.phi3)

@@ -244,7 +244,7 @@ def modschwarz_residual(h, m):
     return hx * hx * Fraction(3, 4) - h * hxx * Fraction(1, 2) + (h2 * h2).shift(m) - potential_series(m) * h2
 
 
-def zeta_chain(u, count, var="x", constants=None, allow_quadrature=True):
+def zeta_chain(u, count, constants=None, allow_quadrature=True):
     """Coefficients zeta_1..zeta_count of the truncated wavefunction series.
 
     Each step integrates zeta_{j+1}' = (u zeta_j - zeta_j'')/2 in closed form
@@ -264,8 +264,8 @@ def zeta_chain(u, count, var="x", constants=None, allow_quadrature=True):
     out = []
     zeta = ex.ONE
     for j in range(count):
-        integrand = ex.mul(ex.Rational(Fraction(1, 2)), ex.sub(ex.mul(u, zeta), ex.diff(zeta, var, 2)))
-        anti = ex.antiderivative(integrand, var)
+        integrand = ex.mul(ex.Rational(Fraction(1, 2)), ex.sub(ex.mul(u, zeta), ex.diff(zeta, "x", 2)))
+        anti = ex.antiderivative(integrand, "x")
         if ex.contains_quadrature(anti) and not allow_quadrature:
             raise ValueError(f"no closed-form antiderivative for zeta_{j + 1}")
         zeta = ex.add(anti, ex.as_expression(constants[j]))

@@ -327,6 +327,22 @@ class TestValidation:
         assert exit_code([*argv, "--out", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["solve-re", "--a", "-1", "--c", "t^2+1", "--phi1", "x"], "t"),
+            (["transform", "--a", "t"], "t"),
+            (["schwarz", "--phi", "tan(t)"], "t"),
+            (["series", "--what", "zeta", "--u", "-2/cosh(t)^2"], "t"),
+            (["solve-re", "--a", "0", "--b", "t", "--c", "1"], "t"),
+            (["transform", "--a", "1", "--beta", "y"], "y"),  # y would cancel in the round trip
+        ],
+    )
+    def test_expression_in_another_variable_exits_2(self, tmp_path, capsys, argv, name):
+        assert exit_code([*argv, "--out", str(tmp_path)]) == 2
+        assert f"x is the only variable, got {name}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -37,3 +38,51 @@ def test_every_traced_layer_resolves_in_src():
         if owner is None:
             missing.append(f"{mod}.{path}")
     assert missing == []
+
+
+RICCATI_SIDE = ["riccati", "schwarzian", "series", "diffpoly"]
+
+
+def _public_callables(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(member) and (not attr.startswith("_") or attr == "__init__"):
+                    yield f"{name}.{attr}", member
+        elif inspect.isfunction(obj):
+            yield name, obj
+
+
+@pytest.mark.parametrize("name", RICCATI_SIDE)
+def test_riccati_side_takes_no_variable_name(name):
+    # x is the one independent variable of these modules' objects
+    module = importlib.import_module(f"riccatikit.{name}")
+    taking_var = [qual for qual, fn in _public_callables(module) if "var" in inspect.signature(fn).parameters]
+    assert taking_var == []
+
+
+@pytest.mark.parametrize(
+    "qualname, knob",
+    [
+        ("riccati.sample_points", "limit"),
+        ("riccati.general_from_particular", "check"),
+        ("schwarzian.SchwarzTriple.from_pair", "drift_tol"),
+        ("riccati.kovalevskii_check", "samples"),
+    ],
+)
+def test_fixed_knobs_are_constants(qualname, knob):
+    mod, *path = qualname.split(".")
+    owner = importlib.import_module(f"riccatikit.{mod}")
+    for attr in path:
+        owner = getattr(owner, attr)
+    assert knob not in inspect.signature(owner).parameters
+
+
+def test_riccati_eq_has_no_residual_method():
+    from riccatikit.riccati import RiccatiEq
+
+    assert not hasattr(RiccatiEq, "residual")

@@ -461,7 +461,7 @@ class TestKovalevskii:
             rc.kovalevskii_check(3, (1.0, 2.0, 3.0), (0.0, 10.0))
 
 
-def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL, n=rc.SAMPLE_COUNT, var="x", limit=1e8):
+def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL, n=rc.SAMPLE_COUNT):
     """Reference: the candidate loop with one scalar evaluation per point."""
     lo, hi = interval
     good = []
@@ -469,11 +469,11 @@ def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL, n=rc.SAMPLE_COU
         ok = True
         for e in exprs:
             try:
-                v = ex.as_expression(e).evaluate({var: float(p)})
+                v = ex.as_expression(e).evaluate(x=float(p))
             except (ex.EvalDomainError, OverflowError, ZeroDivisionError):
                 ok = False
                 break
-            if not np.isfinite(v) or abs(v) > limit:
+            if not np.isfinite(v) or abs(v) > 1e8:
                 ok = False
                 break
         if ok:
