@@ -49,11 +49,11 @@ def emit_csv(path, columns):
     lengths = {len(c[1]) for c in columns}
     if len(lengths) > 1:
         raise ConfigError("CSV columns must have uniform length")
-    n = lengths.pop() if lengths else 0
+    values = [np.asarray(c[1], dtype=float).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join("%.17g" % float(c[1][i]) for c in columns) + "\n")
+        fh.writelines(row % r for r in zip(*values))
 
 
 def emit_json(path, obj):

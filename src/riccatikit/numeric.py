@@ -1,15 +1,19 @@
 """Shared numerical substrate.
 
-Adaptive embedded Runge-Kutta integration with dense output (one array
-pass per call, for one point or a whole grid of x), adaptive Gauss-Kronrod
-quadrature to a whole array of upper limits in one sweep, and small dense LU
-solves with reusable factorizations.  Polynomials across the package are
-numpy's descending coefficient arrays, evaluated with np.polyval.
+Adaptive Dormand-Prince 5(4) integration and fixed-step RK4, both on lists
+of Python floats, with dense output in one array pass per call, for one
+point or a whole grid of x (Dormand-Prince's quartic continuous extension,
+or a cubic Hermite for RK4); adaptive Gauss-Kronrod quadrature to a whole
+array of upper limits in one sweep; and small dense LU solves with reusable
+factorizations.  Polynomials across the package are numpy's descending
+coefficient arrays, evaluated with np.polyval.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -58,34 +62,50 @@ class IntegrationBlowUp(NumericError):
 # ---------------------------------------------------------------------------
 # initial value problems
 
-# Dormand-Prince 5(4) tableau; the 5th order solution propagates, the
-# difference to the embedded 4th order solution estimates the local error.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array(row)
-    for row in (
-        [],
-        [1 / 5],
-        [3 / 40, 9 / 40],
-        [44 / 45, -56 / 15, 32 / 9],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    )
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+# Dormand-Prince 5(4) tableau: nodes _C*, stage weights _A*, the 5th order
+# solution's weights _B* (also the last stage's, so that stage's state is the
+# new solution and its slope f there) and the 5th minus embedded 4th order
+# weights _E*, which estimate the local error.  Stage 2 has zero weight in the
+# solution and in the error estimate.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+# Dormand-Prince's quartic continuous extension (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6; the coefficients of scipy's RK45), written as
+#   y(t) = (1 - t) y0 + t y1 - h t (1 - t) (R0 + t (R1 + t R2)),
+# which takes the node values exactly at t = 0 and t = 1.  Each row holds a
+# stage index and its weights in R0, R1 and R2, R_m = sum of stage * weight.
+_DP_DENSE = (
+    (0, -349 / 384, 7313519299 / 3760694144, -12715105075 / 11282082432),
+    (2, 500 / 1113, -116867902700 / 32700410799, 87487479700 / 32700410799),
+    (3, 125 / 192, 24727186175 / 5641041216, -10690763975 / 1880347072),
+    (4, -2187 / 6784, -573470282673 / 199316789632, 701980252875 / 199316789632),
+    (5, 11 / 84, 3715202249 / 2467955532, -1453857185 / 822651844),
+    (6, 0.0, -40617522 / 29380423, 69997945 / 29380423),
+)
 _TINY_STEP = 16 * np.finfo(float).eps
 
 
 class Trajectory:
-    """Dense solution of an IVP: accepted nodes plus cubic Hermite interpolation."""
+    """Dense solution of an IVP: the accepted nodes and an interpolant on each step.
 
-    def __init__(self, xs, ys, fs):
+    ``xs``, ``ys`` and ``fs`` hold the nodes, the states there and the slopes
+    f(x, y) there.  With ``stages``, one tuple of the seven Dormand-Prince
+    stage slopes per step, the interpolant is Dormand-Prince's quartic
+    continuous extension, of the order of the steps; without, a cubic Hermite
+    on the node states and slopes.
+    """
+
+    def __init__(self, xs, ys, fs, stages=None):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
+        self.stages = stages
         self._forward = self.xs[-1] >= self.xs[0]
         # step widths and the interior nodes in ascending order: searching the
         # interior nodes gives the step index already clipped to the range
@@ -106,7 +126,8 @@ class Trajectory:
         """State at x: shape (dim,) for a number, x.shape + (dim,) for an array.
 
         Every point is interpolated on the accepted step that holds it, all
-        points in one array pass; points outside the range extrapolate the
+        points in one array pass, so an array call gives the bits of the
+        calls on its single points; points outside the range extrapolate the
         first or last step, and a zero-width step returns its node value.
         """
         x = np.asarray(x, dtype=float)
@@ -117,13 +138,33 @@ class Trajectory:
             zero = h == 0
             h = np.where(zero, 1.0, h)
         t = ((flat - self.xs[i]) / h)[:, None]
-        out = _hermite(t, h[:, None], self.ys[i], self.fs[i], self.ys[i + 1], self.fs[i + 1])
+        h = h[:, None]
+        if self.stages is None:
+            out = _hermite(t, h, self.ys[i], self.fs[i], self.ys[i + 1], self.fs[i + 1])
+        else:
+            r0, r1, r2 = self._quartic_coeffs
+            s = 1 - t
+            out = s * self.ys[i] + t * self.ys[i + 1] - (h * t * s) * (r0[i] + t * (r1[i] + t * r2[i]))
         if self._zero_steps:
             out[zero] = self.ys[i[zero]]
         return out.reshape(x.shape + self.ys.shape[1:])
 
     def _step_index(self, i):
         return i if self._forward else len(self.xs) - 2 - i
+
+    @cached_property
+    def _quartic_coeffs(self):
+        """R0, R1 and R2 of every step as (steps, dim) arrays, summed elementwise in one fixed order."""
+        shape = (len(self.stages), 7, self.ys.shape[1])
+        k = np.fromiter(chain.from_iterable(chain.from_iterable(self.stages)), float, math.prod(shape))
+        k = k.reshape(shape)
+        r0 = r1 = r2 = 0.0
+        for j, w0, w1, w2 in _DP_DENSE:
+            kj = k[:, j]
+            r0 = r0 + w0 * kj
+            r1 = r1 + w1 * kj
+            r2 = r2 + w2 * kj
+        return r0, r1, r2
 
 
 def pow2(x):
@@ -154,81 +195,116 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
     """Integrate y' = rhs(x, y) from x0 to x_end.
 
     Adaptive Dormand-Prince 5(4) by default, starting with a step of
-    min(span / 10, 1) and never stepping further than the span;
-    ``fixed_step`` switches to classical fixed-step RK4 for bit-reproducible
-    runs.  Raises IntegrationBlowUp (with location and the partial
-    trajectory) when the step size underflows or the state leaves
+    min(span / 10, 1) and never stepping further than the span, with
+    Dormand-Prince's quartic dense output; ``fixed_step`` switches to
+    classical fixed-step RK4 with cubic Hermite dense output, for
+    bit-reproducible runs.  Raises IntegrationBlowUp (with location and the
+    partial trajectory) when the step size underflows or the state leaves
     [-1e100, 1e100].
 
-    ``rhs(x, y)`` reads the state by index and returns a sequence of floats
-    (a tuple, a list or a 1-d array).  The fixed-step RK4 passes ``y`` as a
-    list of Python floats and does its stage arithmetic on them, which rounds
-    exactly as numpy's elementwise operations do; the adaptive steps pass a
-    numpy array row.
+    Both integrators pass ``rhs`` the state ``y`` as a list of Python floats,
+    to be read by index, and do their stage arithmetic on Python floats,
+    which rounds exactly as numpy's elementwise operations do.  ``rhs``
+    returns a sequence of floats: a tuple, a list or a 1-d array (Python
+    floats keep numpy scalars out of the stages).
     """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     x0 = float(x0)
     x_end = float(x_end)
     if x_end == x0:
-        f0 = np.asarray(rhs(x0, y0), dtype=float)
+        f0 = rhs(x0, y0)
         return Trajectory([x0, x0], [y0, y0], [f0, f0])
     if fixed_step is not None:
-        return _rk4_fixed(rhs, x0, y0.tolist(), x_end, fixed_step)
+        return _rk4_fixed(rhs, x0, y0, x_end, fixed_step)
 
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
     h = direction * min(span / 10, 1.0)
-
-    xs = [x0]
-    ys = [y0.copy()]
-    f = np.array(rhs(x0, y0), dtype=float)
-    fs = [f]
-    x, y = x0, ys[0]
-    k = np.empty((7, y0.size))
-
+    x, y = x0, y0
+    f = rhs(x, y)
+    xs, ys, fs, stages = [x], [y], [f], []
+    n = len(y)
     while (x_end - x) * direction > 0:
         if abs(h) < _TINY_STEP * max(1.0, abs(x)):
-            traj = Trajectory(xs, ys, fs)
+            traj = Trajectory(xs, ys, fs, stages)
             raise IntegrationBlowUp(f"step size underflow near x = {x:.6g}", x, traj)
         if (x + h - x_end) * direction > 0:
             h = x_end - x
-        k[0] = f
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ k[:i])
-            # one NaN-safe test per stage, before the rhs sees the state: a
-            # non-finite stage k[i-1] enters yi through a nonzero weight, so
-            # it fails here as well
-            if not _bounded(yi.tolist()):
-                failed = True
-                break
-            k[i] = rhs(x + _DP_C[i] * h, yi)
-        if failed or not all(map(math.isfinite, k[6].tolist())):
+        attempt = _dp_step(rhs, x, y, f, h)
+        if attempt is None:
             h *= 0.5
             continue
-        y5 = y + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_E @ k)
-        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
-        # RMS norm; the sum over n is what np.mean computes, without its wrapper
-        err = math.sqrt(np.add.reduce((err_vec / scale) ** 2) / y.size)
+        y_new, k = attempt
+        k1, _, k3, k4, k5, k6, k7 = k
+        # RMS norm of the error estimate, each component scaled by tol * (1 + |y|)
+        total = 0.0
+        for a, b, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            e = h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+            e /= tol * (1.0 + max(abs(a), abs(b)))
+            total += e * e
+        err = math.sqrt(total / n)
         if err <= 1.0 or abs(h) <= _TINY_STEP * max(1.0, abs(x)):
+            # FSAL: the last stage is f(x + h, y_new), the next step's first
+            # stage; a rejected attempt leaves f alone
             x = x + h
-            y = y5  # a fresh array: no later operation writes into it
-            # FSAL: last stage is f(x+h, y5).  f is a view of k[6], so a step
-            # retried after a rejection starts from the rejected attempt's
-            # last stage, not from f(x, y)
-            f = k[6]
+            y = y_new
+            f = k7
             xs.append(x)
             ys.append(y)
-            fs.append(f.copy())
-            if not _bounded(y.tolist()):
-                traj = Trajectory(xs, ys, fs)
-                raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
+            fs.append(f)
+            stages.append(k)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if abs(h) > span:
             h = direction * span
-    return Trajectory(xs, ys, fs)
+    return Trajectory(xs, ys, fs, stages)
+
+
+def _dp_step(rhs, x, y, k1, h):
+    """One Dormand-Prince attempt from (x, y) with first stage k1.
+
+    Returns the 5th order solution at x + h, which is the last stage's
+    state, and the seven stages.  None when a stage state leaves
+    [-1e100, 1e100], tested before the rhs sees it (a non-finite stage enters
+    the next state through a nonzero weight, so it fails there), or when the
+    last stage is not finite.
+    """
+    y2 = [a + h * (_A21 * p1) for a, p1 in zip(y, k1)]
+    if not _bounded(y2):
+        return None
+    k2 = rhs(x + _C2 * h, y2)
+    y3 = [a + h * (_A31 * p1 + _A32 * p2) for a, p1, p2 in zip(y, k1, k2)]
+    if not _bounded(y3):
+        return None
+    k3 = rhs(x + _C3 * h, y3)
+    y4 = [a + h * (_A41 * p1 + _A42 * p2 + _A43 * p3) for a, p1, p2, p3 in zip(y, k1, k2, k3)]
+    if not _bounded(y4):
+        return None
+    k4 = rhs(x + _C4 * h, y4)
+    y5 = [
+        a + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+        for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+    ]
+    if not _bounded(y5):
+        return None
+    k5 = rhs(x + _C5 * h, y5)
+    y6 = [
+        a + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+        for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+    ]
+    if not _bounded(y6):
+        return None
+    k6 = rhs(x + h, y6)
+    y7 = [
+        a + h * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+        for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)
+    ]
+    if not _bounded(y7):
+        return None
+    k7 = rhs(x + h, y7)
+    if not all(map(math.isfinite, k7)):
+        return None
+    return y7, (k1, k2, k3, k4, k5, k6, k7)
 
 
 def _rk4_fixed(rhs, x0, y0, x_end, step):

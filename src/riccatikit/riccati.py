@@ -520,10 +520,10 @@ def pole_series_report(alpha, eps, depth):
 
     x_start = -float(eps) + 0.2
     x_end = -float(eps) + 0.4
+    a = float(alpha)
     try:
         traj = numeric.integrate_ivp(
-            lambda xv, yv: np.array([xv**2 + float(alpha) - yv[0] ** 2]),
-            x_start, np.array([series_val(x_start)]), x_end, tol=1e-12,
+            lambda xv, yv: (xv**2 + a - yv[0] ** 2,), x_start, [series_val(x_start)], x_end, tol=1e-12
         )
         ivp_gap = abs(traj.ys[-1][0] - series_val(x_end))
     except numeric.IntegrationBlowUp:  # the IVP ran into a pole the series does not see
@@ -678,8 +678,8 @@ def kovalevskii_check(n, y0, span, tol=1e-10):
         raise ValueError("initial components must be pairwise distinct")
 
     def rhs(x, y):
-        s = float(np.sum(y))
-        return s * y - 2 * y * y
+        s = sum(y)
+        return [s * v - 2 * v * v for v in y]
 
     traj = numeric.integrate_ivp(rhs, span[0], y0, span[1], tol=tol)
     xs = np.linspace(span[0], span[1], 201)

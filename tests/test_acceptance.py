@@ -210,7 +210,7 @@ def test_criterion_12_cross_ratio_conservation():
         a = eq.a.evaluate(env)
         b = eq.b.evaluate(env)
         c = eq.c.evaluate(env)
-        return a * y**2 + b * y + c
+        return (a * y[0] ** 2 + b * y[0] + c,)
 
     trajs = [
         numeric.integrate_ivp(lambda x, y: rhs(x, y), 0.0, [s], 1.2, tol=1e-12)

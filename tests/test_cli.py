@@ -243,6 +243,14 @@ class TestFiniteGap:
         assert all(c["pass"] for c in report["checks"])
         assert report["period"] == pytest.approx(1.5708945153735456, rel=1e-12)  # scipy: ellipk(2.5e-4)
 
+    def test_wide_band_keeps_its_energy_between_the_nodes(self, tmp_path):
+        # lambda1 - lambda3 = 4: the grid is read between accepted steps, so the
+        # dense output must hold the steps' order for the energy to keep 1e-9
+        code = cli.main(["finite-gap", "--lambdas", "4,2,0", "--gamma0", "0.5", "--out", str(tmp_path)])
+        assert code == 0
+        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        assert checks["energy_invariant_drift"]["value"] <= 1e-9
+
 
 class TestSeries:
     def test_f_coefficients(self, tmp_path):

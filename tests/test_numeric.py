@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from riccatikit import finitegap as fg
 from riccatikit import numeric
+from riccatikit import riccati as rc
 
 
 class TestIntegrateIvp:
@@ -127,6 +129,57 @@ class TestIntegrateIvp:
         assert np.array_equal(traj.ys, np.array(ys))
         assert np.array_equal(traj.fs, np.array(fs))
 
+    def test_retried_step_starts_from_f_at_the_accepted_state(self):
+        # a narrow bump in the coefficient forces rejected attempts; each
+        # retry must start again from f(x, y), not from a rejected stage
+        calls = []
+
+        def rhs(x, y):
+            calls.append(x)
+            return (y[1], -(1.0 + 100.0 / (1.0 + 400.0 * (x - 1.0) ** 2)) * y[0])
+
+        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], 2.0, tol=1e-10)
+        steps = len(traj.xs) - 1
+        assert (len(calls) - 1) / 6 > steps  # some attempts were rejected
+        stages = np.array(traj.stages)
+        assert np.array_equal(stages[:, 0], traj.fs[:-1])
+        assert np.array_equal(stages[:, 6], traj.fs[1:])
+        assert np.array_equal(traj.fs, [rhs(x, y) for x, y in zip(traj.xs.tolist(), traj.ys.tolist())])
+
+    def test_dense_output_is_as_accurate_as_the_nodes(self):
+        # the quartic continuous extension has the order of the steps: between
+        # the nodes y = sin x is read as well as at them (a cubic Hermite on
+        # the node slopes reads it about a hundred times worse)
+        traj = numeric.integrate_ivp(lambda x, y: (y[1], -y[0]), 0.0, [0.0, 1.0], 6.0, tol=1e-12)
+        node_err = np.max(np.abs(traj.ys[:, 0] - np.sin(traj.xs)))
+        xs = np.linspace(0.0, 6.0, 402)[1:-1]
+        assert not np.isin(xs, traj.xs).any()
+        dense_err = np.max(np.abs(traj(xs)[:, 0] - np.sin(xs)))
+        assert dense_err <= 10 * node_err
+
+    def test_every_rhs_call_gets_a_list_of_python_floats(self, monkeypatch):
+        # the stage arithmetic runs on the floats it is given: one numpy
+        # scalar in a state or a slope would make every later stage a numpy scalar
+        integrate, seen = numeric.integrate_ivp, set()
+
+        def watching(rhs, *args, **kwargs):
+            def watched(x, y):
+                seen.add((type(x), type(y), frozenset(map(type, y))))
+                return rhs(x, y)
+
+            return integrate(watched, *args, **kwargs)
+
+        monkeypatch.setattr(numeric, "integrate_ivp", watching)
+        spec = fg.GapSpec(2.0, 1.0, 0.0, 0.5)
+        fg.integrate_gamma(spec, (0.0, 2.0))
+        fg.integrate_gamma(spec, (0.0, 2.0), fixed_step=0.01)
+        fg.floquet_discriminant(spec, spec.lam1)
+        rc.kovalevskii_check(4, (1.0, 2.0, 3.0, 4.0), (0.0, 0.1))
+        rc.pole_series_report(1, 0, 5)
+        numeric.integrate_ivp(lambda x, y: (y[0],), 0.0, np.array([1.0]), 1.0)
+        numeric.integrate_ivp(lambda x, y: (y[0],), 0.0, np.array([1.0]), 1.0, fixed_step=0.1)
+        assert seen == {(float, list, frozenset({float}))}
+
 
 def test_pow2_rounds_like_a_number():
     xs = np.random.default_rng(3).uniform(-2.0, 2.0, 20000)
@@ -162,7 +215,7 @@ class TestDenseOutput:
         assert np.array_equal(traj(traj.xs), traj.ys)
 
     def test_array_shapes(self):
-        traj = numeric.integrate_ivp(lambda x, y: -y, 0.0, [1.0, 2.0, 3.0], 1.0, tol=1e-10)
+        traj = numeric.integrate_ivp(lambda x, y: (-y[0], -y[1], -y[2]), 0.0, [1.0, 2.0, 3.0], 1.0, tol=1e-10)
         assert traj(0.5).shape == (3,)
         assert traj(np.float64(0.5)).shape == (3,)
         assert traj([0.5]).shape == (1, 3)
