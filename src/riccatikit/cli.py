@@ -57,9 +57,20 @@ def emit_csv(path, columns):
 
 
 def emit_json(path, obj):
+    """Strict JSON: a non-finite float is written as the string "inf", "-inf" or "nan"."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(_finite_json(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_json(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
 
 
 def _finish(out_dir, command, report, tables=None):

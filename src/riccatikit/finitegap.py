@@ -7,11 +7,12 @@ u = 2 gamma - lambda1 - lambda2 - lambda3 is a smooth periodic potential.
 Turning points are crossed by integrating the differentiated second-order
 form gamma_xx = C'(gamma)/2, which removes square-root branch bookkeeping.
 C is a descending coefficient array (c_poly), evaluated with np.polyval.
-The Dubrovin identities are checked at every grid point of a trajectory in
-one array pass, and the turning points of a trajectory are bisected all at
-once.  A Floquet discriminant is one integration that carries gamma and both
-columns of the transfer matrix.  report gives the named checks of a
-trajectory.
+The turning points of a trajectory are bisected all at once.  A Floquet
+discriminant is one integration that carries gamma and both columns of the
+transfer matrix.  report gives the two checks of a trajectory, each at every
+grid point: Dubrovin's identity gamma'^2 = C(gamma) for the one root, and the
+trajectory's phase against the time that quadrature gives from a minimum to
+each gamma.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "trace_potential",
     "floquet_discriminant",
     "dubrovin_checks",
-    "DubrovinReport",
     "report",
 ]
 
@@ -76,18 +76,13 @@ def c_poly(spec_or_lams):
 
 
 class RootTrajectory:
-    """Sampled root variable gamma(x) and its first two derivatives, each a (points, 1) column."""
+    """Sampled root variable gamma(x) and its derivative, each a (points, 1) column."""
 
-    def __init__(self, xs, gammas, dgammas, ddgammas, dense=None):
+    def __init__(self, xs, gammas, dgammas, dense=None):
         self.xs = np.asarray(xs, dtype=float)
         self.gammas = np.asarray(gammas, dtype=float).reshape(-1, 1)
         self.dgammas = np.asarray(dgammas, dtype=float).reshape(-1, 1)
-        self.ddgammas = np.asarray(ddgammas, dtype=float).reshape(-1, 1)
         self._dense = dense
-
-    @property
-    def n(self):
-        return self.gammas.shape[1]
 
     def __call__(self, x):
         """Dense state [gamma, gamma'] at x."""
@@ -98,10 +93,12 @@ class RootTrajectory:
     def turning_points(self, kind="max"):
         """x locations where gamma' crosses zero (maxima or minima).
 
-        Each sign change of the sampled gamma' is bisected on the dense
-        interpolant for at most 80 halvings, a bracket stopping once its
-        midpoint rounds to an endpoint: no later halving could move it.  All
-        brackets halve together, one dense-output call per pass.
+        ``report`` does not need them; ``bench/spans.py`` wraps this method
+        and acceptance criterion 9 calls it.  Each sign change of the
+        sampled gamma' is bisected on the dense interpolant for at most 80
+        halvings, a bracket stopping once its midpoint rounds to an endpoint:
+        no later halving could move it.  All brackets halve together, one
+        dense-output call per pass.
         """
         want_down = kind == "max"
         d = self.dgammas[:, 0]
@@ -117,7 +114,7 @@ class RootTrajectory:
             live, mid = live[moves], mid[moves]
             if live.size == 0:
                 break
-            up = (self(mid)[:, self.n] > 0) == want_down
+            up = (self(mid)[:, 1] > 0) == want_down
             lo[live[up]] = mid[up]
             hi[live[~up]] = mid[~up]
         return list(0.5 * (lo + hi))
@@ -130,22 +127,18 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
     ``report`` checks it as ``energy_invariant_drift``.
     """
     c = c_poly(spec)
-    dc = np.polyder(c)
-    d2, d1, d0 = dc.tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
+    d2, d1, d0 = np.polyder(c).tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
 
     def rhs(x, s):
         g = s[0]
-        return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as np.polyval(dc, g) rounds
+        return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as np.polyval of np.polyder(c) rounds
 
     y0 = _gamma_start(spec, c)
     traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol, fixed_step=fixed_step)
 
     xs = np.arange(x_range[0], x_range[1] + 0.5 * step, step)
     states = traj(xs)
-    gam = states[:, 0]
-    dgam = states[:, 1]
-    ddgam = 0.5 * np.polyval(dc, gam)
-    return RootTrajectory(xs, gam, dgam, ddgam, dense=traj)
+    return RootTrajectory(xs, states[:, 0], states[:, 1], dense=traj)
 
 
 def _gamma_start(spec, c):
@@ -175,14 +168,16 @@ def period(spec, tol=1e-12):
             "degenerate gap: lambda2 - lambda3 vanishes and the band [lambda3, lambda2] collapses "
             "(the period does not diverge; it tends to pi / sqrt(lambda1 - lambda3))"
         )
-    d12 = l1 - l2
-    d23 = l2 - l3
+    rate = _theta_rate(spec)
+    return numeric.quadrature(lambda theta: 2.0 * rate(theta), 0.0, math.pi / 2, tol=tol)
 
-    def f(theta):
-        # a sum of two non-negative terms: no cancellation as lambda2 -> lambda1
-        return 2.0 / np.sqrt(d12 + d23 * np.cos(theta) ** 2)
 
-    return numeric.quadrature(f, 0.0, math.pi / 2, tol=tol)
+def _theta_rate(spec):
+    """dx/dtheta = 1 / sqrt(lambda1 - gamma) along gamma = lambda3 + (lambda2 - lambda3) sin^2(theta)."""
+    d12 = spec.lam1 - spec.lam2
+    d23 = spec.lam2 - spec.lam3
+    # a sum of two non-negative terms: no cancellation as lambda2 -> lambda1
+    return lambda theta: 1.0 / np.sqrt(d12 + d23 * np.cos(theta) ** 2)
 
 
 def trace_potential(traj, spec):
@@ -216,66 +211,50 @@ def floquet_discriminant(spec, lam):
 
 
 def report(spec, traj, t_quad):
-    """Quadrature and trajectory periods (NaN below two maxima) and the named checks of a trajectory.
+    """The quadrature period and the two checks of a trajectory, each at every grid point.
 
+    ``energy_invariant_drift`` is ``dubrovin_checks``; a trajectory on the
+    right energy but at the wrong x fails ``trajectory_vs_quadrature_phase``.
     ``t_quad`` is ``period(spec)``, computed once by the caller, which may
     also need it to size the trajectory.
     """
-    maxima = traj.turning_points("max")
-    t_traj = maxima[1] - maxima[0] if len(maxima) >= 2 else float("nan")
-    period_gap = abs(t_quad - t_traj) / t_quad if len(maxima) >= 2 else float("inf")
-    dub = dubrovin_checks(traj, c_poly(spec))
-    # for one root, Dubrovin's item 1 |C(gamma) - gamma'^2| is the energy drift
-    checks = [
-        numeric.check("period_quadrature_vs_trajectory", period_gap, 1e-6),
-        numeric.check("energy_invariant_drift", dub.item1_max, 1e-8),
-    ]
-    if traj.xs[-1] - traj.xs[0] > t_quad:  # u(x + T) = u(x) where the grid spans a period
-        xs_check = traj.xs[traj.xs <= traj.xs[-1] - t_quad][::5]
-        per = np.max(np.abs(traj(xs_check + t_quad)[:, 0] - traj(xs_check)[:, 0]))
-        checks.append(numeric.check("periodicity_of_u", 2 * per, 1e-6))
-    checks.append(numeric.check("dubrovin_item1", dub.item1_max, 1e-6))
-    checks.append(numeric.check("dubrovin_division_remainder", dub.remainder_max, 1e-6))
-    return {"period": t_quad, "trajectory_period": t_traj, "checks": checks}
+    return {
+        "period": t_quad,
+        "checks": [
+            numeric.check("energy_invariant_drift", dubrovin_checks(traj, c_poly(spec)), 1e-8),
+            numeric.check("trajectory_vs_quadrature_phase", _phase_gap(spec, traj, t_quad), 1e-6),
+        ],
+    }
 
 
-@dataclass
-class DubrovinReport:
-    item1_max: float
-    remainder_max: float
-    quotient_degree: int
-    quotient_leading: float
-    quotients: np.ndarray
-    passed: bool
+def dubrovin_checks(traj, c):
+    """Dubrovin's identity (1) for one root, C(gamma) = gamma'^2: max |C(gamma) - gamma'^2|.
 
-
-def dubrovin_checks(traj, c, tol=1e-6):
-    """Verify the two root-variable identities along a trajectory.
-
-    With phi(x, lambda) = lambda - gamma(x), so phi_x = -gamma' and
-    phi_xx = -gamma'':
-    (1) C(gamma) equals phi_x^2 = gamma'^2;
-    (2) 2 phi phi_xx + C(lambda) - phi_x^2 is exactly divisible by
-        phi^2 = lambda^2 - 2 gamma lambda + gamma^2, and the quotient is
-        4U with U monic of degree 1.
-
-    Every grid point is checked in one array pass: the division by phi^2 is
-    two synthetic-division steps on the four numerator columns.  Returns
-    per-identity maxima; ``passed`` reflects the given tolerance.
+    Identity (2) adds nothing on a trajectory: its gamma'' is C'(gamma)/2, so
+    the remainder is identity (1) again.  The tests check (2) in closed form.
     """
-    c0, c1, c2, c3 = c
-    g, gp, gpp = traj.gammas[:, 0], traj.dgammas[:, 0], traj.ddgammas[:, 0]
-    item1 = float(np.max(np.abs(np.polyval(c, g) - numeric.pow2(gp))))
+    g, gp = traj.gammas[:, 0], traj.dgammas[:, 0]
+    return float(np.max(np.abs(np.polyval(c, g) - numeric.pow2(gp))))
 
-    # numerator [c0, c1, c2 - 2 gamma'', c3 - gamma'^2 + 2 gamma gamma''] over phi^2 = [1, d1, d2]:
-    # n1 and n2 are columns 1 and 2 after the first step, n3 is column 3
-    d1, d2 = -g + -g, -g * -g
-    n1 = c1 - c0 * d1
-    n2 = c2 + -2.0 * gpp - c0 * d2
-    n3 = (c3 - gp * gp) + 2.0 * (-g * -gpp)
-    quotients = np.stack([np.full_like(g, c0), n1], axis=1)
-    remainder_max = float(np.max(np.abs([n2 - n1 * d1, n3 - n1 * d2])))
 
-    lead = float(c0)
-    passed = item1 <= tol and remainder_max <= tol and abs(lead - 4.0) <= tol
-    return DubrovinReport(item1, remainder_max, 1, lead, quotients, passed)
+def _phase_gap(spec, traj, t_quad):
+    """max |x - x_quad(gamma(x))| |gamma'(x)| / (lambda2 - lambda3) over the grid.
+
+    With gamma = lambda3 + (lambda2 - lambda3) sin^2(theta), the time from a
+    minimum to theta is the integral of ``_theta_rate``, half of ``period``'s
+    integrand.  One quadrature sweep gives it at every grid point's theta
+    and at gamma0's, which places a minimum before xs[0], the start.  A
+    point's predicted x is that time past the minimum where gamma' >= 0 and
+    T less it where gamma' < 0, modulo T (equal where gamma' vanishes).
+    Times gamma', the gap is the error in gamma to first order, so the check
+    reads a trajectory's error relative to the band at any grid length.
+    """
+    l2, l3 = spec.lam2, spec.lam3
+    g = np.append(traj.gammas[:, 0], spec.gamma0)
+    thetas = np.arctan2(np.sqrt(np.maximum(g - l3, 0.0)), np.sqrt(np.maximum(l2 - g, 0.0)))
+    tau = numeric.quadrature(_theta_rate(spec), 0.0, thetas, tol=1e-12)
+    start = tau[-1] if spec.sign > 0 else t_quad - tau[-1]  # the start's time past the minimum
+    gp = traj.dgammas[:, 0]
+    gap = traj.xs - traj.xs[0] + start - np.where(gp >= 0, tau[:-1], t_quad - tau[:-1])
+    gap -= t_quad * np.round(gap / t_quad)
+    return float(np.max(np.abs(gap * gp))) / (l2 - l3)

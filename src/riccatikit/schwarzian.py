@@ -42,6 +42,11 @@ def schwarz(phi):
     Invariant under constant fraction-linear maps of phi; equals c(x) when
     phi is a ratio of independent solutions of psi_xx = c psi.
     """
+    return _schwarz_and_size(phi)[0]
+
+
+def _schwarz_and_size(phi):
+    """schwarz(phi) and (phi''/phi')^2, the size of its two terms."""
     d1 = ex.diff(ex.as_expression(phi), "x")
     if ex.is_zero(d1):
         raise ValueError("phi is constant: the Schwarzian is undefined")
@@ -49,12 +54,21 @@ def schwarz(phi):
 
 
 def mobius_invariance(phi, maps, interval, s0):
-    """Largest |schwarz(m.apply(phi)) - s0| over the maps on sample points of ``interval``; NaN if any map's is NaN."""
+    """Largest |schwarz(m.apply(phi)) - s0| over the maps on sample points of ``interval``, relative to the terms.
+
+    Each point's gap is divided by the size of the Schwarzian's terms,
+    max(1, (phi''/phi')^2) of phi and of the mapped phi: next to a pole the
+    terms grow without bound and the gap is their rounding.  NaN if any
+    map's gap is NaN.
+    """
+    d1 = ex.diff(phi, "x")
+    size = _term_size(d1, ex.diff(d1, "x"))
     gaps = []
     for m in maps:
-        mapped = schwarz(m.apply(phi))
+        mapped, mapped_size = _schwarz_and_size(m.apply(phi))
         pts = sample_points([phi, s0, mapped], interval=interval)
-        gaps.append(np.max(np.abs(ex.sub(mapped, s0).evaluate(x=pts))))
+        sizes = np.maximum(1.0, np.maximum(size.evaluate(x=pts), mapped_size.evaluate(x=pts)))
+        gaps.append(np.max(np.abs(ex.sub(mapped, s0).evaluate(x=pts)) / sizes))
     return float(np.max(gaps, initial=0.0))
 
 
@@ -72,16 +86,22 @@ def dmod(a, interval=DEFAULT_INTERVAL):
     """
     a = ex.as_expression(a)
     _require_one_signed(a, interval)
-    return _modified_schwarzian(a)
+    return _modified_schwarzian(a)[0]
 
 
 def _modified_schwarzian(a):
-    """(3/4)(a'/a)^2 - (1/2) a''/a, without a check on the zeros of a."""
+    """(3/4)(a'/a)^2 - (1/2) a''/a and the size of its terms, (a'/a)^2, without a check on the zeros of a."""
     d1 = ex.diff(a, "x")
     d2 = ex.diff(d1, "x")
-    first = ex.mul(_THREE_QUARTERS, ex.intpow(ex.mul(d1, ex.recip(a)), 2))
+    size = _term_size(a, d1)
+    first = ex.mul(_THREE_QUARTERS, size)
     second = ex.mul(_HALF, d2, ex.recip(a))
-    return ex.sub(first, second)
+    return ex.sub(first, second), size
+
+
+def _term_size(a, d1):
+    """(a'/a)^2 from a and d1 = a', the size of the terms of a's modified Schwarzian."""
+    return ex.intpow(ex.mul(d1, ex.recip(a)), 2)
 
 
 def _require_one_signed(a, interval):

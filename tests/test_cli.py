@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,26 @@ class TestPoleSeries:
         assert names[0] == "zeroth_coefficient_vanishes" and names[-1] == "series_vs_ivp_near_pole"
 
 
+    def test_infinite_value_is_strict_json(self, tmp_path):
+        # the series is far from the IVP near this pole: the check's value is inf
+        assert cli.main(["pole-series", "--alpha", "-100", "--eps", "0", "--depth", "4", "--out", str(tmp_path)]) == 3
+        report = _strict_json(tmp_path / "pole_series_report.json")
+        assert report["checks"][-1]["value"] == "inf"
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_emit_json_writes_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "r.json"
+    cli.emit_json(path, {"a": [math.inf, -math.inf, math.nan, 1.5], "b": {"c": (math.nan,)}, "d": 2})
+    assert _strict_json(path) == {"a": ["inf", "-inf", "nan", 1.5], "b": {"c": ["nan"]}, "d": 2}
+
+
 def count_evaluate_calls(monkeypatch):
     shapes = []
     evaluate = ex.Expression.evaluate
@@ -209,7 +230,8 @@ class TestFiniteGap:
         ])
         assert code == 0
         report = read_report(tmp_path, "finite_gap")
-        assert report["period"] == pytest.approx(report["trajectory_period"], rel=1e-6)
+        assert report["period"] == pytest.approx(2.6220575542921198, rel=1e-12)  # scipy: 2 ellipk(0.5) / sqrt(2)
+        assert [c["name"] for c in report["checks"]] == ["energy_invariant_drift", "trajectory_vs_quadrature_phase"]
         assert all(c["pass"] for c in report["checks"])
         rows = read_csv(tmp_path / "finite_gap.csv")
         assert set(rows[0]) == {"x", "gamma", "u"}
@@ -230,7 +252,7 @@ class TestFiniteGap:
         assert code == 3
         checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
         assert not checks["energy_invariant_drift"]["pass"]
-        assert checks["energy_invariant_drift"]["value"] == checks["dubrovin_item1"]["value"]
+        assert list(checks) == ["energy_invariant_drift", "trajectory_vs_quadrature_phase"]
         assert len(read_csv(tmp_path / "finite_gap.csv")) == 25
 
     def test_narrow_band_runs_and_passes(self, tmp_path):
@@ -242,6 +264,25 @@ class TestFiniteGap:
         report = read_report(tmp_path, "finite_gap")
         assert all(c["pass"] for c in report["checks"])
         assert report["period"] == pytest.approx(1.5708945153735456, rel=1e-12)  # scipy: ellipk(2.5e-4)
+
+    @pytest.mark.parametrize("lambdas, grid", [("1,0.999,0", "0:12:0.01"), ("2,1,0", "0:2:0.01")])
+    def test_grid_shorter_than_two_maxima_passes(self, tmp_path, lambdas, grid):
+        # T = 9.68 and 2.62: neither grid holds two maxima, and every point is judged
+        code = cli.main(["finite-gap", "--lambdas", lambdas, "--gamma0", "0.5", "--grid", grid, "--out", str(tmp_path)])
+        assert code == 0
+        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        assert checks["trajectory_vs_quadrature_phase"]["value"] <= 1e-7
+
+    def test_near_soliton_phase_error_fails_the_phase_check(self, tmp_path):
+        # lambda1 - lambda2 = 1e-5: gamma lingers at its flat maximum, and the
+        # trajectory drifts about 1e-4 of the band off scipy's sn^2
+        code = cli.main(["finite-gap", "--lambdas", "1,0.99999,0", "--gamma0", "0.5", "--grid", "0:12:0.01",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        assert checks["energy_invariant_drift"]["pass"]
+        assert not checks["trajectory_vs_quadrature_phase"]["pass"]
+        assert checks["trajectory_vs_quadrature_phase"]["value"] == pytest.approx(1.15e-4, rel=0.05)
 
     def test_wide_band_keeps_its_energy_between_the_nodes(self, tmp_path):
         # lambda1 - lambda3 = 4: the grid is read between accepted steps, so the
@@ -268,6 +309,15 @@ class TestSeries:
         assert cli.main(["series", "--what", "zeta", "--depth", "1", "--out", str(tmp_path)]) == 0
         report = read_report(tmp_path, "series")
         assert report["coefficients"]["zeta_1"] == "-tanh(x)"
+
+
+class TestSchwarz:
+    def test_interval_holding_a_pole_passes(self, tmp_path):
+        # x = 1.5703 sits next to the pole of tan at pi/2: the gap is judged
+        # relative to the Schwarzian's terms, about 1.7e7 there
+        assert cli.main(["schwarz", "--phi", "tan(x)", "--grid", "0:3:0.5", "--out", str(tmp_path)]) == 0
+        (check,) = read_report(tmp_path, "schwarz")["checks"]
+        assert check["value"] <= 1e-12
 
 
 class TestValidation:
@@ -480,8 +530,7 @@ class TestVerify:
         for name in ("a1_limit_plus_infinity", "a1_limit_minus_infinity", "decay_at_far_field",
                      "wronskian_polynomial_match", "transparency_residual", "closed_form_match")
     } | {"interpolation_determinant_sign_constant", "zeta1_equals_a1", "kdv_density_time_drift"}
-    FINITEGAP_CHECKS = {"period_quadrature_vs_trajectory", "energy_invariant_drift", "periodicity_of_u",
-                        "dubrovin_item1", "dubrovin_division_remainder", "floquet_band_edge"}
+    FINITEGAP_CHECKS = {"energy_invariant_drift", "trajectory_vs_quadrature_phase", "floquet_band_edge"}
     SUITE_CHECKS = {
         "symbolic": {"series_f0_is_half_u1", "series_h1_is_half_u", "triangular_system_residual_orders_m2",
                      "order_matching_residual_m1", "leibniz_rule_exact", "derivative_vs_central_difference"},

@@ -86,3 +86,15 @@ def test_riccati_eq_has_no_residual_method():
     from riccatikit.riccati import RiccatiEq
 
     assert not hasattr(RiccatiEq, "residual")
+
+
+def test_finitegap_keeps_only_the_one_root_report():
+    from riccatikit import finitegap as fg
+
+    assert not hasattr(fg, "DubrovinReport")
+    assert not hasattr(fg.RootTrajectory, "n")
+    spec = fg.GapSpec(2.0, 1.0, 0.0, 0.5)
+    traj = fg.integrate_gamma(spec, (0.0, 1.0))
+    assert not hasattr(traj, "ddgammas")
+    assert list(inspect.signature(fg.dubrovin_checks).parameters) == ["traj", "c"]
+    assert set(fg.report(spec, traj, fg.period(spec))) == {"period", "checks"}

@@ -241,6 +241,23 @@ class TestMobiusInvariance:
         s0 = ex.add(sw.schwarz(self.PHI), ex.Real(1e-6))
         assert sw.mobius_invariance(self.PHI, self.MAPS, (-2, 2), s0) == pytest.approx(1e-6, rel=1e-3)
 
+    def test_gap_next_to_a_pole_is_relative_to_the_terms(self):
+        # [0, 3] holds the pole of tan at pi/2, where (phi''/phi')^2 reaches about 1.7e7
+        phi = ex.tan(X)
+        s0 = sw.schwarz(phi)
+        assert sw.mobius_invariance(phi, self.MAPS, (0.0, 3.0), s0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "text, interval",
+        [("tan(x)", (-1.0, 1.0)), ("exp(0.5*x)", (-1.0, 1.0)), ("x^3+0.75*x", (-1.0, 1.0)),
+         ("log(x+2)", (-1.0, 1.0)), ("tan(x)", (0.0, 3.0))],
+    )
+    def test_a_wrong_s0_fails_the_report(self, text, interval):
+        phi = ex.parse_expression(text)
+        (check,) = sw.report(phi, ex.add(sw.schwarz(phi), ex.Real(1e-6)), interval)["checks"]
+        assert check["value"] == pytest.approx(1e-6, rel=1e-3)
+        assert not check["pass"]
+
     def test_nan_gap_at_a_later_map_is_nan(self, monkeypatch):
         sample_points = sw.sample_points
         calls = []
