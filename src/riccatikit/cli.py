@@ -172,7 +172,9 @@ def cmd_solve_re(args):
 def cmd_hermite(args):
     n = args.n
     if not 0 <= n <= 16:
-        # past degree 16 the float witness check cannot verify H_n: every n = 17..24 fails it
+        # past degree 16 the float witness check cannot verify H_n: every n = 17..24 fails it; inside
+        # the bound n = 13 fails it too (residual 1.99e-9 against 1e-10), which an exact evaluation
+        # of the rational witness would mend (ROADMAP item 6)
         raise ConfigError("--n must lie in 0..16")
     return _finish(args.out, "hermite", {"command": "hermite", "n": n, **rc.hermite_report(n)})
 

@@ -11,8 +11,8 @@ is done numerically by the callers.
 
 Antiderivatives are produced in closed form for a useful set of patterns
 (polynomials, polynomial-times-exponential, tanh/sech^2/sec^2 and friends);
-everything else becomes a quadrature-backed node whose value is computed by
-adaptive quadrature from a fixed anchor point, for all points in one sweep.
+everything else becomes a quadrature node, the antiderivative in x from 0,
+whose value is computed by adaptive quadrature for all points in one sweep.
 """
 
 from __future__ import annotations
@@ -144,18 +144,16 @@ class Expression:
     def diff(self, var: str):
         raise NotImplementedError
 
-    def evaluate(self, bindings=None, **named):
+    def evaluate(self, **env):
         """Evaluate at a point or on arrays of points.
 
-        Variables are bound by dict or keyword arguments, to numbers or to
-        arrays.  At a point, a division by zero or the log of a non-positive
-        number raises EvalDomainError.  With array bindings the result is an
-        array of their broadcast shape, NaN at exactly the points where
-        evaluation at that point raises (NaN propagates through every node);
-        overflow gives inf.
+        Variables are bound by keyword arguments, to numbers or to arrays.
+        At a point, a division by zero or the log of a non-positive number
+        raises EvalDomainError.  With array bindings the result is an array
+        of their broadcast shape, NaN at exactly the points where evaluation
+        at that point raises (NaN propagates through every node); overflow
+        gives inf.
         """
-        env = dict(bindings) if bindings else {}
-        env.update(named)
         shape = None
         for name, v in env.items():
             if isinstance(v, np.ndarray) and v.ndim:
@@ -170,12 +168,9 @@ class Expression:
         raise NotImplementedError
 
     def variables(self):
-        out = set()
-        self._collect_vars(out)
-        return out
-
-    def _collect_vars(self, out):
-        pass
+        """Names of the variables; a quadrature node is a function of x."""
+        nodes = [n for n in _walk(self) if isinstance(n, (Var, Quadrature))]
+        return {"x" if isinstance(n, Quadrature) else n.name for n in nodes}
 
     def __repr__(self):
         return f"<expr {self}>"
@@ -193,9 +188,9 @@ class Expression:
 class Rational(Expression):
     __slots__ = ("value",)
 
-    def __init__(self, value, denominator=None):
+    def __init__(self, value):
         super().__init__()
-        self.value = Fraction(value) if denominator is None else Fraction(value, denominator)
+        self.value = Fraction(value)
 
     def _build_key(self):
         return (0, self.value.numerator, self.value.denominator)
@@ -255,9 +250,6 @@ class Var(Expression):
         except KeyError:
             raise EvalDomainError(f"unbound variable {self.name!r}") from None
 
-    def _collect_vars(self, out):
-        out.add(self.name)
-
     def _str(self, prec):
         return self.name
 
@@ -280,10 +272,6 @@ class Sum(Expression):
         for t in self.terms[1:]:
             total = total + t._eval(env)
         return total
-
-    def _collect_vars(self, out):
-        for t in self.terms:
-            t._collect_vars(out)
 
     def _str(self, prec):
         parts = [self.terms[0]._str(1)]
@@ -325,10 +313,6 @@ class Product(Expression):
             total = total * f._eval(env)
         return total
 
-    def _collect_vars(self, out):
-        for f in self.factors:
-            f._collect_vars(out)
-
     def _str(self, prec):
         parts = []
         for f in self.factors:
@@ -362,9 +346,6 @@ class IntPower(Expression):
     def _eval(self, env):
         return self.base._eval(env) ** self.exponent
 
-    def _collect_vars(self, out):
-        self.base._collect_vars(out)
-
     def _str(self, prec):
         s = f"{self.base._str(5)}^{self.exponent}"
         return f"({s})" if prec > 4 else s
@@ -385,9 +366,6 @@ class Neg(Expression):
 
     def _eval(self, env):
         return -self.arg._eval(env)
-
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
 
     def _str(self, prec):
         s = "-" + self.arg._str(3)
@@ -417,9 +395,6 @@ class Recip(Expression):
         if np.any(v == 0):
             raise EvalDomainError("division by zero")
         return 1.0 / v
-
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
 
     def _str(self, prec):
         s = f"1/{self.arg._str(5)}"
@@ -456,62 +431,50 @@ class Func(Expression):
             return np.where(v > 0, np.log(v), np.nan)
         return _FUNCTIONS[self.name][0](v)
 
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
-
     def _str(self, prec):
         return f"{self.name}({self.arg._str(0)})"
 
 
 class Quadrature(Expression):
-    """Antiderivative of ``integrand`` from ``anchor``, evaluated numerically.
+    """Antiderivative in x of ``integrand`` from 0, evaluated numerically to 1e-12.
 
-    Differentiating with respect to ``var`` returns the integrand, so the
-    family stays closed under differentiation.
+    Differentiating in x returns the integrand, so the family stays closed
+    under differentiation.
     """
 
-    __slots__ = ("integrand", "var", "anchor", "tol")
+    __slots__ = ("integrand",)
 
-    def __init__(self, integrand, var: str, anchor=0.0, tol=1e-12):
+    def __init__(self, integrand):
         super().__init__()
-        if integrand.variables() - {var}:
-            raise ValueError("quadrature integrand must depend only on its variable")
+        if integrand.variables() - {"x"}:
+            raise ValueError("quadrature integrand must depend only on x")
         self.integrand = integrand
-        self.var = var
-        self.anchor = float(anchor)
-        self.tol = tol
 
     def _build_key(self):
-        return (9, self.integrand.key(), self.var, self.anchor)
+        return (9, self.integrand.key())
 
     def diff(self, var):
-        if var == self.var:
-            return self.integrand
-        return ZERO
+        return self.integrand if var == "x" else ZERO
 
     def _eval(self, env):
-        x = env.get(self.var)
-        if x is None:
-            raise EvalDomainError(f"unbound variable {self.var!r}")
-        integrand, var = self.integrand, self.var
-        # one adaptive sweep from the anchor to every x; the integrand is
-        # evaluated on all nodes of a refinement pass at once, and where it
-        # is NaN (outside its domain) so is every x beyond
-        f = lambda t: _eval_masked(integrand, {var: t})
-        v = numeric.quadrature(f, self.anchor, x, tol=self.tol, domain=True)
+        x = _X._eval(env)
+        integrand = self.integrand
+        # one adaptive sweep from 0 to every x; the integrand is evaluated on
+        # all nodes of a refinement pass at once, and where it is NaN
+        # (outside its domain) so is every x beyond
+        f = lambda t: _eval_masked(integrand, {"x": t})
+        v = numeric.quadrature(f, 0.0, x, tol=1e-12, domain=True)
         if _MASKED not in env and np.isnan(v):
-            raise EvalDomainError(f"integrand is not finite between {self.anchor:g} and {float(x):g}")
+            raise EvalDomainError(f"integrand is not finite between 0 and {float(x):g}")
         return v
 
-    def _collect_vars(self, out):
-        out.add(self.var)
-
     def _str(self, prec):
-        return f"quad({self.integrand._str(0)}, d{self.var}, from={self.anchor:g})"
+        return f"quad({self.integrand._str(0)}, dx, from=0)"
 
 
 ZERO = Rational(0)
 ONE = Rational(1)
+_X = Var("x")
 
 _FUNCTIONS = {
     # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there))
@@ -546,13 +509,7 @@ def _leading_const(p):
 
 def _negate_leading(p):
     c = -_const_value(p.factors[0])
-    return mul(Rational(c) if isinstance(c, Fraction) else Real(c), *p.factors[1:])
-
-
-def _make_const(v):
-    if isinstance(v, Fraction):
-        return Rational(v)
-    return Real(v)
+    return mul(as_expression(c), *p.factors[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +550,9 @@ def add(*terms):
         elif coeff == -1:
             out.append(Neg(core))
         else:
-            out.append(mul(_make_const(coeff), core))
+            out.append(mul(as_expression(coeff), core))
     if const != 0:
-        out.append(_make_const(const))
+        out.append(as_expression(const))
     if not out:
         return ZERO
     out.sort(key=lambda e: e.key())
@@ -692,7 +649,7 @@ def mul(*factors):
             out.append(Recip(IntPower(base, -n)))
     out.sort(key=lambda e: e.key())
     if not out:
-        return _make_const(const)
+        return as_expression(const)
     if const == 1:
         pass
     elif const == -1:
@@ -700,7 +657,7 @@ def mul(*factors):
             return Neg(out[0])
         return Neg(Product(out))
     else:
-        out.insert(0, _make_const(const))
+        out.insert(0, as_expression(const))
     if len(out) == 1:
         return out[0]
     return Product(out)
@@ -710,7 +667,7 @@ def neg(e):
     e = as_expression(e)
     cv = _const_value(e)
     if cv is not None:
-        return _make_const(-cv)
+        return as_expression(-cv)
     if isinstance(e, Neg):
         return e.arg
     if isinstance(e, Sum):
@@ -805,8 +762,8 @@ def diff(e, var: str, order: int = 1):
     return out
 
 
-def evaluate(e, bindings=None, **named):
-    return as_expression(e).evaluate(bindings, **named)
+def evaluate(e, **env):
+    return as_expression(e).evaluate(**env)
 
 
 def variables(e):
@@ -814,45 +771,44 @@ def variables(e):
 
 
 def contains_quadrature(e):
-    if isinstance(e, Quadrature):
-        return True
-    if isinstance(e, Sum):
-        return any(contains_quadrature(t) for t in e.terms)
-    if isinstance(e, Product):
-        return any(contains_quadrature(f) for f in e.factors)
-    if isinstance(e, (Neg, Recip)):
-        return contains_quadrature(e.arg)
-    if isinstance(e, IntPower):
-        return contains_quadrature(e.base)
-    if isinstance(e, Func):
-        return contains_quadrature(e.arg)
-    return False
+    return any(isinstance(n, Quadrature) for n in _walk(e))
+
+
+def _walk(e):
+    """Every node of ``e``, once per occurrence; a quadrature node's integrand is not entered."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        for attr in ("terms", "factors", "base", "arg"):
+            child = getattr(node, attr, ())
+            stack.extend(child if isinstance(child, tuple) else (child,))
 
 
 # ---------------------------------------------------------------------------
 # closed-form antiderivatives with quadrature fallback
 
 
-def _linear_parts(e, var):
-    """Return (a, b) with e == a*var + b for structurally linear e, else None."""
+def _linear_parts(e):
+    """Return (a, b) with e == a*x + b for structurally linear e, else None."""
     if isinstance(e, Var):
-        return (Fraction(1), Fraction(0)) if e.name == var else None
+        return (Fraction(1), Fraction(0)) if e.name == "x" else None
     cv = _const_value(e)
     if cv is not None:
         return (Fraction(0), cv)
     if isinstance(e, Neg):
-        p = _linear_parts(e.arg, var)
+        p = _linear_parts(e.arg)
         return (-p[0], -p[1]) if p else None
     if isinstance(e, Product):
         coeff, core = _split_coeff(e)
-        if isinstance(core, Var) and core.name == var:
+        if isinstance(core, Var) and core.name == "x":
             return (coeff, Fraction(0))
         return None
     if isinstance(e, Sum):
         a = Fraction(0)
         b = Fraction(0)
         for t in e.terms:
-            p = _linear_parts(t, var)
+            p = _linear_parts(t)
             if p is None:
                 return None
             a, b = a + p[0], b + p[1]
@@ -860,20 +816,20 @@ def _linear_parts(e, var):
     return None
 
 
-def poly_coeffs(e, var):
-    """Ascending coefficients of ``e`` as a polynomial in ``var``, or None."""
+def poly_coeffs(e):
+    """Ascending coefficients of ``e`` as a polynomial in x, or None."""
     cv = _const_value(e)
     if cv is not None:
         return [cv]
     if isinstance(e, Var):
-        return [Fraction(0), Fraction(1)] if e.name == var else None
+        return [Fraction(0), Fraction(1)] if e.name == "x" else None
     if isinstance(e, Neg):
-        c = poly_coeffs(e.arg, var)
+        c = poly_coeffs(e.arg)
         return [-x for x in c] if c is not None else None
     if isinstance(e, Sum):
         out = []
         for t in e.terms:
-            c = poly_coeffs(t, var)
+            c = poly_coeffs(t)
             if c is None:
                 return None
             if len(c) > len(out):
@@ -882,9 +838,9 @@ def poly_coeffs(e, var):
                 out[i] = out[i] + x
         return out
     if isinstance(e, Product):
-        factors = [poly_coeffs(f, var) for f in e.factors]
+        factors = [poly_coeffs(f) for f in e.factors]
     elif isinstance(e, IntPower):
-        factors = [poly_coeffs(e.base, var)] * e.exponent
+        factors = [poly_coeffs(e.base)] * e.exponent
     else:
         return None
     if any(c is None for c in factors):
@@ -904,15 +860,13 @@ def _convolve(a, b):
     return out
 
 
-def _poly_expr(coeffs, var):
-    x = Var(var)
-    return add(*[mul(_make_const(c if isinstance(c, (Fraction, float)) else Fraction(c)), intpow(x, i)) for i, c in enumerate(coeffs)])
+def _poly_expr(coeffs):
+    return add(*[mul(as_expression(c), intpow(_X, i)) for i, c in enumerate(coeffs)])
 
 
-def _int_poly_times_exp(coeffs, w_a, w_b, var):
+def _int_poly_times_exp(coeffs, w_a, w_b):
     # integral of (sum c_i x^i) * exp(a x + b): repeated integration by parts
-    x = Var(var)
-    ew = exp(add(mul(_make_const(w_a), x), _make_const(w_b)))
+    ew = exp(add(mul(as_expression(w_a), _X), as_expression(w_b)))
     n = len(coeffs) - 1
     # solve d/dx (e^{ax+b} * sum q_i x^i) = e^{ax+b} * sum c_i x^i
     # => a q_i + (i+1) q_{i+1} = c_i
@@ -921,45 +875,44 @@ def _int_poly_times_exp(coeffs, w_a, w_b, var):
     q[n] = coeffs[n] / a
     for i in range(n - 1, -1, -1):
         q[i] = (coeffs[i] - (i + 1) * q[i + 1]) / a
-    return mul(ew, _poly_expr(q, var))
+    return mul(ew, _poly_expr(q))
 
 
-def antiderivative(e, var: str, anchor: float = 0.0):
-    """Closed-form antiderivative when a known pattern applies.
+def antiderivative(e):
+    """Antiderivative in x, in closed form when a known pattern applies.
 
-    Falls back to a quadrature-backed node anchored at ``anchor``.  No
+    Falls back to a quadrature node, the antiderivative from 0.  No
     integration constant is added: the pattern forms are used as-is.
     """
     e = as_expression(e)
-    x = Var(var)
 
-    c = poly_coeffs(e, var)
+    c = poly_coeffs(e)
     if c is not None:
-        return _poly_expr([Fraction(0)] + [ci / (i + 1) for i, ci in enumerate(c)], var)
+        return _poly_expr([Fraction(0)] + [ci / (i + 1) for i, ci in enumerate(c)])
 
     if isinstance(e, Sum):
         done = []
         failed = []
         for t in e.terms:
-            r = _antiderivative_term(t, var)
+            r = _antiderivative_term(t)
             if r is None:
                 failed.append(t)
             else:
                 done.append(r)
         if failed:
-            done.append(Quadrature(add(*failed), var, anchor))
+            done.append(Quadrature(add(*failed)))
         return add(*done)
 
-    r = _antiderivative_term(e, var)
+    r = _antiderivative_term(e)
     if r is not None:
         return r
-    return Quadrature(e, var, anchor)
+    return Quadrature(e)
 
 
-def _antiderivative_term(e, var):
-    c = poly_coeffs(e, var)
+def _antiderivative_term(e):
+    c = poly_coeffs(e)
     if c is not None:
-        return _poly_expr([Fraction(0)] + [ci / (i + 1) for i, ci in enumerate(c)], var)
+        return _poly_expr([Fraction(0)] + [ci / (i + 1) for i, ci in enumerate(c)])
 
     coeff, core = _split_coeff(e)
     factors = core.factors if isinstance(core, Product) else (core,)
@@ -967,56 +920,55 @@ def _antiderivative_term(e, var):
     poly_factors = []
     special = []
     for f in factors:
-        if poly_coeffs(f, var) is not None:
+        if poly_coeffs(f) is not None:
             poly_factors.append(f)
         else:
             special.append(f)
     if len(special) != 1:
         return None
     sp = special[0]
-    pc = poly_coeffs(mul(*poly_factors), var) if poly_factors else [Fraction(1)]
+    pc = poly_coeffs(mul(*poly_factors)) if poly_factors else [Fraction(1)]
     pc = [coeff * q for q in pc]
-    x = Var(var)
 
     base, n = _split_power(sp)
     if isinstance(base, Func):
-        lin = _linear_parts(base.arg, var)
+        lin = _linear_parts(base.arg)
         if lin is None or lin[0] == 0:
             return None
         a = lin[0]
         name = base.name
         if name == "exp" and n == 1:
-            return _int_poly_times_exp(pc, a, lin[1], var)
+            return _int_poly_times_exp(pc, a, lin[1])
         if len(pc) > 1 or pc[0] == 0:
             return None  # only bare special factors beyond the exp case
         k = pc[0]
         w = base.arg
         if name == "tanh" and n == 1:
-            return mul(_make_const(k / a), log(cosh(w)))
+            return mul(as_expression(k / a), log(cosh(w)))
         if name == "sinh" and n == 1:
-            return mul(_make_const(k / a), cosh(w))
+            return mul(as_expression(k / a), cosh(w))
         if name == "cosh" and n == 1:
-            return mul(_make_const(k / a), sinh(w))
+            return mul(as_expression(k / a), sinh(w))
         if name == "cosh" and n == -2:
-            return mul(_make_const(k / a), tanh(w))
+            return mul(as_expression(k / a), tanh(w))
         if name == "sin" and n == 1:
-            return mul(_make_const(-k / a), cos(w))
+            return mul(as_expression(-k / a), cos(w))
         if name == "cos" and n == 1:
-            return mul(_make_const(k / a), sin(w))
+            return mul(as_expression(k / a), sin(w))
         if name == "cos" and n == -2:
-            return mul(_make_const(k / a), tan(w))
+            return mul(as_expression(k / a), tan(w))
         return None
 
     # (a x + b)^n for negative n (positive handled by the polynomial path)
-    lin = _linear_parts(base, var)
+    lin = _linear_parts(base)
     if lin is not None and lin[0] != 0 and n < 0:
         if len(pc) > 1 or pc[0] == 0:
             return None
         k = pc[0]
         a = lin[0]
         if n == -1:
-            return mul(_make_const(k / a), log(base))
-        return mul(_make_const(k / (a * (n + 1))), intpow(base, n + 1))
+            return mul(as_expression(k / a), log(base))
+        return mul(as_expression(k / (a * (n + 1))), intpow(base, n + 1))
     return None
 
 

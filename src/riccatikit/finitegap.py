@@ -120,10 +120,10 @@ class RootTrajectory:
         return list(0.5 * (lo + hi))
 
 
-def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=None):
+def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
     """Root-variable trajectory from the second-order form gamma'' = C'(gamma)/2.
 
-    The drift of the first integral gamma'^2 - C(gamma) is not judged here:
+    Dormand-Prince to tolerance 1e-12, or RK4 with ``fixed_step``.  The drift of the first integral gamma'^2 - C(gamma) is not judged here:
     ``report`` checks it as ``energy_invariant_drift``.
     """
     c = c_poly(spec)
@@ -134,7 +134,7 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, tol=1e-12, fixed_step=
         return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as np.polyval of np.polyder(c) rounds
 
     y0 = _gamma_start(spec, c)
-    traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=tol, fixed_step=fixed_step)
+    traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=1e-12, fixed_step=fixed_step)
 
     xs = np.arange(x_range[0], x_range[1] + 0.5 * step, step)
     states = traj(xs)
@@ -149,7 +149,7 @@ def _gamma_start(spec, c):
     return np.array([spec.gamma0, spec.sign * math.sqrt(c0)])
 
 
-def period(spec, tol=1e-12):
+def period(spec):
     """Oscillation period: the band integral of 1/sqrt of the triple product.
 
     T = int_{lambda3}^{lambda2} dl / sqrt((lambda1 - l)(lambda2 - l)(l - lambda3)).
@@ -161,6 +161,7 @@ def period(spec, tol=1e-12):
     limits stay accurate: lambda2 -> lambda3 and lambda2 -> lambda1 (the
     near-soliton limit).  A collapsed band lambda2 - lambda3 < 1e-12 is
     refused: gamma has no room to oscillate, though T itself stays finite.
+    The quadrature tolerance is 1e-12.
     """
     l1, l2, l3 = spec.lams
     if l2 - l3 < 1e-12:
@@ -169,7 +170,7 @@ def period(spec, tol=1e-12):
             "(the period does not diverge; it tends to pi / sqrt(lambda1 - lambda3))"
         )
     rate = _theta_rate(spec)
-    return numeric.quadrature(lambda theta: 2.0 * rate(theta), 0.0, math.pi / 2, tol=tol)
+    return numeric.quadrature(lambda theta: 2.0 * rate(theta), 0.0, math.pi / 2, tol=1e-12)
 
 
 def _theta_rate(spec):

@@ -3,10 +3,11 @@
 Adaptive Dormand-Prince 5(4) integration and fixed-step RK4, both on lists
 of Python floats, with dense output in one array pass per call, for one
 point or a whole grid of x (Dormand-Prince's quartic continuous extension,
-or a cubic Hermite for RK4); adaptive Gauss-Kronrod quadrature to a whole
-array of upper limits in one sweep; and small dense LU solves with reusable
-factorizations.  Polynomials across the package are numpy's descending
-coefficient arrays, evaluated with np.polyval.
+or a cubic Hermite for RK4); adaptive Gauss-Kronrod quadrature between
+finite limits, to a whole array of upper limits in one sweep, capped at
+4000 intervals; and small dense LU solves with reusable factorizations.
+Polynomials across the package are numpy's descending coefficient arrays,
+evaluated with np.polyval.
 """
 
 from __future__ import annotations
@@ -387,7 +388,10 @@ def _gk15(f, lo, hi):
     return kg[:, 0] * h, np.abs((kg[:, 0] - kg[:, 1]) * h), finite
 
 
-def quadrature(f, a, b, tol=1e-10, max_intervals=4000, domain=False):
+_MAX_INTERVALS = 4000
+
+
+def quadrature(f, a, b, tol=1e-10, domain=False):
     """Adaptive integral of ``f`` from ``a`` to ``b``, a number or an array.
 
     ``f`` maps an array of abscissae to an array of values.  One adaptive
@@ -396,9 +400,9 @@ def quadrature(f, a, b, tol=1e-10, max_intervals=4000, domain=False):
     otherwise); for every returned value I(x) the summed error estimate
     between a and x is at most tol * max(1, |I(x)|).  Each refinement pass
     calls f once, on the 15 Gauss-Kronrod nodes of every interval still being
-    refined.  Infinite limits are mapped through x = tan(theta).  A NaN
-    limit, a non-finite integrand value, or more than ``max_intervals``
-    intervals plus one per further breakpoint raises QuadratureError.
+    refined.  The limits must be finite: a NaN or infinite limit, a
+    non-finite integrand value, or more than 4000 intervals plus one per
+    further breakpoint raises QuadratureError.
 
     With ``domain`` a non-finite integrand value marks the edge of the
     integrand's domain instead: seen from a, the far end of the gap between
@@ -407,11 +411,8 @@ def quadrature(f, a, b, tol=1e-10, max_intervals=4000, domain=False):
     """
     a = float(a)
     bs = np.asarray(b, dtype=float)
-    if math.isnan(a) or np.isnan(bs).any():
-        raise QuadratureError("quadrature limit is NaN")
-    if math.isinf(a) or np.isinf(bs).any():
-        g = lambda t: f(np.tan(t)) / np.cos(t) ** 2
-        return quadrature(g, np.arctan(a), np.arctan(bs), tol=tol, max_intervals=max_intervals, domain=domain)
+    if not (math.isfinite(a) and np.isfinite(bs).all()):
+        raise QuadratureError("quadrature limit is not finite")
     if bs.ndim == 0:
         if bs == a:
             return 0.0
@@ -426,7 +427,7 @@ def quadrature(f, a, b, tol=1e-10, max_intervals=4000, domain=False):
     gaps = len(pts) - 1
     dist = np.abs(pts - a)
     dist[ia] = 1.0
-    limit = max_intervals + gaps - 1
+    limit = _MAX_INTERVALS + gaps - 1
     # gap k joins breakpoints k and k + 1 and runs from the end nearer to a,
     # so its integral carries the sign the breakpoints beyond it need
     lo = np.concatenate([pts[1 : ia + 1], pts[ia:-1]])

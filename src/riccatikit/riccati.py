@@ -125,23 +125,23 @@ class MobiusMap:
         )
 
 
-def sample_points(exprs, interval=DEFAULT_INTERVAL, n=SAMPLE_COUNT):
-    """Evaluation points in the working interval where all exprs stay finite.
+def sample_points(exprs, interval=DEFAULT_INTERVAL):
+    """SAMPLE_COUNT evaluation points in the interval where all exprs stay finite.
 
     Singular points (evaluation errors or magnitudes above 1e8) are
-    skipped; at least half of the requested points must survive.  Each
+    skipped; at least half of the SAMPLE_COUNT points must survive.  Each
     expression is evaluated once, on the candidates that the previous ones
     left.  Returns an array.
     """
     lo, hi = interval
-    pts = np.linspace(lo, hi, 4 * n + 1)[1:-1]
+    pts = np.linspace(lo, hi, 4 * SAMPLE_COUNT + 1)[1:-1]
     for e in exprs:
         v = ex.as_expression(e).evaluate(x=pts)
         pts = pts[np.abs(v) <= 1e8]  # NaN and inf fail the comparison
-    if len(pts) < n // 2:
+    if len(pts) < SAMPLE_COUNT // 2:
         raise ValueError("could not find enough regular sample points in the interval")
-    stride = max(1, len(pts) // n)
-    return pts[::stride][:n]
+    stride = max(1, len(pts) // SAMPLE_COUNT)
+    return pts[::stride][:SAMPLE_COUNT]
 
 
 def _points(points, exprs):
@@ -165,9 +165,9 @@ def riccati_residual(eq, phi, points=None):
     dphi = ex.diff(phi, "x")
     rhs = ex.add(ex.mul(eq.a, ex.intpow(phi, 2)), ex.mul(eq.b, phi), eq.c)
     res = ex.sub(dphi, rhs)
-    env = {"x": _points(points, [phi, res])}
-    scale = np.maximum(1.0, np.maximum(np.abs(rhs.evaluate(env)), np.abs(dphi.evaluate(env))))
-    return float(np.max(np.abs(res.evaluate(env)) / scale, initial=0.0))
+    pts = _points(points, [phi, res])
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs.evaluate(x=pts)), np.abs(dphi.evaluate(x=pts))))
+    return float(np.max(np.abs(res.evaluate(x=pts)) / scale, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +246,9 @@ def transform_report(eq, m):
 class SolutionFamily:
     """One-parameter family C -> Expression of solutions of one equation."""
 
-    def __init__(self, eq, build, particular=None):
+    def __init__(self, eq, build):
         self.eq = eq
         self._build = build
-        self.particular = particular
 
     def __call__(self, constant):
         return self._build(ex.as_expression(constant))
@@ -264,8 +263,8 @@ def general_from_particular(eq, phi1=None):
     linear equation for w which is solved by variation of constants.
     """
     if eq.is_linear:
-        z = ex.exp(ex.antiderivative(eq.b, "x"))
-        f = ex.antiderivative(ex.mul(eq.c, ex.recip(z)), "x")
+        z = ex.exp(ex.antiderivative(eq.b))
+        f = ex.antiderivative(ex.mul(eq.c, ex.recip(z)))
         return SolutionFamily(eq, lambda c: ex.mul(z, ex.add(f, c)))
 
     if phi1 is None:
@@ -276,15 +275,15 @@ def general_from_particular(eq, phi1=None):
         raise ValueError(f"phi1 is not a solution: relative residual {r:.3g}")
 
     b_tilde = ex.add(eq.b, ex.mul(2, eq.a, phi1))
-    z = ex.exp(ex.antiderivative(ex.neg(b_tilde), "x"))
+    z = ex.exp(ex.antiderivative(ex.neg(b_tilde)))
     # phi = phi1 + 1/w with w' = -b_tilde w - a, solved by variation of constants
-    f = ex.antiderivative(ex.neg(ex.mul(eq.a, ex.recip(z))), "x")
+    f = ex.antiderivative(ex.neg(ex.mul(eq.a, ex.recip(z))))
 
     def build(c):
         w = ex.mul(z, ex.add(f, c))
         return ex.add(phi1, ex.recip(w))
 
-    return SolutionFamily(eq, build, particular=phi1)
+    return SolutionFamily(eq, build)
 
 
 def family_report(eq, solutions):
@@ -351,7 +350,7 @@ def canonical_form(l):
         ex.neg(ex.mul(ex.Rational(Fraction(1, 4)), ex.intpow(l.b, 2))),
         ex.mul(ex.Rational(Fraction(1, 2)), ex.diff(l.b, "x")),
     )
-    gauge = ex.exp(ex.mul(ex.Rational(Fraction(1, 2)), ex.antiderivative(l.b, "x")))
+    gauge = ex.exp(ex.mul(ex.Rational(Fraction(1, 2)), ex.antiderivative(l.b)))
     return c_hat, gauge
 
 
@@ -369,7 +368,7 @@ def second_solution(l, psi1, interval=DEFAULT_INTERVAL):
     finite = vals[np.isfinite(vals)]
     if finite.size and (np.nanmin(finite) < 0 < np.nanmax(finite) or np.any(finite == 0)):
         raise ValueError("psi1 changes sign or vanishes in the interval; split the quadrature")
-    integral = ex.antiderivative(ex.recip(ex.intpow(psi1, 2)), "x")
+    integral = ex.antiderivative(ex.recip(ex.intpow(psi1, 2)))
     return ex.mul(psi1, integral)
 
 
@@ -488,20 +487,15 @@ def pole_series(alpha, eps, depth):
         (j + 2) a_j + sum_{i+l=j-1} a_i a_l = [x^2 + alpha]_{j-1},
 
     where the right-hand side collects the coefficient of (x + eps)^{j-1} in
-    (s - eps)^2 + alpha.  Exact rationals when alpha and eps are rational.
+    (s - eps)^2 + alpha.  The coefficients are exact rationals: alpha and eps
+    are taken as Fractions, a float at its exact binary value.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    exact = not (isinstance(alpha, float) or isinstance(eps, float))
-    if exact:
-        alpha = Fraction(alpha)
-        eps = Fraction(eps)
-        zero = Fraction(0)
-    else:
-        alpha = float(alpha)
-        eps = float(eps)
-        zero = 0.0
-    rhs = {0: eps * eps + alpha, 1: -2 * eps, 2: zero + 1}
+    alpha = Fraction(alpha)
+    eps = Fraction(eps)
+    zero = Fraction(0)
+    rhs = {0: eps * eps + alpha, 1: -2 * eps, 2: Fraction(1)}
     a = [zero]
     for j in range(1, depth + 1):
         conv = sum((a[i] * a[j - 1 - i] for i in range(j)), zero)
@@ -659,15 +653,15 @@ class KovalevskiiReport:
     span: tuple
 
 
-def kovalevskii_check(n, y0, span, tol=1e-10):
+def kovalevskii_check(n, y0, span):
     """Integrate y_j' = s y_j - 2 y_j^2 (s = sum of all y) and track integrals.
 
     For n = 3 the quadratic integrals F1 = (y1 - y2) y3 and F2 = (y2 - y3) y1
     are monitored; for n >= 4 every 4-index cross-ratio
     (y_l - y_i)(y_k - y_j) / ((y_l - y_j)(y_k - y_i)), whose log-derivative
     telescopes to zero along the flow.  Reports the maximal relative drift
-    over the span.  Blow-up during integration raises IntegrationBlowUp with
-    the location.
+    over the span, integrated to tolerance 1e-10.  Blow-up during integration
+    raises IntegrationBlowUp with the location.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -681,7 +675,7 @@ def kovalevskii_check(n, y0, span, tol=1e-10):
         s = sum(y)
         return [s * v - 2 * v * v for v in y]
 
-    traj = numeric.integrate_ivp(rhs, span[0], y0, span[1], tol=tol)
+    traj = numeric.integrate_ivp(rhs, span[0], y0, span[1], tol=1e-10)
     xs = np.linspace(span[0], span[1], 201)
     ys = traj(xs)
 

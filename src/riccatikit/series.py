@@ -244,31 +244,22 @@ def modschwarz_residual(h, m):
     return hx * hx * Fraction(3, 4) - h * hxx * Fraction(1, 2) + (h2 * h2).shift(m) - potential_series(m) * h2
 
 
-def zeta_chain(u, count, constants=None, allow_quadrature=True):
+def zeta_chain(u, count):
     """Coefficients zeta_1..zeta_count of the truncated wavefunction series.
 
     Each step integrates zeta_{j+1}' = (u zeta_j - zeta_j'')/2 in closed form
-    when the integrand matches a known pattern; otherwise a quadrature-backed
-    antiderivative is used (or an error raised when ``allow_quadrature`` is
-    false).  ``constants`` supplies one integration constant per step,
-    defaulting to zero, which for decaying potentials reproduces the
-    symmetric-tail normalisation of the solitonic chain.
+    when the integrand matches a known pattern, else as a quadrature node.
+    Every integration constant is zero, which for decaying potentials
+    reproduces the symmetric-tail normalisation of the solitonic chain.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    constants = list(constants) if constants is not None else [0] * count
-    if len(constants) != count:
-        raise ValueError("need one integration constant per chain element")
-
     u = ex.as_expression(u)
     out = []
     zeta = ex.ONE
-    for j in range(count):
+    for _ in range(count):
         integrand = ex.mul(ex.Rational(Fraction(1, 2)), ex.sub(ex.mul(u, zeta), ex.diff(zeta, "x", 2)))
-        anti = ex.antiderivative(integrand, "x")
-        if ex.contains_quadrature(anti) and not allow_quadrature:
-            raise ValueError(f"no closed-form antiderivative for zeta_{j + 1}")
-        zeta = ex.add(anti, ex.as_expression(constants[j]))
+        zeta = ex.antiderivative(integrand)
         out.append(zeta)
     return out
 

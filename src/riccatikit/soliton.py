@@ -390,7 +390,7 @@ def _kp_residual_terms(spec):
 def _max_abs_on_grid(e, **axes):
     """max |e| over the tensor grid of the 1-D sample axes, NaN if e is undefined at any point."""
     grid = np.meshgrid(*(np.asarray(v, dtype=float) for v in axes.values()), indexing="ij")
-    return float(np.max(np.abs(e.evaluate(dict(zip(axes, grid))))))
+    return float(np.max(np.abs(e.evaluate(**dict(zip(axes, grid))))))
 
 
 def _fd_kp(spec, x, y, t, h):

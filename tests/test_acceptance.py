@@ -6,6 +6,8 @@ KP equation (see the decisions ledger); the criterion is asserted as stated
 rather than weakened.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ def test_criterion_05_series_engine():
 
 def test_criterion_06_schwarzian_invariance():
     rng = np.random.default_rng(1234)
-    phi = ex.add(ex.Var("x"), ex.mul(ex.Rational(1, 5), ex.exp(ex.Var("x"))))
+    phi = ex.add(ex.Var("x"), ex.mul(ex.Rational(Fraction(1, 5)), ex.exp(ex.Var("x"))))
     s0 = sw.schwarz(phi)
     worst = 0.0
     count = 0
@@ -102,7 +104,7 @@ def test_criterion_06_schwarzian_invariance():
         m = rc.MobiusMap(alpha, beta, gamma, delta)
         gap = ex.sub(sw.schwarz(m.apply(phi)), s0)
         den = ex.add(ex.mul(m.gamma, phi), m.delta)
-        pts = rc.sample_points([gap, ex.recip(den)], interval=(-2.0, 2.0), n=32)
+        pts = rc.sample_points([gap, ex.recip(den)], interval=(-2.0, 2.0))
         worst = max(worst, max(abs(gap.evaluate(x=p)) for p in pts))
     ok = worst <= 1e-9
     report(6, ok, f"Schwarzian invariance over 20 random maps at 32 points: {worst:.3g} (tol 1e-9)")
@@ -198,7 +200,7 @@ def test_criterion_11_kovalevskii():
         (4, (1.0, 2.0, 3.0, 4.0), (0.0, 0.12)),
         (5, (1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 0.08)),
     ):
-        rep = rc.kovalevskii_check(n, y0, span, tol=1e-10)
+        rep = rc.kovalevskii_check(n, y0, span)
         worst = max(worst, rep.max_drift)
     ok = worst <= 1e-7
     report(11, ok, f"Kovalevskii integrals drift over finite-existence spans: {worst:.3g} (tol 1e-7)")
@@ -208,10 +210,9 @@ def test_criterion_12_cross_ratio_conservation():
     eq = rc.RiccatiEq(1, ex.parse_expression("sin(x)/2"), ex.parse_expression("-1 - x/10"))
 
     def rhs(x, y):
-        env = {"x": x}
-        a = eq.a.evaluate(env)
-        b = eq.b.evaluate(env)
-        c = eq.c.evaluate(env)
+        a = eq.a.evaluate(x=x)
+        b = eq.b.evaluate(x=x)
+        c = eq.c.evaluate(x=x)
         return (a * y[0] ** 2 + b * y[0] + c,)
 
     trajs = [

@@ -208,9 +208,9 @@ def count_evaluate_calls(monkeypatch):
     shapes = []
     evaluate = ex.Expression.evaluate
 
-    def recording(self, *args, **kw):
+    def recording(self, **kw):
         shapes.append({k: np.shape(v) for k, v in kw.items()})
-        return evaluate(self, *args, **kw)
+        return evaluate(self, **kw)
 
     monkeypatch.setattr(ex.Expression, "evaluate", recording)
     return shapes

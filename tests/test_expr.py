@@ -39,7 +39,7 @@ class TestDiff:
         assert oracle == pytest.approx(-0.7357588823, abs=1e-9)
 
     def test_derivative_closed_on_quadrature_node(self):
-        g = ex.antiderivative(ex.parse_expression("exp(-x^2)"), "x")
+        g = ex.antiderivative(ex.parse_expression("exp(-x^2)"))
         assert ex.contains_quadrature(g)
         back = ex.diff(g, "x")
         assert back == ex.parse_expression("exp(-x^2)")
@@ -149,7 +149,7 @@ class TestArrayEvaluation:
             ex.add(X, ex.Var("y")).evaluate(x=self.XS)
 
     def test_quadrature_node_in_one_sweep(self):
-        f = ex.antiderivative(ex.parse_expression("exp(-x^2)"), "x")
+        f = ex.antiderivative(ex.parse_expression("exp(-x^2)"))
         xs = np.array([[1.5, -0.75], [0.0, 2.0]])
         got = f.evaluate(x=xs)
         assert got.shape == xs.shape
@@ -162,8 +162,8 @@ class TestArrayEvaluation:
                                              ("exp(log(1 - x^2))", lambda x: x - x**3 / 3)])
     def test_quadrature_nan_beyond_the_integrand_domain(self, text, exact):
         # the integrand is NaN outside its domain, and so is the antiderivative
-        # at every x whose path from the anchor leaves it
-        f = ex.Quadrature(ex.parse_expression(text), "x", anchor=0.0)
+        # at every x whose path from 0 leaves it
+        f = ex.Quadrature(ex.parse_expression(text))
         xs = np.linspace(-5.0, 5.0, 41)
         got = f.evaluate(x=xs)
         ref = pointwise(f, xs)
@@ -201,11 +201,12 @@ class TestSimplification:
         assert isinstance(e, ex.Product)
 
 
-def _trees():
+def _trees(*extra_leaves):
     """Random expressions with Rational constants, built by the smart constructors."""
     leaves = st.one_of(
         st.sampled_from([X, Y]),
         st.builds(lambda n, d: ex.Rational(Fraction(n, d)), st.integers(-9, 9), st.integers(1, 4)),
+        *extra_leaves,
     )
 
     def extend(kids):
@@ -301,13 +302,64 @@ class TestParser:
         if not any(isinstance(s, ex.Neg) and isinstance(s.arg, ex.Sum) for s in _subtrees(e)):
             assert back == e
         pts = {"x": np.linspace(0.3, 1.7, 7), "y": np.linspace(-1.1, 0.9, 7)}
-        np.testing.assert_allclose(back.evaluate(pts), e.evaluate(pts), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(back.evaluate(**pts), e.evaluate(**pts), rtol=1e-9, atol=1e-9)
+
+
+class TestQuadratureNode:
+    GAUSS = ex.parse_expression("exp(-x^2)")
+
+    def test_printed_form(self):
+        f = ex.antiderivative(ex.parse_expression("x + exp(-x^2)"))
+        assert str(f) == "(1/2)*x^2 + quad(exp(-x^2), dx, from=0)"
+
+    def test_sort_position_after_every_other_node(self):
+        q = ex.Quadrature(self.GAUSS)
+        assert str(ex.add(q, ex.exp(X), 3, X)) == "3 + x + exp(x) + quad(exp(-x^2), dx, from=0)"
+        assert str(ex.mul(ex.exp(X), q, X)) == "x*exp(x)*quad(exp(-x^2), dx, from=0)"
+
+    def test_key_equality(self):
+        q = ex.Quadrature(self.GAUSS)
+        same = ex.Quadrature(ex.parse_expression("exp(-x^2)"))
+        assert q == same and hash(q) == hash(same)
+        assert q != ex.Quadrature(ex.parse_expression("exp(-x^3)"))
+        assert ex.is_zero(ex.sub(q, same))
+
+    def test_integrand_in_another_variable_is_rejected(self):
+        with pytest.raises(ValueError):
+            ex.Quadrature(ex.add(X, Y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees(st.sampled_from([ex.Quadrature(GAUSS), ex.Quadrature(ex.parse_expression("x*tanh(x)"))])))
+    def test_tree_walk_matches_recursion(self, e):
+        assert e.variables() == _reference_variables(e)
+        assert ex.contains_quadrature(e) is _reference_contains_quadrature(e)
+
+
+def _children(e):
+    if isinstance(e, ex.Sum):
+        return e.terms
+    if isinstance(e, ex.Product):
+        return e.factors
+    if isinstance(e, ex.IntPower):
+        return (e.base,)
+    if isinstance(e, (ex.Neg, ex.Recip, ex.Func)):
+        return (e.arg,)
+    return ()
+
+
+def _reference_variables(e):
+    own = {e.name} if isinstance(e, ex.Var) else {"x"} if isinstance(e, ex.Quadrature) else set()
+    return own.union(*map(_reference_variables, _children(e)))
+
+
+def _reference_contains_quadrature(e):
+    return isinstance(e, ex.Quadrature) or any(map(_reference_contains_quadrature, _children(e)))
 
 
 class TestAntiderivative:
     def check(self, text, lo=-2.0, hi=2.0):
         e = ex.parse_expression(text)
-        f = ex.antiderivative(e, "x")
+        f = ex.antiderivative(e)
         d = ex.diff(f, "x")
         for p in np.linspace(lo, hi, 9):
             assert d.evaluate(x=float(p)) == pytest.approx(e.evaluate(x=float(p)), rel=1e-12, abs=1e-12)
@@ -322,11 +374,11 @@ class TestAntiderivative:
         assert not ex.contains_quadrature(f)
 
     def test_sech_squared(self):
-        f = ex.antiderivative(ex.parse_expression("-1/cosh(x)^2"), "x")
+        f = ex.antiderivative(ex.parse_expression("-1/cosh(x)^2"))
         assert f == ex.neg(ex.tanh(X))
 
     def test_sec_squared(self):
-        f = ex.antiderivative(ex.parse_expression("1/cos(x)^2"), "x")
+        f = ex.antiderivative(ex.parse_expression("1/cos(x)^2"))
         assert f == ex.tan(X)
 
     def test_tanh(self):
@@ -334,13 +386,13 @@ class TestAntiderivative:
         assert not ex.contains_quadrature(f)
 
     def test_inverse_linear(self):
-        f = ex.antiderivative(ex.parse_expression("1/(2*x+6)"), "x")
+        f = ex.antiderivative(ex.parse_expression("1/(2*x+6)"))
         d = ex.diff(f, "x")
         for p in (0.0, 1.0, 2.5):
             assert d.evaluate(x=p) == pytest.approx(1.0 / (2 * p + 6), rel=1e-12)
 
     def test_gaussian_falls_back_to_quadrature(self):
-        f = ex.antiderivative(ex.parse_expression("exp(-x^2)"), "x")
+        f = ex.antiderivative(ex.parse_expression("exp(-x^2)"))
         assert ex.contains_quadrature(f)
         # oracle: the error function
         for p in (0.5, 1.0, 2.0):
@@ -348,7 +400,7 @@ class TestAntiderivative:
             assert f.evaluate(x=p) == pytest.approx(expected, abs=1e-11)
 
     def test_mixed_sum_splits_cleanly(self):
-        f = ex.antiderivative(ex.parse_expression("x + exp(-x^2)"), "x")
+        f = ex.antiderivative(ex.parse_expression("x + exp(-x^2)"))
         assert ex.contains_quadrature(f)
         d = ex.diff(f, "x")
         for p in (0.2, 0.9):

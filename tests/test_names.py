@@ -98,3 +98,62 @@ def test_finitegap_keeps_only_the_one_root_report():
     assert not hasattr(traj, "ddgammas")
     assert list(inspect.signature(fg.dubrovin_checks).parameters) == ["traj", "c"]
     assert set(fg.report(spec, traj, fg.period(spec))) == {"period", "checks"}
+
+
+SET_BY_CALLER = "a caller in src or bench sets it"
+LIBRARY_OPTION = "a library option that only the tests set"
+KP_FIELDS = "soliton's y/t fields, which stay until ROADMAP item 9 replaces them"
+
+# Every defaulted parameter of a public callable is an option someone can set.
+# A new one fails test_knob_inventory until it is listed here with its reason.
+KNOBS = {
+    ("cli.main", "argv"): "None reads sys.argv for the console script; tests and bench pass a list",
+    ("diffpoly.DiffPolynomial.__init__", "coeffs"): "None is the zero polynomial",
+    ("diffpoly.DiffPolynomial.symbol", "index"): SET_BY_CALLER,
+    ("diffpoly.DiffPolynomial.symbol", "order"): SET_BY_CALLER,
+    ("diffpoly.format_diffpoly", "single"): SET_BY_CALLER,
+    ("expr.diff", "order"): SET_BY_CALLER,
+    ("finitegap.GapSpec.__init__", "sign"): SET_BY_CALLER,
+    ("finitegap.RootTrajectory.__init__", "dense"): SET_BY_CALLER,
+    ("finitegap.RootTrajectory.turning_points", "kind"): LIBRARY_OPTION,
+    ("finitegap.integrate_gamma", "x_range"): SET_BY_CALLER,
+    ("finitegap.integrate_gamma", "step"): SET_BY_CALLER,
+    ("finitegap.integrate_gamma", "fixed_step"): SET_BY_CALLER,
+    ("numeric.IntegrationBlowUp.__init__", "trajectory"): SET_BY_CALLER,
+    ("numeric.Trajectory.__init__", "stages"): SET_BY_CALLER,
+    ("numeric.integrate_ivp", "tol"): SET_BY_CALLER,
+    ("numeric.integrate_ivp", "fixed_step"): SET_BY_CALLER,
+    ("numeric.quadrature", "tol"): SET_BY_CALLER,
+    ("numeric.quadrature", "domain"): "set by expr.Quadrature",
+    ("riccati.Lode2.residual", "points"): LIBRARY_OPTION,
+    ("riccati.sample_points", "interval"): SET_BY_CALLER,
+    ("riccati.riccati_residual", "points"): LIBRARY_OPTION,
+    ("riccati.general_from_particular", "phi1"): "None for a linear equation, which needs no particular solution",
+    ("riccati.second_solution", "interval"): LIBRARY_OPTION,
+    ("schwarzian.dmod", "interval"): LIBRARY_OPTION,
+    ("schwarzian.riccati_pair", "interval"): LIBRARY_OPTION,
+    ("series.FormalSeries.__init__", "terms"): SET_BY_CALLER,
+    ("series.FormalSeries.__init__", "floor"): SET_BY_CALLER,
+    ("series.potential_series", "step"): SET_BY_CALLER,
+    ("soliton.SolitonSpec.shifted", "y"): KP_FIELDS,
+    ("soliton.SolitonSpec.shifted", "t"): KP_FIELDS,
+    ("soliton.SolitonSpec.shifted", "kdv"): KP_FIELDS,
+    ("soliton.solve_coefficients", "order"): SET_BY_CALLER,
+    ("soliton.TransparentPotential.__init__", "grid"): SET_BY_CALLER,
+    ("soliton.TransparentPotential.a_at", "order"): LIBRARY_OPTION,
+    ("soliton.PdeResidualReport.__init__", "points"): "a dataclass field default",
+    ("soliton.pde_residual", "which"): LIBRARY_OPTION,
+    ("soliton.pde_residual", "box"): LIBRARY_OPTION,
+    ("soliton.pde_residual", "n"): LIBRARY_OPTION,
+}
+
+
+def test_knob_inventory():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"riccatikit.{name}")
+        for qual, fn in _public_callables(module):
+            if inspect.isfunction(fn):  # a class's options are those of its __init__
+                params = inspect.signature(fn).parameters.values()
+                found |= {(f"{name}.{qual}", p.name) for p in params if p.default is not p.empty}
+    assert found == set(KNOBS)

@@ -233,10 +233,6 @@ class TestQuadrature:
     def test_parabola(self):
         assert numeric.quadrature(lambda x: x * x, 0, 1, tol=1e-12) == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_gaussian_over_the_line(self):
-        v = numeric.quadrature(lambda x: np.exp(-x * x), -math.inf, math.inf, tol=1e-12)
-        assert v == pytest.approx(math.sqrt(math.pi), abs=1e-10)
-
     def test_erf_oracle(self):
         v = numeric.quadrature(lambda x: np.exp(-x * x), 0, 1.3, tol=1e-12)
         assert v == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.3), abs=1e-12)
@@ -249,7 +245,7 @@ class TestQuadrature:
 
     def test_divergent_integral_raises(self):
         with pytest.raises(numeric.QuadratureError):
-            numeric.quadrature(lambda x: 1 / x, 0.0, 1.0, tol=1e-10, max_intervals=300)
+            numeric.quadrature(lambda x: 1 / x, 0.0, 1.0, tol=1e-10)
 
 
 def _oscillating(x):
@@ -303,11 +299,6 @@ class TestArrayQuadrature:
         assert isinstance(numeric.quadrature(_oscillating, 0.0, 1.0), float)
         assert numeric.quadrature(_oscillating, 1.0, [1.0, 1.0]).tolist() == [0.0, 0.0]
 
-    def test_infinite_limit_in_an_array(self):
-        out = numeric.quadrature(lambda x: np.exp(-x * x), 0.0, [1.3, math.inf], tol=1e-12)
-        assert out[0] == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.3), abs=1e-12)
-        assert out[1] == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
-
     def test_one_integrand_call_per_pass(self):
         sizes = []
 
@@ -327,13 +318,14 @@ class TestArrayQuadrature:
         with np.errstate(divide="ignore"), pytest.raises(numeric.QuadratureError):
             numeric.quadrature(lambda x: 1 / x, -1.0, 1.0)  # the midpoint node hits the pole
         with pytest.raises(numeric.QuadratureError):
-            numeric.quadrature(lambda x: 1 / x, -1.0, [0.5, 2.0], max_intervals=300)
+            numeric.quadrature(lambda x: 1 / x, -1.0, [0.5, 2.0])
 
     def test_nan_limit_raises(self):
-        with pytest.raises(numeric.QuadratureError):
-            numeric.quadrature(_oscillating, 0.0, [1.0, math.nan])
-        with pytest.raises(numeric.QuadratureError):
-            numeric.quadrature(_oscillating, math.nan, 1.0)
+        # infinite limits too: the limits must be finite, on either side
+        for a, b in [(0.0, [1.0, math.nan]), (math.nan, 1.0), (0.0, [1.3, math.inf]), (0.0, -math.inf),
+                     (math.inf, 1.0), (-math.inf, [0.0, 1.0])]:
+            with pytest.raises(numeric.QuadratureError):
+                numeric.quadrature(_oscillating, a, b)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(numeric.QuadratureError):

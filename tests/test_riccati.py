@@ -14,10 +14,7 @@ X = ex.Var("x")
 
 def integrate_re(eq, phi0, x0, x1, tol=1e-12):
     def rhs(x, y):
-        env = {"x": x}
-        return np.array([
-            eq.a.evaluate(env) * y[0] ** 2 + eq.b.evaluate(env) * y[0] + eq.c.evaluate(env)
-        ])
+        return np.array([eq.a.evaluate(x=x) * y[0] ** 2 + eq.b.evaluate(x=x) * y[0] + eq.c.evaluate(x=x)])
 
     return numeric.integrate_ivp(rhs, x0, [phi0], x1, tol=tol)
 
@@ -190,8 +187,7 @@ class TestConvertReLode:
         phi_traj = integrate_re(eq, 0.3, 0.0, 0.8)
 
         def lode_rhs(x, y):
-            env = {"x": x}
-            return np.array([y[1], l.b.evaluate(env) * y[1] + l.c.evaluate(env) * y[0]])
+            return np.array([y[1], l.b.evaluate(x=x) * y[1] + l.c.evaluate(x=x) * y[0]])
 
         psi_traj = numeric.integrate_ivp(lode_rhs, 0.0, [1.0, -0.3], 0.8, tol=1e-12)
         for p in np.linspace(0.0, 0.8, 9):
@@ -324,6 +320,11 @@ class TestPoleSeries:
             a = rc.pole_series(alpha, eps, 4)
             assert a[0] == 0
             assert 4 * a[2] + 2 * eps == 0
+
+    def test_float_arguments_are_taken_exactly(self):
+        a = rc.pole_series(0.1, 0.25, 6)
+        assert all(isinstance(v, Fraction) for v in a)
+        assert a == rc.pole_series(Fraction(0.1), Fraction(1, 4), 6)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -461,9 +462,10 @@ class TestKovalevskii:
             rc.kovalevskii_check(3, (1.0, 2.0, 3.0), (0.0, 10.0))
 
 
-def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL, n=rc.SAMPLE_COUNT):
+def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL):
     """Reference: the candidate loop with one scalar evaluation per point."""
     lo, hi = interval
+    n = rc.SAMPLE_COUNT
     good = []
     for p in np.linspace(lo, hi, 4 * n + 1)[1:-1]:
         ok = True
@@ -517,8 +519,8 @@ class TestArrayChecks:
 
     def test_sample_points_with_several_expressions(self):
         exprs = [ex.parse_expression("log(x + 2)"), ex.parse_expression("1/(x - 1)")]
-        assert rc.sample_points(exprs, interval=(-3.0, 3.0), n=20).tolist() == sample_points_per_point(
-            exprs, interval=(-3.0, 3.0), n=20
+        assert rc.sample_points(exprs, interval=(-3.0, 3.0)).tolist() == sample_points_per_point(
+            exprs, interval=(-3.0, 3.0)
         )
 
     @pytest.mark.parametrize("family", SOLVE_RE_FAMILIES)

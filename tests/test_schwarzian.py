@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ class TestSchwarz:
 
     def test_mobius_invariance(self):
         rng = np.random.default_rng(5)
-        phi = ex.add(X, ex.mul(ex.Rational(1, 5), ex.exp(X)))
+        phi = ex.add(X, ex.mul(ex.Rational(Fraction(1, 5)), ex.exp(X)))
         s0 = sw.schwarz(phi)
         tried = 0
         for _ in range(40):
@@ -223,13 +225,13 @@ class TestPotentialRecovery:
         a = ex.recip(ex.mul(ex.sin(X), ex.cos(X)))
         d = sw.dmod(a, interval=(0.2, 1.2))
         v2 = 1.0
-        c_rec = ex.add(d, ex.mul(ex.Rational(1, 4), ex.as_expression(v2), ex.intpow(a, 2)))
+        c_rec = ex.add(d, ex.mul(ex.Rational(Fraction(1, 4)), ex.as_expression(v2), ex.intpow(a, 2)))
         for p in (0.3, 0.7, 1.1):
             assert c_rec.evaluate(x=p) == pytest.approx(-1.0, abs=1e-8)
 
 
 class TestMobiusInvariance:
-    PHI = ex.add(X, ex.mul(ex.Rational(1, 5), ex.exp(X)))
+    PHI = ex.add(X, ex.mul(ex.Rational(Fraction(1, 5)), ex.exp(X)))
     MAPS = [rc.MobiusMap(1.25, -0.5, 0.75, 2.0), rc.MobiusMap(-1.0, 0.5, 1.5, 0.3), rc.MobiusMap(0, 1, 1, 0)]
 
     def test_invariant_under_every_map(self):

@@ -174,15 +174,13 @@ class TestZetaChain:
         for p in (-1.0, 0.3, 2.0):
             assert abs(z2.evaluate(x=p)) <= 1e-10
 
-    def test_quadrature_opt_out(self):
-        u = ex.parse_expression("exp(-x^2)")
-        with pytest.raises(ValueError):
-            zeta_chain(u, 2, allow_quadrature=False)
-
-    def test_custom_constants(self):
-        u = ex.ZERO
-        z1 = zeta_chain(u, 1, constants=[Fraction(5)])[0]
-        assert z1 == ex.Rational(5)
+    def test_quadrature_node_without_closed_form(self):
+        # the printed form the series report's zeta_j strings carry
+        z1, z2 = zeta_chain(ex.parse_expression("exp(-x^2)"), 2)
+        assert str(z1) == "quad((1/2)*exp(-x^2), dx, from=0)"
+        assert str(z2) == (
+            "quad((1/2)*(x*exp(-x^2) + exp(-x^2)*quad((1/2)*exp(-x^2), dx, from=0)), dx, from=0)"
+        )
 
 
 class TestReport:
