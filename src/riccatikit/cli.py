@@ -246,11 +246,11 @@ def cmd_finite_gap(args):
     spec = fg.GapSpec(lams[0], lams[1], lams[2], args.gamma0, 1 if args.sign != "-" else -1)
     grid = parse_grid(args.grid)
     step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.01
-    fixed = step / 10 if args.deterministic else None
-    traj = fg.integrate_gamma(spec, (float(grid[0]), float(grid[-1])), step=step, fixed_step=fixed)
+    fixed = step / 10 if args.deterministic else None  # the cross-check's RK4 step
+    traj = fg.elliptic_trajectory(spec, grid)
     u = fg.trace_potential(traj, spec)
     report = {"command": "finite-gap", "lambdas": lams, "gamma0": args.gamma0,
-              **fg.report(spec, traj, fg.period(spec))}
+              **fg.report(spec, traj, fg.period(spec), fixed)}
     return _finish(args.out, "finite_gap", report, [("x", traj.xs), ("gamma", traj.gammas[:, 0]), ("u", u)])
 
 
@@ -341,10 +341,10 @@ def _verify_soliton(rng):
 
 def _verify_finitegap(rng):
     spec = fg.GapSpec(2.0, 1.0, 0.0, 0.5)
-    t_quad = fg.period(spec)
-    traj = fg.integrate_gamma(spec, (0.0, 3.2 * t_quad), step=0.005)
+    traj = fg.elliptic_trajectory(spec, parse_grid("0:12:0.01"))
+    checks = fg.report(spec, traj, fg.period(spec), None)["checks"]
     disc = fg.floquet_discriminant(spec, spec.lam1)
-    return [*fg.report(spec, traj, t_quad)["checks"], check("floquet_band_edge", abs(abs(disc) - 2.0), 2e-8)]
+    return [*checks, check("floquet_band_edge", abs(abs(disc) - 2.0), 2e-8)]
 
 
 _SUITES = {

@@ -4,15 +4,22 @@ For branch points lambda1 > lambda2 > lambda3 the root variable gamma(x)
 oscillates in the band [lambda3, lambda2] according to
 gamma_x^2 = C(gamma), C(g) = 4 (g - lambda1)(g - lambda2)(g - lambda3), and
 u = 2 gamma - lambda1 - lambda2 - lambda3 is a smooth periodic potential.
-Turning points are crossed by integrating the differentiated second-order
-form gamma_xx = C'(gamma)/2, which removes square-root branch bookkeeping.
+In closed form gamma = lambda3 + (lambda2 - lambda3) sn^2(w (x - x0) | m),
+with w = sqrt(lambda1 - lambda3) and m = (lambda2 - lambda3) / (lambda1 - lambda3).
+``elliptic_trajectory`` evaluates it on a grid: K(m), sn, cn and dn come from
+the arithmetic-geometric mean and the descending Landen recursion, and x0
+from gamma0 through Carlson's R_F.  ``integrate_gamma`` integrates the
+differentiated second-order form gamma_xx = C'(gamma)/2 instead, which
+crosses the turning points without square-root branch bookkeeping; ``report``
+runs it over one period as a cross-check of the closed form.
 C is a descending coefficient array (c_poly), evaluated with np.polyval.
 The turning points of a trajectory are bisected all at once.  A Floquet
 discriminant is one integration that carries gamma and both columns of the
-transfer matrix.  report gives the two checks of a trajectory, each at every
-grid point: Dubrovin's identity gamma'^2 = C(gamma) for the one root, and the
-trajectory's phase against the time that quadrature gives from a minimum to
-each gamma.
+transfer matrix.  report gives four checks: Dubrovin's identity
+gamma'^2 = C(gamma) for the one root and the trajectory's phase against the
+time that quadrature gives from a minimum to each gamma, each at every grid
+point; the integrator against the closed form at its own nodes; and the
+quadrature period against the AGM's.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "GapSpec",
     "RootTrajectory",
     "c_poly",
+    "elliptic_trajectory",
     "integrate_gamma",
     "period",
     "trace_potential",
@@ -118,6 +126,86 @@ class RootTrajectory:
             lo[live[up]] = mid[up]
             hi[live[~up]] = mid[~up]
         return list(0.5 * (lo + hi))
+
+
+def elliptic_trajectory(spec, xs):
+    """The closed-form trajectory on the grid xs, with gamma(xs[0]) = gamma0.
+
+    gamma = lambda3 + (lambda2 - lambda3) sn^2(z) and
+    gamma' = 2 w (lambda2 - lambda3) sn cn dn at z = w (x - xs[0]) + sign F(phi | m),
+    where sin^2(phi) = (gamma0 - lambda3) / (lambda2 - lambda3): sn is odd and
+    cn, dn are even, so ``spec.sign`` is the sign of gamma'(xs[0]).  The dense
+    callable is the same closed form, so ``turning_points`` bisects it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    state = _elliptic(spec, xs[0])
+    gammas, dgammas = state(xs)
+    return RootTrajectory(xs, gammas, dgammas, dense=lambda x: np.stack(state(np.asarray(x, dtype=float)), axis=-1))
+
+
+def _elliptic(spec, origin):
+    """x -> (gamma(x), gamma'(x)) in closed form, starting at (origin, gamma0)."""
+    l1, l2, l3 = spec.lams
+    band, w = l2 - l3, math.sqrt(l1 - l3)
+    a, ratios = _agm(spec)
+    scale = 2.0 ** len(ratios) * a
+    z0 = _start_phase(spec)
+
+    def state(x):
+        # descending Landen recursion (Abramowitz & Stegun 16.4): phi_N = 2^N a_N z,
+        # phi_{n-1} = (phi_n + arcsin(c_n / a_n sin(phi_n))) / 2, sn = sin(phi_0)
+        phi = scale * (w * (x - origin) + z0)
+        for r in reversed(ratios):
+            prev, phi = phi, 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+        sn, cn = np.sin(phi), np.cos(phi)
+        dn = cn / np.cos(prev - phi)
+        return l3 + band * (sn * sn), (2.0 * w * band) * (sn * cn * dn)
+
+    return state
+
+
+def _agm(spec):
+    """a_N and the ratios c_n / a_n, n = 1..N, of the descending AGM of (1, sqrt(1 - m)).
+
+    m and 1 - m are each a ratio of branch-point differences, so neither
+    cancels as m -> 0 or m -> 1, and c_{n+1} = c_n^2 / (4 a_{n+1}) is
+    (a_n - b_n) / 2 without its cancellation.  At least one step is taken;
+    c_N / a_N is below the rounding unit, and K(m) = pi / (2 a_N).
+    """
+    l1, l2, l3 = spec.lams
+    a, b, c = 1.0, math.sqrt((l1 - l2) / (l1 - l3)), math.sqrt((l2 - l3) / (l1 - l3))
+    ratios = []
+    while not ratios or ratios[-1] > 2.0**-53:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), c * c / (2.0 * (a + b))
+        ratios.append(c / a)
+    return a, ratios
+
+
+def _start_phase(spec):
+    """z0 = sign F(phi | m), where sn^2(z0) = sin^2(phi) = (gamma0 - lambda3) / (lambda2 - lambda3).
+
+    F(phi | m) = sin(phi) R_F(cos^2 phi, 1 - m sin^2 phi, 1), each argument a
+    ratio of branch-point differences, so gamma0 near either band edge costs
+    no digits.
+    """
+    l1, l2, l3 = spec.lams
+    g0, band = spec.gamma0, l2 - l3
+    return spec.sign * math.sqrt((g0 - l3) / band) * _carlson_rf((l2 - g0) / band, (l1 - g0) / (l1 - l3), 1.0)
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's symmetric integral R_F(x, y, z) by duplication, to rounding (Carlson 1995)."""
+    a = (x + y + z) / 3.0
+    q = max(abs(a - x), abs(a - y), abs(a - z)) / (3.0 * 2.0**-53) ** (1.0 / 6.0)
+    while q >= abs(a):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        q *= 0.25
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
 def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
@@ -211,19 +299,35 @@ def floquet_discriminant(spec, lam):
     return float(end[2] + end[5])
 
 
-def report(spec, traj, t_quad):
-    """The quadrature period and the two checks of a trajectory, each at every grid point.
+def report(spec, traj, t_quad, fixed_step):
+    """The quadrature period, the cross-check's node count and four checks.
 
     ``energy_invariant_drift`` is ``dubrovin_checks``; a trajectory on the
     right energy but at the wrong x fails ``trajectory_vs_quadrature_phase``.
-    ``t_quad`` is ``period(spec)``, computed once by the caller, which may
-    also need it to size the trajectory.
+    Both judge ``traj`` at every grid point, whatever built it.
+    ``gamma_vs_elliptic`` runs ``integrate_gamma`` from traj.xs[0] over one
+    period, or over the grid if it is shorter, adaptive or RK4 with
+    ``fixed_step``, and reads max |gamma_ivp - gamma_AGM| / (lambda2 - lambda3)
+    at the integrator's own nodes: a coarse grid may hold a single point of
+    the period.  ``period_quadrature_vs_agm`` is the relative gap between
+    ``t_quad`` and 2 K(m) / sqrt(lambda1 - lambda3).  ``t_quad`` is
+    ``period(spec)``, computed once by the caller.
     """
+    origin = float(traj.xs[0])
+    end = origin + min(t_quad, float(traj.xs[-1]) - origin)
+    # a sample step of one period keeps integrate_gamma's own grid to its ends;
+    # the check reads the nodes of its dense output
+    ivp = integrate_gamma(spec, (origin, end), step=t_quad, fixed_step=fixed_step)._dense
+    gap = np.max(np.abs(ivp.ys[:, 0] - _elliptic(spec, origin)(ivp.xs)[0])) / (spec.lam2 - spec.lam3)
+    t_agm = math.pi / (_agm(spec)[0] * math.sqrt(spec.lam1 - spec.lam3))
     return {
         "period": t_quad,
+        "gamma_vs_elliptic_nodes": len(ivp.xs),
         "checks": [
             numeric.check("energy_invariant_drift", dubrovin_checks(traj, c_poly(spec)), 1e-8),
             numeric.check("trajectory_vs_quadrature_phase", _phase_gap(spec, traj, t_quad), 1e-6),
+            numeric.check("gamma_vs_elliptic", gap, 1e-6),
+            numeric.check("period_quadrature_vs_agm", abs(t_quad - t_agm) / t_agm, 1e-12),
         ],
     }
 

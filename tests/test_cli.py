@@ -223,6 +223,8 @@ def test_hermite_witness_is_one_array_evaluation(tmp_path, monkeypatch):
 
 
 class TestFiniteGap:
+    CHECKS = ["energy_invariant_drift", "trajectory_vs_quadrature_phase", "gamma_vs_elliptic", "period_quadrature_vs_agm"]
+
     def test_period_in_report(self, tmp_path):
         code = cli.main([
             "finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5",
@@ -231,28 +233,36 @@ class TestFiniteGap:
         assert code == 0
         report = read_report(tmp_path, "finite_gap")
         assert report["period"] == pytest.approx(2.6220575542921198, rel=1e-12)  # scipy: 2 ellipk(0.5) / sqrt(2)
-        assert [c["name"] for c in report["checks"]] == ["energy_invariant_drift", "trajectory_vs_quadrature_phase"]
+        assert [c["name"] for c in report["checks"]] == self.CHECKS
         assert all(c["pass"] for c in report["checks"])
         rows = read_csv(tmp_path / "finite_gap.csv")
         assert set(rows[0]) == {"x", "gamma", "u"}
 
     def test_numeric_failure_exit_code(self, tmp_path):
-        # an absurdly coarse deterministic step breaks the energy invariant
+        # an absurdly coarse deterministic step fails the cross-check
         code = cli.main([
             "finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5",
             "--grid", "0:12:3", "--deterministic", "--out", str(tmp_path)
         ])
         assert code == 3
+        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        assert [name for name, c in checks.items() if not c["pass"]] == ["gamma_vs_elliptic"]
+        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(7.7e-3, rel=0.05)
 
-    def test_energy_drift_fails_its_check_and_writes_the_outputs(self, tmp_path):
+    def test_coarse_rk4_fails_the_cross_check_and_writes_the_outputs(self, tmp_path):
+        # RK4 at 0.05 drifts 8.3e-6 of the band off the closed form within a
+        # period; the closed-form grid keeps its energy
         code = cli.main([
             "finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5",
             "--grid", "0:12:0.5", "--deterministic", "--out", str(tmp_path)
         ])
         assert code == 3
-        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
-        assert not checks["energy_invariant_drift"]["pass"]
-        assert list(checks) == ["energy_invariant_drift", "trajectory_vs_quadrature_phase"]
+        report = read_report(tmp_path, "finite_gap")
+        checks = {c["name"]: c for c in report["checks"]}
+        assert list(checks) == self.CHECKS
+        assert [name for name, c in checks.items() if not c["pass"]] == ["gamma_vs_elliptic"]
+        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(8.3e-6, rel=0.05)
+        assert report["gamma_vs_elliptic_nodes"] == 53  # round(T / 0.05) + 1, T = 2.62
         assert len(read_csv(tmp_path / "finite_gap.csv")) == 25
 
     def test_narrow_band_runs_and_passes(self, tmp_path):
@@ -273,24 +283,55 @@ class TestFiniteGap:
         checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
         assert checks["trajectory_vs_quadrature_phase"]["value"] <= 1e-7
 
-    def test_near_soliton_phase_error_fails_the_phase_check(self, tmp_path):
-        # lambda1 - lambda2 = 1e-5: gamma lingers at its flat maximum, and the
-        # trajectory drifts about 1e-4 of the band off scipy's sn^2
+    def test_near_soliton_integrator_error_fails_the_cross_check(self, tmp_path):
+        # lambda1 - lambda2 = 1e-5: gamma lingers at its flat maximum, and over
+        # 12 < T = 14.3 the integrator drifts about 1e-4 of the band off the
+        # closed form; the closed-form grid itself holds its phase
         code = cli.main(["finite-gap", "--lambdas", "1,0.99999,0", "--gamma0", "0.5", "--grid", "0:12:0.01",
                          "--out", str(tmp_path)])
         assert code == 3
         checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
-        assert checks["energy_invariant_drift"]["pass"]
-        assert not checks["trajectory_vs_quadrature_phase"]["pass"]
-        assert checks["trajectory_vs_quadrature_phase"]["value"] == pytest.approx(1.15e-4, rel=0.05)
+        assert [name for name, c in checks.items() if not c["pass"]] == ["gamma_vs_elliptic"]
+        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(1.15e-4, rel=0.05)
+        assert checks["trajectory_vs_quadrature_phase"]["value"] <= 1e-13
+
+    def test_narrow_gap_passes_over_one_period(self, tmp_path):
+        # T = 9.68 < 30: the cross-check stops after one period, where the
+        # integrator is 2.4e-8 of the band off (over the whole grid, 2.9e-6)
+        code = cli.main(["finite-gap", "--lambdas", "1,0.999,0", "--gamma0", "0.5", "--grid", "0:30:0.01",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(2.4e-8, rel=0.05)
 
     def test_wide_band_keeps_its_energy_between_the_nodes(self, tmp_path):
-        # lambda1 - lambda3 = 4: the grid is read between accepted steps, so the
-        # dense output must hold the steps' order for the energy to keep 1e-9
+        # lambda1 - lambda3 = 4: the closed form holds gamma'^2 = C(gamma) to rounding at
+        # every grid point, with no integrator nodes to fall between
         code = cli.main(["finite-gap", "--lambdas", "4,2,0", "--gamma0", "0.5", "--out", str(tmp_path)])
         assert code == 0
         checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
-        assert checks["energy_invariant_drift"]["value"] <= 1e-9
+        assert checks["energy_invariant_drift"]["value"] <= 1e-12
+
+    @pytest.mark.parametrize("grid", ["1000:1012:0.001", "5:17:0.01", "0:12:0.01", "-3:4:0.7"])
+    def test_csv_x_is_the_parsed_grid(self, tmp_path, grid):
+        code = cli.main(["finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5", "--grid", grid, "--out", str(tmp_path)])
+        assert code == 0
+        xs = np.array([float(r["x"]) for r in read_csv(tmp_path / "finite_gap.csv")])
+        assert np.array_equal(xs, cli.parse_grid(grid))
+
+    def test_deterministic_picks_only_the_cross_checks_integrator(self, tmp_path):
+        argv = ["finite-gap", "--lambdas", "1.2,0.5,-0.1", "--gamma0", "0.2", "--sign", "-", "--grid", "0:8:0.01"]
+        out = {}
+        for name, extra in (("adaptive", []), ("rk4", ["--deterministic"])):
+            assert cli.main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
+            out[name] = ((tmp_path / name / "finite_gap.csv").read_bytes(), read_report(tmp_path / name, "finite_gap"))
+        assert out["adaptive"][0] == out["rk4"][0]
+        adaptive, rk4 = out["adaptive"][1], out["rk4"][1]
+        assert adaptive["checks"][2]["value"] != rk4["checks"][2]["value"]
+        assert adaptive["gamma_vs_elliptic_nodes"] < rk4["gamma_vs_elliptic_nodes"]
+        for rep in (adaptive, rk4):
+            del rep["checks"][2]["value"], rep["gamma_vs_elliptic_nodes"]
+        assert adaptive == rk4
 
 
 class TestSeries:
@@ -530,7 +571,8 @@ class TestVerify:
         for name in ("a1_limit_plus_infinity", "a1_limit_minus_infinity", "decay_at_far_field",
                      "wronskian_polynomial_match", "transparency_residual", "closed_form_match")
     } | {"interpolation_determinant_sign_constant", "zeta1_equals_a1", "kdv_density_time_drift"}
-    FINITEGAP_CHECKS = {"energy_invariant_drift", "trajectory_vs_quadrature_phase", "floquet_band_edge"}
+    FINITEGAP_CHECKS = {"energy_invariant_drift", "trajectory_vs_quadrature_phase", "gamma_vs_elliptic",
+                        "period_quadrature_vs_agm", "floquet_band_edge"}
     SUITE_CHECKS = {
         "symbolic": {"series_f0_is_half_u1", "series_h1_is_half_u", "triangular_system_residual_orders_m2",
                      "order_matching_residual_m1", "leibniz_rule_exact", "derivative_vs_central_difference"},

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special as sp_special
 
 from riccatikit import finitegap as fg
@@ -355,53 +357,170 @@ class TestPolynomialIdentity:
 
 
 class TestReport:
+    CHECKS = [
+        ("energy_invariant_drift", 1e-8), ("trajectory_vs_quadrature_phase", 1e-6),
+        ("gamma_vs_elliptic", 1e-6), ("period_quadrature_vs_agm", 1e-12),
+    ]
+
     def test_full_grid_passes_every_check(self):
-        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
-        rep = fg.report(SPEC, traj, fg.period(SPEC))
-        assert list(rep) == ["period", "checks"]
+        traj = fg.elliptic_trajectory(SPEC, np.arange(1201) * 0.01)
+        rep = fg.report(SPEC, traj, fg.period(SPEC), None)
+        assert list(rep) == ["period", "gamma_vs_elliptic_nodes", "checks"]
         assert rep["period"] == fg.period(SPEC)
-        assert [(c["name"], c["tol"]) for c in rep["checks"]] == [
-            ("energy_invariant_drift", 1e-8), ("trajectory_vs_quadrature_phase", 1e-6),
-        ]
+        assert [(c["name"], c["tol"]) for c in rep["checks"]] == self.CHECKS
         assert all(c["pass"] for c in rep["checks"])
 
     def test_takes_the_period_from_the_caller(self, monkeypatch):
-        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
+        traj = fg.elliptic_trajectory(SPEC, np.arange(1201) * 0.01)
         t = fg.period(SPEC)
-        want = fg.report(SPEC, traj, t)
+        want = fg.report(SPEC, traj, t, None)
         monkeypatch.setattr(fg, "period", lambda *a, **k: pytest.fail("report recomputed the period"))
-        assert fg.report(SPEC, traj, t) == want
+        assert fg.report(SPEC, traj, t, None) == want
 
     def test_grid_shorter_than_two_maxima(self):
         # T is about 2.62: [0, 2] spans no period, and every point is still judged
-        traj = fg.integrate_gamma(SPEC, (0.0, 2.0), step=0.01)
-        rep = fg.report(SPEC, traj, fg.period(SPEC))
+        traj = fg.elliptic_trajectory(SPEC, np.arange(201) * 0.01)
+        rep = fg.report(SPEC, traj, fg.period(SPEC), None)
         assert all(c["pass"] for c in rep["checks"])
         assert rep["checks"][1]["value"] <= 1e-9
 
     @pytest.mark.parametrize("error", [1e-5, -1e-5])
     def test_a_wrong_period_fails_the_phase_check(self, error):
-        traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
-        checks = fg.report(SPEC, traj, fg.period(SPEC) * (1 + error))["checks"]
+        traj = fg.elliptic_trajectory(SPEC, np.arange(1201) * 0.01)
+        checks = fg.report(SPEC, traj, fg.period(SPEC) * (1 + error), None)["checks"]
         assert checks[0]["pass"]
         assert not checks[1]["pass"]
+        assert not checks[3]["pass"]  # and the period against the AGM's
 
     def test_a_shifted_trajectory_fails_the_phase_check_only(self):
-        # on the right energy but about a tenth of a period ahead
+        # on the right energy but about a tenth of a period ahead; the
+        # cross-check builds its own closed form from the spec, so it passes
         t = fg.period(SPEC)
         k = round(0.1 * t / 0.01)
-        traj = fg.integrate_gamma(SPEC, (0.0, 13.0), step=0.01)
+        traj = fg.elliptic_trajectory(SPEC, np.arange(1301) * 0.01)
         ahead = fg.RootTrajectory(traj.xs[:1201], traj.gammas[k : k + 1201], traj.dgammas[k : k + 1201])
-        checks = fg.report(SPEC, ahead, t)["checks"]
-        assert checks[0]["pass"]
+        checks = fg.report(SPEC, ahead, t, None)["checks"]
+        assert [c["pass"] for c in checks] == [True, False, True, True]
         assert checks[1]["value"] > 0.1
 
     @pytest.mark.parametrize("fixed_step", [None, 0.001], ids=["adaptive", "rk4"])
     def test_phase_check_is_the_error_against_sn2(self, fixed_step):
-        # the error in gamma relative to the band, read against scipy's sn^2
+        # the error in gamma relative to the band, read against scipy's sn^2,
+        # of an integrated trajectory as of the closed form
         for spec in _bench_style_specs(20, 4242):
             traj = fg.integrate_gamma(spec, (0.0, 12.0), step=0.01, fixed_step=fixed_step)
-            phase = fg.report(spec, traj, fg.period(spec))["checks"][1]["value"]
+            phase = fg.report(spec, traj, fg.period(spec), fixed_step)["checks"][1]["value"]
             sn2 = np.max(np.abs(traj.gammas[:, 0] - _closed_form_gamma(spec, traj.xs)[0])) / (spec.lam2 - spec.lam3)
             assert phase == pytest.approx(sn2, rel=1e-2)
             assert phase <= 1e-9  # the 1e-6 tolerance holds with 1000x to spare
+
+    @pytest.mark.parametrize("fixed_step", [None, 0.001], ids=["adaptive", "rk4"])
+    def test_cross_check_is_the_integrator_error_against_sn2(self, fixed_step):
+        for spec in _bench_style_specs(10, 4243):
+            t = fg.period(spec)
+            rep = fg.report(spec, fg.elliptic_trajectory(spec, np.arange(1201) * 0.01), t, fixed_step)
+            ivp = fg.integrate_gamma(spec, (0.0, t), step=t, fixed_step=fixed_step)._dense
+            assert rep["gamma_vs_elliptic_nodes"] == len(ivp.xs)
+            sn2 = np.max(np.abs(ivp.ys[:, 0] - _closed_form_gamma(spec, ivp.xs)[0])) / (spec.lam2 - spec.lam3)
+            assert rep["checks"][2]["value"] == pytest.approx(sn2, rel=1e-2, abs=1e-13)
+            assert rep["checks"][2]["value"] <= 1e-10
+
+    @pytest.mark.parametrize("grid, steps", [("0:12:3", 9), ("0:2:0.5", 40), ("0:12:0.01", 2622)])
+    def test_cross_check_spans_one_period_at_its_own_nodes(self, grid, steps):
+        # RK4 at a tenth of the grid step over min(T, grid span), T = 2.62:
+        # on 0:12:3 only x = 0 lies in the first period, yet 10 nodes are judged
+        lo, hi, step = (float(v) for v in grid.split(":"))
+        xs = lo + step * np.arange(round((hi - lo) / step) + 1)
+        rep = fg.report(SPEC, fg.elliptic_trajectory(SPEC, xs), fg.period(SPEC), step / 10)
+        assert rep["gamma_vs_elliptic_nodes"] == steps + 1
+
+    @pytest.mark.parametrize(
+        "specs, within",
+        [
+            (_bench_style_specs(20, 4244), 5e-15),
+            # 1 - m = 1e-10: the quadrature, not the AGM, is 4.6e-13 off mpmath's 2 K(m) / w
+            ([fg.GapSpec(1.0, 1.0 - 1e-10, 0.0, 0.5), fg.GapSpec(3.0, -0.999, -1.0, -0.9995)], 1e-12),
+        ],
+        ids=["bench", "near-degenerate"],
+    )
+    def test_period_check_reads_the_agm_against_the_quadrature(self, specs, within):
+        for spec in specs:
+            rep = fg.report(spec, fg.elliptic_trajectory(spec, [0.0, 1.0]), fg.period(spec), None)
+            assert rep["checks"][3]["value"] <= within
+
+
+class TestEllipticTrajectory:
+    # m and 1 - m reach scipy exactly: the branch points are dyadic, so each
+    # difference and m itself round nowhere (scipy takes m alone, and the
+    # rounding of 1 - m near m = 1 would be the oracle's own error)
+    @staticmethod
+    def _spec(lam3_quarters, width, m, edge, near_top, sign):
+        lam3 = lam3_quarters / 4
+        width = round(width * 2**10) / 2**10
+        m = round(m * 2**36) / 2**36
+        lam1, lam2 = lam3 + width, lam3 + m * width
+        band = lam2 - lam3
+        assert band == m * width and band / (lam1 - lam3) == m
+        gamma0 = lam2 - edge * band if near_top else lam3 + edge * band
+        assume(lam3 < gamma0 < lam2)
+        return fg.GapSpec(lam1, lam2, lam3, gamma0, sign)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lam3_quarters=st.integers(-8, 8),
+        width=st.floats(0.05, 5.0),
+        m=st.one_of(st.floats(1e-6, 1 - 1e-5), st.floats(1e-6, 1e-2), st.floats(1 - 1e-2, 1 - 1e-5)),
+        edge=st.one_of(st.floats(1e-9, 0.5), st.floats(1e-9, 1e-4)),
+        near_top=st.booleans(),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_kernel_matches_scipy(self, lam3_quarters, width, m, edge, near_top, sign):
+        spec = self._spec(lam3_quarters, width, m, edge, near_top, sign)
+        l1, l2, l3 = spec.lams
+        m, band, w = (l2 - l3) / (l1 - l3), l2 - l3, math.sqrt(l1 - l3)
+        k = sp_special.ellipk(m)
+        assert abs(math.pi / (2 * fg._agm(spec)[0]) - k) <= 1e-13 * k
+        phi = math.atan2(math.sqrt(spec.gamma0 - l3), math.sqrt(l2 - spec.gamma0))
+        z0 = spec.sign * sp_special.ellipkinc(phi, m)
+        assert abs(fg._start_phase(spec) - z0) <= 1e-13 * k
+        xs = np.linspace(-6.0, 12.0, 181)
+        traj = fg.elliptic_trajectory(spec, xs)
+        sn, cn, dn, _ = sp_special.ellipj(w * (xs - xs[0]) + z0, m)
+        gamma = l3 + band * sn**2
+        # gamma is stored whole: a band far narrower than |gamma| keeps the rounding of gamma itself
+        assert np.all(np.abs(traj.gammas[:, 0] - gamma) <= 1e-13 * band + 2 * np.spacing(np.abs(gamma)))
+        assert np.max(np.abs(traj.dgammas[:, 0] - 2 * w * band * sn * cn * dn)) <= 1e-13 * band * w
+
+    def test_starts_at_gamma0_with_the_sign_of_the_spec(self):
+        for sign in (1, -1):
+            spec = fg.GapSpec(1.7, 0.9, 0.3, 0.5, sign)
+            traj = fg.elliptic_trajectory(spec, [2.0, 2.5])
+            assert traj.gammas[0, 0] == pytest.approx(0.5, abs=1e-15)
+            assert np.sign(traj.dgammas[0, 0]) == sign
+            assert traj(2.0) == pytest.approx([traj.gammas[0, 0], traj.dgammas[0, 0]], abs=0)
+
+    def test_xs_are_the_grid_bit_for_bit(self):
+        xs = 1000.0 + 0.001 * np.arange(12001)
+        assert np.array_equal(fg.elliptic_trajectory(SPEC, xs).xs, xs)
+
+    def test_dense_output_is_the_closed_form(self):
+        xs = np.linspace(0.0, 12.0, 1201)
+        traj = fg.elliptic_trajectory(SPEC, xs)
+        mid = 0.5 * (xs[:-1] + xs[1:])
+        states = traj(mid)
+        assert states.shape == (1200, 2)
+        again = fg.elliptic_trajectory(SPEC, np.r_[xs[0], mid])
+        assert np.array_equal(states[:, 0], again.gammas[1:, 0])
+        assert np.array_equal(states[:, 1], again.dgammas[1:, 0])
+
+    def test_turning_points_are_half_periods_apart(self):
+        t = fg.period(SPEC)
+        traj = fg.elliptic_trajectory(SPEC, np.arange(1201) * 0.01)
+        maxima, minima = traj.turning_points("max"), traj.turning_points("min")
+        assert len(maxima) >= 4 and len(minima) >= 4
+        assert np.max(np.abs(np.diff(np.sort(maxima + minima)) - t / 2)) <= 1e-12
+
+    def test_energy_identity_holds_to_rounding(self):
+        for spec in _bench_style_specs(20, 4245) + [fg.GapSpec(4.0, 2.0, 0.0, 0.5), fg.GapSpec(1.0, 0.99999, 0.0, 0.5)]:
+            traj = fg.elliptic_trajectory(spec, np.arange(1201) * 0.01)
+            assert fg.dubrovin_checks(traj, fg.c_poly(spec)) <= 1e-13

@@ -94,10 +94,10 @@ def test_finitegap_keeps_only_the_one_root_report():
     assert not hasattr(fg, "DubrovinReport")
     assert not hasattr(fg.RootTrajectory, "n")
     spec = fg.GapSpec(2.0, 1.0, 0.0, 0.5)
-    traj = fg.integrate_gamma(spec, (0.0, 1.0))
-    assert not hasattr(traj, "ddgammas")
+    for traj in (fg.integrate_gamma(spec, (0.0, 1.0)), fg.elliptic_trajectory(spec, [0.0, 1.0])):
+        assert not hasattr(traj, "ddgammas")
+        assert set(fg.report(spec, traj, fg.period(spec), None)) == {"period", "gamma_vs_elliptic_nodes", "checks"}
     assert list(inspect.signature(fg.dubrovin_checks).parameters) == ["traj", "c"]
-    assert set(fg.report(spec, traj, fg.period(spec))) == {"period", "checks"}
 
 
 SET_BY_CALLER = "a caller in src or bench sets it"
