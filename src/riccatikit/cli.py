@@ -49,11 +49,11 @@ def emit_csv(path, columns):
     lengths = {len(c[1]) for c in columns}
     if len(lengths) > 1:
         raise ConfigError("CSV columns must have uniform length")
-    values = [np.asarray(c[1], dtype=float).tolist() for c in columns]
+    table = np.column_stack([np.asarray(c[1], dtype=float) for c in columns])
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % r for r in zip(*values))
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def emit_json(path, obj):
@@ -232,6 +232,9 @@ def cmd_soliton(args):
 
 def cmd_kp(args):
     spec = so.SolitonSpec(tuple(parse_list(args.k)), tuple(parse_list(args.beta)))
+    if spec.n > so.TAU_SUM_MAX_N:
+        raise ConfigError(f"kp takes at most {so.TAU_SUM_MAX_N} wavenumbers: its KP residual sums "
+                          f"2^N = {2**spec.n} subsets at every point")
     grid = parse_grid(args.grid)
     vals = so.kp_field(spec, grid, args.y, args.t)
     report = {"command": "kp", "k": list(spec.k), "beta": list(spec.beta), "y": args.y, "t": args.t,

@@ -12,12 +12,15 @@ Schrodinger residual) take arrays of k and x and evaluate the polynomial
 parts of psi1, psi2 with np.polyval on the coefficients of one such solve.
 
 Closed forms are provided for N <= 2, including the time-extended fields of
-the KdV and KP flows.  Sign conventions: the potentials here are negative
-wells (u -> 0 at infinity, u <= 0 for equal phases), so the flows read
-u_t - 6 u u_x + u_xxx = 0 and (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.
-pde_residual builds each flow's residual from the closed form once and
-evaluates it on a whole grid; the KdV residual and the x-t part of the KP
-residual vanish, the KP term 3 u_yy does not.  report and kp_report give the named checks.
+the KdV and KP flows; report compares the potential with them.  Sign
+conventions: the potentials here are negative wells (u -> 0 at infinity,
+u <= 0 for equal phases), so the flows read u_t - 6 u u_x + u_xxx = 0 and
+(-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.  The flows' partials come from
+Hirota's tau-sum over the 2^N subsets of the wavenumbers, as weighted joint
+cumulants (any N <= TAU_SUM_MAX_N); pde_residual and kp_report build their
+residuals from it on a whole grid at once.  The KdV residual and the x-t part
+of the KP residual vanish, the KP term 3 u_yy does not.  report and kp_report
+give the named checks.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "kdv_field",
     "pde_residual",
     "PdeResidualReport",
+    "TAU_SUM_MAX_N",
     "report",
     "kp_report",
 ]
@@ -337,60 +341,99 @@ def kdv_field(spec, x, t):
     return TransparentPotential(shifted).u_at(x)
 
 
+# most wavenumbers the tau-sum takes: it sums 2^N subsets at every point
+TAU_SUM_MAX_N = 12
+
+
+def _tau_sum(spec, x, y, t, kdv):
+    """u = -2 (log tau)_xx and the partials of the KdV and KP flows, from the tau-sum.
+
+    tau = sum_I A_I exp(2 sum_{i in I} theta_i) over the subsets I of the
+    wavenumbers, with every A_I = prod_{i in I} a_i prod_{i<j in I}
+    ((k_i - k_j)/(k_i + k_j))^2 > 0 and a_i = prod_{j != i} |(k_i + k_j)/(k_i - k_j)|
+    (Hirota).  The phases are theta_i = k_i x + k_i^2 y + k_i^3 t + beta_i,
+    or k_i x - 4 k_i^3 t + beta_i when ``kdv`` is true.  log tau is then the
+    cumulant generating function of the subset sums X_I = 2 sum k_i and of
+    the y and t rates Y_I, T_I under the weights w_I ~ A_I e^{2 sum theta_i},
+    so every partial of u is -2 times a joint cumulant of (X, Y, T).  The
+    weights are normalised by log-sum-exp and the sums centred, so no large
+    terms cancel.  x, y and t broadcast; returns a dict of arrays of their
+    broadcast shape with keys u, u_x, u_xx, u_xxx, u_xxxx, u_t, u_tx, u_yy.
+    Every reduction runs over the subsets of one point, so a point's values
+    do not depend on which other points are evaluated with it.
+    """
+    n = spec.n
+    if n > TAU_SUM_MAX_N:
+        raise ValueError(f"the tau-sum takes at most {TAU_SUM_MAX_N} wavenumbers: "
+                         f"it sums 2^N = {2**n} subsets at every point")
+    k = np.array(spec.k)
+    s = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)  # subset I as 0/1 row
+    gap = np.log(np.abs((k[:, None] - k) / (k[:, None] + k)) + np.eye(n))  # 0 on the diagonal
+    log_a = np.einsum("si,ij,sj->s", s, gap, s) - s @ gap.sum(axis=1) + 2 * s @ np.array(spec.beta)
+    rates = [2 * s @ r for r in ((k, 0 * k, -4 * k**3) if kdv else (k, k**2, k**3))]
+    x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float)[..., None] for v in (x, y, t)))
+    logw = log_a + rates[0] * x + rates[1] * y + rates[2] * t
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    dx, dy, dt = (r - np.sum(w * r, axis=-1, keepdims=True) for r in rates)
+    wx = [w]
+    for _ in range(6):
+        wx.append(wx[-1] * dx)  # w dx^p
+    m2, m3, m4, m5, m6 = (np.sum(v, axis=-1) for v in wx[2:])
+    e_xt, e_xxt, e_xxxt = (np.sum(wx[p] * dt, axis=-1) for p in (1, 2, 3))
+    e_yy, e_xy, e_xxyy = (np.sum(v, axis=-1) for v in (w * dy * dy, wx[1] * dy, wx[2] * dy * dy))
+    return {
+        "u": -2 * m2,
+        "u_x": -2 * m3,
+        "u_xx": -2 * (m4 - 3 * m2**2),
+        "u_xxx": -2 * (m5 - 10 * m3 * m2),
+        "u_xxxx": -2 * (m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3),
+        "u_t": -2 * e_xxt,
+        "u_tx": -2 * (e_xxxt - 3 * m2 * e_xt),
+        "u_yy": -2 * (e_xxyy - m2 * e_yy - 2 * e_xy**2),
+    }
+
+
+def _kp_residual(spec, x, y, t):
+    """The KP residual at broadcast points as (x-t part, full residual), from one tau-sum.
+
+    The x-t part -4 u_tx + u_xxxx - 6 u_x^2 - 6 u u_xx vanishes for the
+    tanh phases; the full residual adds 3 u_yy, which does not.
+    """
+    d = _tau_sum(spec, x, y, t, False)
+    xt_part = -4 * d["u_tx"] + d["u_xxxx"] - 6 * d["u_x"] ** 2 - 6 * d["u"] * d["u_xx"]
+    return xt_part, xt_part + 3 * d["u_yy"]
+
+
 @dataclass
 class PdeResidualReport:
     which: str
     max_abs: float
-    points: int = 0
+    points: int
 
 
 def pde_residual(spec, which="kp", box=3.0, n=5):
-    """Maximal PDE residual of the extended closed form over a sample box (N <= 2).
+    """Maximal PDE residual of the extended field over a sample box (N <= TAU_SUM_MAX_N).
 
     which="kp": (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy, expanded to
     -4 u_tx + u_xxxx - 6 u_x^2 - 6 u u_xx + 3 u_yy.
     which="kdv": u_t - 6 u u_x + u_xxx.
 
-    The residual is differentiated symbolically once and evaluated on the
-    whole n^3 (kp) or n^2 (kdv) grid over [-box, box] at once; a point where
-    it is undefined makes max_abs NaN.
+    The partials are the tau-sum's exact cumulants, evaluated on the whole
+    n^3 (kp) or n^2 (kdv) grid over [-box, box] at once; a point where the
+    residual is undefined makes max_abs NaN.  Raises ValueError above
+    TAU_SUM_MAX_N wavenumbers.
     """
     if which not in ("kp", "kdv"):
         raise ValueError("which must be 'kp' or 'kdv'")
     pts = np.linspace(-box, box, n)
     if which == "kdv":
-        u = kdv_closed_form(spec)
-        residual = ex.add(
-            ex.diff(u, "t"),
-            ex.neg(ex.mul(6, u, ex.diff(u, "x"))),
-            ex.diff(u, "x", 3),
-        )
-        return PdeResidualReport(which, _max_abs_on_grid(residual, x=pts, t=pts), n**2)
-    residual = ex.add(*_kp_residual_terms(spec))
-    return PdeResidualReport(which, _max_abs_on_grid(residual, x=pts, y=pts, t=pts), n**3)
-
-
-def _kp_residual_terms(spec):
-    """The KP residual of kp_closed_form(spec) as (x-t part, 3 u_yy); the residual is their sum.
-
-    The x-t part -4 u_tx + u_xxxx - 6 u_x^2 - 6 u u_xx vanishes identically
-    for the tanh phases; 3 u_yy does not.
-    """
-    u = kp_closed_form(spec)
-    ux = ex.diff(u, "x")
-    xt_part = ex.add(
-        ex.mul(-4, ex.diff(ex.diff(u, "t"), "x")),
-        ex.diff(u, "x", 4),
-        ex.mul(-6, ex.intpow(ux, 2)),
-        ex.mul(-6, u, ex.diff(ux, "x")),
-    )
-    return xt_part, ex.mul(3, ex.diff(u, "y", 2))
-
-
-def _max_abs_on_grid(e, **axes):
-    """max |e| over the tensor grid of the 1-D sample axes, NaN if e is undefined at any point."""
-    grid = np.meshgrid(*(np.asarray(v, dtype=float) for v in axes.values()), indexing="ij")
-    return float(np.max(np.abs(e.evaluate(**dict(zip(axes, grid))))))
+        x, t = np.meshgrid(pts, pts, indexing="ij")
+        d = _tau_sum(spec, x, 0.0, t, True)
+        residual = d["u_t"] - 6 * d["u"] * d["u_x"] + d["u_xxx"]
+        return PdeResidualReport(which, float(np.max(np.abs(residual))), n**2)
+    _, residual = _kp_residual(spec, *np.meshgrid(pts, pts, pts, indexing="ij"))
+    return PdeResidualReport(which, float(np.max(np.abs(residual))), n**3)
 
 
 def _fd_kp(spec, x, y, t, h):
@@ -438,18 +481,16 @@ def report(tp):
 
 
 def kp_report(spec):
-    """The largest KP residual (3 u_yy survives) and the named checks of the KP-extended field."""
+    """The largest KP residual (3 u_yy survives) and the named checks of the KP-extended field (N <= TAU_SUM_MAX_N)."""
     probe = np.array([-2.0, 0.4, 1.7])
     reduction = np.max(np.abs(kp_field(spec, probe, 0.0, 0.0) - TransparentPotential(spec).u_at(probe)))
-    checks = [numeric.check("static_reduction_matches_potential", reduction, 1e-12)]
-    if spec.n <= 2:
-        # one closed form serves both: the x-t part at the probes, and the
-        # full residual on pde_residual(spec, "kp", box=2.0, n=3)'s grid
-        xt_part, uyy_term = _kp_residual_terms(spec)
-        worst = _max_abs_on_grid(xt_part, x=(-2.0, 0.5, 1.5), y=(-1.0, 0.7), t=(-0.8, 0.3))
-        checks.append(numeric.check("xt_flow_identity", worst, 1e-6))
-        box = np.linspace(-2.0, 2.0, 3)
-        transverse = _max_abs_on_grid(ex.add(xt_part, uyy_term), x=box, y=box, t=box)
-    else:
-        transverse = abs(_fd_kp(spec, 0.5, 0.4, 0.3, 0.05))
-    return {"transverse_term_max": transverse, "checks": checks}
+    # one tau-sum serves both: the x-t part at the 12 probes, and the full
+    # residual on pde_residual(spec, "kp", box=2.0, n=3)'s grid
+    probes = np.meshgrid((-2.0, 0.5, 1.5), (-1.0, 0.7), (-0.8, 0.3), indexing="ij")
+    box = np.meshgrid(*[np.linspace(-2.0, 2.0, 3)] * 3, indexing="ij")
+    xt_part, full = _kp_residual(spec, *(np.concatenate([p.ravel(), b.ravel()]) for p, b in zip(probes, box)))
+    checks = [
+        numeric.check("static_reduction_matches_potential", reduction, 1e-12),
+        numeric.check("xt_flow_identity", np.max(np.abs(xt_part[:12])), 1e-6),
+    ]
+    return {"transverse_term_max": float(np.max(np.abs(full[12:]))), "checks": checks}

@@ -69,10 +69,11 @@ class TestSoliton:
 class TestKp:
     ARGS = ["kp", "--k", "2,1", "--beta", "0,0", "--grid", "-2:2:0.5", "--y", "0.5", "--t", "0.25"]
 
-    def test_two_soliton_builds_the_closed_form_once(self, tmp_path, monkeypatch):
+    def test_two_soliton_builds_the_tau_sum_once(self, tmp_path, monkeypatch):
         calls = []
-        closed = so.kp_closed_form
-        monkeypatch.setattr(so, "kp_closed_form", lambda spec: calls.append(spec) or closed(spec))
+        tau_sum = so._tau_sum
+        monkeypatch.setattr(so, "_tau_sum", lambda *a: calls.append(a) or tau_sum(*a))
+        monkeypatch.setattr(so, "kp_closed_form", lambda spec: pytest.fail("kp built the closed form"))
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
         assert len(calls) == 1
         monkeypatch.undo()
@@ -81,14 +82,28 @@ class TestKp:
         assert report["transverse_term_max"] == so.pde_residual(spec, "kp", box=2.0, n=3).max_abs
 
     def test_nan_xt_residual_after_the_first_probe_fails(self, tmp_path, monkeypatch):
-        # a term far below the tolerance where it is defined and undefined
-        # for x >= 1: NaN at the probe x = 1.5 but not at the first, x = -2
-        closed = so.kp_closed_form
-        bad = ex.mul(ex.Real(1e-300), ex.log(ex.sub(1, ex.Var("x"))))
-        monkeypatch.setattr(so, "kp_closed_form", lambda spec: ex.add(closed(spec), bad))
+        # u_xxxx undefined for x >= 1: NaN at the probe x = 1.5 but not at
+        # the first, x = -2
+        tau_sum = so._tau_sum
+
+        def faulty(spec, x, y, t, kdv):
+            d = tau_sum(spec, x, y, t, kdv)
+            return {**d, "u_xxxx": d["u_xxxx"] + np.where(x < 1, 0.0, np.nan)}
+
+        monkeypatch.setattr(so, "_tau_sum", faulty)
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 3
         checks = {c["name"]: c for c in read_report(tmp_path, "kp")["checks"]}
         assert not checks["xt_flow_identity"]["pass"]
+
+    def test_thirteen_wavenumbers_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        for name in ("_tau_sum", "kp_field", "solve_coefficients"):
+            monkeypatch.setattr(so, name, lambda *a, name=name: pytest.fail(f"kp called {name}"))
+        monkeypatch.setattr(cli, "parse_grid", lambda text: pytest.fail("kp parsed the grid"))
+        k = ",".join(str(v) for v in range(13, 0, -1))
+        argv = ["kp", "--k", k, "--beta", ",".join(["0"] * 13), "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "2^N = 8192" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSolveRe:
@@ -532,6 +547,22 @@ class TestEmission:
         path = tmp_path / "t.csv"
         cli.emit_csv(path, [("x", [1 / 3])])
         assert path.read_text().splitlines()[1] == "%.17g" % (1 / 3)
+
+    @pytest.mark.parametrize("columns", [
+        [("x", [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-310, 2.5e300]),
+         ("u", [1 / 3, -2.0, 7, -math.nan, 0.1, -1e-20, 123456789.125])],
+        [("x", [math.nan, -0.0, 1 / 7])],
+        [("x", []), ("u", []), ("v", [])],
+        [("x", np.linspace(-10, 10, 2001)), ("u", np.tanh(np.linspace(-10, 10, 2001)))],
+    ], ids=["specials", "one_column", "zero_rows", "soliton_size"])
+    def test_bytes_match_the_row_by_row_writer(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        cli.emit_csv(path, columns)
+        # the reference: one % per row over Python floats
+        values = [np.asarray(c[1], dtype=float).tolist() for c in columns]
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        expected = ",".join(c[0] for c in columns) + "\n" + "".join(row % r for r in zip(*values))
+        assert path.read_bytes() == expected.encode()
 
     def test_ragged_table_rejected(self, tmp_path):
         with pytest.raises(cli.ConfigError):

@@ -141,7 +141,6 @@ KNOBS = {
     ("soliton.solve_coefficients", "order"): SET_BY_CALLER,
     ("soliton.TransparentPotential.__init__", "grid"): SET_BY_CALLER,
     ("soliton.TransparentPotential.a_at", "order"): LIBRARY_OPTION,
-    ("soliton.PdeResidualReport.__init__", "points"): "a dataclass field default",
     ("soliton.pde_residual", "which"): LIBRARY_OPTION,
     ("soliton.pde_residual", "box"): LIBRARY_OPTION,
     ("soliton.pde_residual", "n"): LIBRARY_OPTION,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccatikit import expr as ex
 from riccatikit import numeric
@@ -364,10 +366,11 @@ class TestPdeResidual:
             ex.mul(-6, u, ex.diff(ux, "x")),
             ex.mul(3, ex.diff(u, "y", 2)),
         )
-        assert ex.add(*so._kp_residual_terms(SPEC2)) == exact
         point = (0.5, 0.4, 0.3)
+        exact_val = exact.evaluate(x=point[0], y=point[1], t=point[2])
+        assert so._kp_residual(SPEC2, *point)[1] == pytest.approx(exact_val, rel=1e-9)
         fd_val = _fd_kp(SPEC2, *point, 0.02)
-        assert fd_val == pytest.approx(exact.evaluate(x=point[0], y=point[1], t=point[2]), abs=5e-2)
+        assert fd_val == pytest.approx(exact_val, abs=5e-2)
 
     def test_zero_field_has_zero_residual(self):
         # far outside the support every term collapses
@@ -376,12 +379,15 @@ class TestPdeResidual:
 
     @pytest.mark.parametrize("which", ["kdv", "kp"])
     def test_nan_after_the_first_point_is_reported(self, which, monkeypatch):
-        # a term far below any tolerance where it is defined, undefined for
-        # x >= 1: the residual is NaN on the last grid columns only
-        name = f"{which}_closed_form"
-        closed = getattr(so, name)
-        bad = ex.mul(ex.Real(1e-300), ex.log(ex.sub(1, ex.Var("x"))))
-        monkeypatch.setattr(so, name, lambda spec: ex.add(closed(spec), bad))
+        # u undefined for x >= 1 only: the residual is NaN on the last grid
+        # columns only
+        tau_sum = so._tau_sum
+
+        def faulty(spec, x, y, t, kdv):
+            d = tau_sum(spec, x, y, t, kdv)
+            return {**d, "u": d["u"] + np.where(x < 1, 0.0, np.nan)}
+
+        monkeypatch.setattr(so, "_tau_sum", faulty)
         assert math.isnan(so.pde_residual(SPEC1, which=which, box=3.0, n=5).max_abs)
 
     def test_xt_flow_identity_holds_with_transverse_phases(self):
@@ -409,9 +415,8 @@ class TestPdeResidual:
         u = so.kp_closed_form(SPEC2)
         uyy = ex.diff(u, "y", 2)
         pts = [(-1.0, 0.5, 0.3), (0.4, -0.8, 0.1), (1.2, 0.2, -0.6)]
-        res = ex.add(*so._kp_residual_terms(SPEC2))
         for (x, y, t) in pts:
-            assert res.evaluate(x=x, y=y, t=t) == pytest.approx(
+            assert so._kp_residual(SPEC2, x, y, t)[1] == pytest.approx(
                 3 * uyy.evaluate(x=x, y=y, t=t), rel=1e-6, abs=1e-8
             )
 
@@ -432,15 +437,89 @@ class TestReport:
         assert names == self.NAMES + (["closed_form_match"] if spec.n <= 2 else [])
         assert all(c["pass"] for c in rep["checks"])
 
-    def test_kp_report_two_solitons_uses_the_closed_form(self):
+    def test_kp_report_two_solitons_uses_the_tau_sum(self, monkeypatch):
+        monkeypatch.setattr(so, "kp_closed_form", lambda spec: pytest.fail("kp_report built the closed form"))
         rep = so.kp_report(SPEC2)
         assert list(rep) == ["transverse_term_max", "checks"]
         assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential", "xt_flow_identity"]
         assert all(c["pass"] for c in rep["checks"])
-        assert rep["transverse_term_max"] == so.pde_residual(SPEC2, "kp", box=2.0, n=3).max_abs
+        assert rep["transverse_term_max"] == so.pde_residual(SPEC2, "kp", box=2.0, n=3).max_abs == 288.0
 
-    def test_kp_report_three_solitons_falls_back_to_differences(self):
-        rep = so.kp_report(SPEC3)
-        assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential"]
+    @pytest.mark.parametrize("spec", [SPEC3, SPEC4, SPEC8], ids=lambda s: f"N{s.n}")
+    def test_kp_report_three_or_more_solitons_judges_the_xt_flow(self, spec):
+        rep = so.kp_report(spec)
+        assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential", "xt_flow_identity"]
         assert all(c["pass"] for c in rep["checks"])
-        assert rep["transverse_term_max"] == abs(so._fd_kp(SPEC3, 0.5, 0.4, 0.3, 0.05))
+        assert rep["transverse_term_max"] == so.pde_residual(spec, "kp", box=2.0, n=3).max_abs
+
+
+def _ladder(n):
+    """k = n, ..., 1 with zero phases: the Poschl-Teller well u = -n(n + 1) sech^2 x."""
+    return so.SolitonSpec(tuple(float(v) for v in range(n, 0, -1)), (0.0,) * n)
+
+
+def _symbolic_partials(spec):
+    u = so.kp_closed_form(spec)
+    return {
+        "u": u, "u_x": ex.diff(u, "x"), "u_xx": ex.diff(u, "x", 2), "u_xxx": ex.diff(u, "x", 3),
+        "u_xxxx": ex.diff(u, "x", 4), "u_t": ex.diff(u, "t"), "u_tx": ex.diff(ex.diff(u, "t"), "x"),
+        "u_yy": ex.diff(u, "y", 2),
+    }
+
+
+class TestTauSum:
+    # kp_report's two sample grids: the x-t probes and pde_residual's box=2, n=3 grid
+    GRIDS = {
+        "probes": np.meshgrid((-2.0, 0.5, 1.5), (-1.0, 0.7), (-0.8, 0.3), indexing="ij"),
+        "box": np.meshgrid(*[np.linspace(-2.0, 2.0, 3)] * 3, indexing="ij"),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, so.SolitonSpec((1.7, 0.6), (0.3, -0.5))],
+                             ids=["N1", "N2", "N2_phases"])
+    def test_partials_and_kp_residual_match_the_symbolic_closed_form(self, spec, grid):
+        # the symbolic fourth derivative itself loses about 3e-10 relative at N = 2
+        x, y, t = self.GRIDS[grid]
+        sym = _symbolic_partials(spec)
+        got = so._tau_sum(spec, x, y, t, False)
+        assert set(got) == set(sym)
+        ref = {name: e.evaluate(x=x, y=y, t=t) for name, e in sym.items()}
+        for name in sym:
+            assert np.max(np.abs(got[name] - ref[name]) / np.maximum(1.0, np.abs(ref[name]))) <= 1e-9, name
+        xt_ref = -4 * ref["u_tx"] + ref["u_xxxx"] - 6 * ref["u_x"] ** 2 - 6 * ref["u"] * ref["u_xx"]
+        xt_part, full = so._kp_residual(spec, x, y, t)
+        assert np.max(np.abs(xt_part - xt_ref)) <= 1e-9
+        assert np.max(np.abs(full - (xt_ref + 3 * ref["u_yy"])) / np.maximum(1.0, np.abs(full))) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_u_matches_the_coefficient_solve(self, n, seed):
+        # drawn as the soliton_grid benchmark draws its specs
+        rng = np.random.default_rng(seed)
+        gaps = rng.uniform(0.5, 1.5, n)
+        spec = so.SolitonSpec(tuple(np.cumsum(gaps)[::-1]), tuple(rng.uniform(-1.0, 1.0, n)))
+        xs = np.linspace(-10, 10, 401)
+        u = so._tau_sum(spec, xs, 0.0, 0.0, True)["u"]
+        ref = so.potential(spec, xs).u
+        assert np.max(np.abs(u - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_poschl_teller_ladder(self, n):
+        xs = np.linspace(-10, 10, 2001)
+        got = so._tau_sum(_ladder(n), xs, 0.0, 0.0, True)
+        c, sech2, th = n * (n + 1), 1 / np.cosh(xs) ** 2, np.tanh(xs)
+        exact = {"u": -c * sech2, "u_x": 2 * c * sech2 * th, "u_xx": 2 * c * (sech2**2 - 2 * sech2 * th**2)}
+        for name, ref in exact.items():
+            assert np.max(np.abs(got[name] - ref)) <= 1e-12 * c, name
+
+    @pytest.mark.parametrize("spec", [SPEC3, TestReport.SPEC5, SPEC8], ids=lambda s: f"N{s.n}")
+    def test_kdv_residual_vanishes_for_any_n(self, spec):
+        rep = so.pde_residual(spec, which="kdv", box=3.0, n=5)
+        assert (rep.which, rep.points) == ("kdv", 25)
+        assert rep.max_abs <= 1e-8
+
+    def test_more_than_twelve_wavenumbers_are_refused(self):
+        spec = _ladder(13)
+        for which in ("kp", "kdv"):
+            with pytest.raises(ValueError, match="8192"):
+                so.pde_residual(spec, which=which)
