@@ -50,7 +50,6 @@ __all__ = [
     "as_expression",
     "parse_expression",
     "antiderivative",
-    "contains_quadrature",
     "variables",
     "is_zero",
     "ZERO",
@@ -768,10 +767,6 @@ def evaluate(e, **env):
 
 def variables(e):
     return as_expression(e).variables()
-
-
-def contains_quadrature(e):
-    return any(isinstance(n, Quadrature) for n in _walk(e))
 
 
 def _walk(e):

@@ -29,7 +29,6 @@ __all__ = [
     "pow2",
     "quadrature",
     "LUFactorization",
-    "linsolve",
 ]
 
 
@@ -505,7 +504,6 @@ class LUFactorization:
         self.n = n
         piv = np.arange(n)
         scale = np.max(np.abs(a)) or 1.0
-        sign = 1
         for col in range(n):
             p = col + int(np.argmax(np.abs(a[col:, col])))
             if abs(a[p, col]) < 1e-14 * scale:
@@ -513,12 +511,10 @@ class LUFactorization:
             if p != col:
                 a[[col, p]] = a[[p, col]]
                 piv[[col, p]] = piv[[p, col]]
-                sign = -sign
             a[col + 1 :, col] /= a[col, col]
             a[col + 1 :, col + 1 :] -= np.outer(a[col + 1 :, col], a[col, col + 1 :])
         self.lu = a
         self.piv = piv
-        self.sign = sign
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
@@ -529,15 +525,3 @@ class LUFactorization:
         for i in range(n - 1, -1, -1):
             x[i] = (x[i] - self.lu[i, i + 1 :] @ x[i + 1 :]) / self.lu[i, i]
         return x
-
-    def det_sign(self):
-        s = self.sign
-        for i in range(self.n):
-            if self.lu[i, i] < 0:
-                s = -s
-        return s
-
-
-def linsolve(matrix, b):
-    """Solve M x = b by partial-pivoting LU."""
-    return LUFactorization(matrix).solve(b)

@@ -4,9 +4,8 @@ Covers the fraction-linear transformation group acting on Riccati equations,
 construction of the general solution from one particular solution, the
 cross-ratio formula for a fourth solution from three, the equivalence with
 second-order linear ODEs (in the convention psi_xx = b psi_x + c psi), the
-Hermite ladder and polynomials, movable-pole series, first-order operator
-factorization, constant-coefficient kernels, and the first-integral check for
-the coupled Riccati system studied by Kovalevskii; ``*_report`` builds the named checks of each.
+Hermite ladder and polynomials, movable-pole series, and the first-integral
+check for the coupled Riccati system studied by Kovalevskii; ``*_report`` builds the named checks of each.
 """
 
 from __future__ import annotations
@@ -34,17 +33,11 @@ __all__ = [
     "cross_ratio_solution",
     "convert_re_lode",
     "canonical_form",
-    "second_solution",
     "hermite_polynomial",
     "hermite_report",
     "hermite_ladder",
-    "inverse_hermite_ladder",
     "pole_series",
     "pole_series_report",
-    "lodo_const_kernel",
-    "KernelBasis",
-    "lode_factor",
-    "FactorizationResult",
     "kovalevskii_check",
     "KovalevskiiReport",
 ]
@@ -82,14 +75,6 @@ class Lode2:
     def __post_init__(self):
         object.__setattr__(self, "b", ex.as_expression(self.b))
         object.__setattr__(self, "c", ex.as_expression(self.c))
-
-    def residual(self, psi, points=None):
-        d1 = ex.diff(psi, "x")
-        d2 = ex.diff(d1, "x")
-        res = ex.sub(d2, ex.add(ex.mul(self.b, d1), ex.mul(self.c, psi)))
-        pts = _points(points, [psi, res])
-        scale = np.maximum(1.0, np.max(np.abs(d2.evaluate(x=pts))))
-        return float(np.max(np.abs(res.evaluate(x=pts))) / scale)
 
 
 @dataclass(frozen=True)
@@ -354,24 +339,6 @@ def canonical_form(l):
     return c_hat, gauge
 
 
-def second_solution(l, psi1, interval=DEFAULT_INTERVAL):
-    """Independent second solution psi1 * int dx/psi1^2 of a canonical equation.
-
-    Requires the first-derivative coefficient to vanish and psi1 to be free
-    of zeros on the working interval (a zero would require splitting the
-    quadrature and is reported instead).  The pair has Wronskian one.
-    """
-    if not ex.is_zero(l.b):
-        raise ValueError("second_solution expects a canonical equation (b == 0)")
-    psi1 = ex.as_expression(psi1)
-    vals = psi1.evaluate(x=np.linspace(interval[0], interval[1], 257))
-    finite = vals[np.isfinite(vals)]
-    if finite.size and (np.nanmin(finite) < 0 < np.nanmax(finite) or np.any(finite == 0)):
-        raise ValueError("psi1 changes sign or vanishes in the interval; split the quadrature")
-    integral = ex.antiderivative(ex.recip(ex.intpow(psi1, 2)))
-    return ex.mul(psi1, integral)
-
-
 # ---------------------------------------------------------------------------
 # the Hermite family
 
@@ -467,17 +434,6 @@ def hermite_ladder(y, alpha):
     return y_hat, alpha + 2
 
 
-def inverse_hermite_ladder(y_hat, alpha_hat):
-    """One rung down: y = -x + (alpha_hat - 1)/(y_hat - x), parameter alpha_hat - 2."""
-    y_hat = ex.as_expression(y_hat)
-    x = ex.Var("x")
-    den = ex.sub(y_hat, x)
-    if _vanishes(den):
-        raise ValueError("y_hat - x vanishes identically: inverse ladder undefined")
-    y = ex.add(ex.neg(x), ex.mul(ex.as_expression(alpha_hat - 1), ex.recip(den)))
-    return y, alpha_hat - 2
-
-
 def pole_series(alpha, eps, depth):
     """Coefficients a_0..a_depth of the movable-pole expansion.
 
@@ -527,119 +483,6 @@ def pole_series_report(alpha, eps, depth):
         checks.append(numeric.check("fourth_order_line", abs(4 * float(coeffs[2]) + 2 * float(eps)), 1e-12))
     checks.append(numeric.check("series_vs_ivp_near_pole", ivp_gap, 5e-4))
     return {"coefficients": [float(c) for c in coeffs], "exact": [str(c) for c in coeffs], "checks": checks}
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-@dataclass
-class KernelBasis:
-    functions: list
-    roots: list
-    backward_error: float
-
-
-def lodo_const_kernel(coeffs):
-    """Kernel basis of d^n/dx^n + a_1 d^{n-1}/dx^{n-1} + ... + a_n.
-
-    Every characteristic root lambda of multiplicity m contributes
-    x^s e^{lambda x} for s < m; complex pairs are returned as
-    x^s e^{px} cos(qx), x^s e^{px} sin(qx).  The characteristic roots come
-    from np.roots, for degree n <= 16; roots within a relative 1e-7 merge
-    into one of higher multiplicity, and a backward error
-    max |p(root)| / max |coefficient| above 1e-6 is an error.
-    """
-    char = np.array([1.0, *coeffs], dtype=float)
-    n = char.size - 1
-    if n < 1:
-        raise ValueError("need at least one coefficient")
-    if n > 16:
-        raise ValueError("characteristic roots are limited to degree <= 16")
-    if not np.all(np.isfinite(char)):
-        raise ValueError("coefficients must be finite")
-    roots = _cluster_roots(np.roots(char))
-    backward_error = max(abs(np.polyval(char, r)) for r, _ in roots) / np.max(np.abs(char))
-    if backward_error > 1e-6:
-        raise numeric.NumericError(
-            f"characteristic roots are ill-conditioned: backward error {backward_error:.3g}"
-        )
-
-    x = ex.Var("x")
-    basis = []
-    used = set()
-    for idx, (lam, mult) in enumerate(roots):
-        if idx in used:
-            continue
-        if abs(lam.imag) <= 1e-10:
-            carrier = [ex.exp(ex.mul(ex.Real(lam.real), x))] if lam.real != 0 else [ex.ONE]
-            for s in range(mult):
-                basis.append(ex.mul(ex.intpow(x, s), *carrier))
-        else:
-            partner = None
-            for jdx, (mu, mult2) in enumerate(roots):
-                if jdx != idx and jdx not in used and abs(mu - lam.conjugate()) < 1e-7 * max(1.0, abs(lam)):
-                    partner = jdx
-                    break
-            if partner is None:
-                raise numeric.NumericError("complex root without conjugate partner")
-            used.add(partner)
-            p, q = lam.real, abs(lam.imag)
-            damp = [ex.exp(ex.mul(ex.Real(p), x))] if p != 0 else []
-            for s in range(mult):
-                basis.append(ex.mul(ex.intpow(x, s), *damp, ex.cos(ex.mul(ex.Real(q), x))))
-                basis.append(ex.mul(ex.intpow(x, s), *damp, ex.sin(ex.mul(ex.Real(q), x))))
-        used.add(idx)
-    return KernelBasis(basis, roots, float(backward_error))
-
-
-def _cluster_roots(raw):
-    """(value, multiplicity) pairs: roots within 1e-7 of a group's mean, relative to max(1, |mean|), merge."""
-    tol = 1e-7
-    groups = []
-    for z in sorted(map(complex, raw), key=lambda z: (round(z.real, 6), round(z.imag, 6))):
-        for g in groups:
-            center = sum(g) / len(g)
-            if abs(z - center) <= tol * max(1.0, abs(center)):
-                g.append(z)
-                break
-        else:
-            groups.append([z])
-    roots = []
-    for g in groups:
-        center = sum(g) / len(g)
-        if abs(center.imag) <= tol * max(1.0, abs(center)):
-            center = complex(center.real, 0.0)
-        roots.append((center, len(g)))
-    return roots
-
-
-@dataclass
-class FactorizationResult:
-    a: ex.Expression
-    remainder: ex.Expression
-    magnitude: float
-
-
-def lode_factor(l, psi1):
-    """Right-divide the operator of ``l`` by (d/dx - psi1'/psi1).
-
-    For psi_xx = b psi_x + c psi the operator is D^2 - b D - c; with
-    a = psi1'/psi1 the division remainder is the function
-    a' + a^2 - b a - c, which vanishes exactly when psi1 is in the kernel.
-    Non-membership shows up as a large remainder, not an error.
-    """
-    psi1 = ex.as_expression(psi1)
-    a = ex.mul(ex.diff(psi1, "x"), ex.recip(psi1))
-    remainder = ex.add(
-        ex.diff(a, "x"),
-        ex.intpow(a, 2),
-        ex.neg(ex.mul(l.b, a)),
-        ex.neg(l.c),
-    )
-    pts = sample_points([a, remainder])
-    magnitude = float(np.max(np.abs(remainder.evaluate(x=pts))))
-    return FactorizationResult(a, remainder, magnitude)
 
 
 # ---------------------------------------------------------------------------

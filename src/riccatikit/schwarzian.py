@@ -10,26 +10,20 @@ the constant square of the Wronskian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-import math
 
 import numpy as np
 
 from . import expr as ex
 from . import numeric
-from .riccati import DEFAULT_INTERVAL, MobiusMap, sample_points
+from .riccati import MobiusMap, sample_points
 
 __all__ = [
-    "SchwarzTriple",
     "schwarz",
     "mobius_invariance",
     "report",
-    "dmod",
     "third_order_residual",
     "first_integral",
-    "riccati_pair",
-    "recover_potential",
 ]
 
 _HALF = ex.Rational(Fraction(1, 2))
@@ -78,17 +72,6 @@ def report(phi, s0, interval):
     return {"checks": [numeric.check("mobius_invariance", invariance, 1e-9)]}
 
 
-def dmod(a, interval=DEFAULT_INTERVAL):
-    """Modified Schwarzian (3/4) a_x^2/a^2 - (1/2) a_xx/a.
-
-    Satisfies dmod(e^{2b}) = b_x^2 - b_xx; requires a to be nonvanishing on
-    the working interval.
-    """
-    a = ex.as_expression(a)
-    _require_one_signed(a, interval)
-    return _modified_schwarzian(a)[0]
-
-
 def _modified_schwarzian(a):
     """(3/4)(a'/a)^2 - (1/2) a''/a and the size of its terms, (a'/a)^2, without a check on the zeros of a."""
     d1 = ex.diff(a, "x")
@@ -102,12 +85,6 @@ def _modified_schwarzian(a):
 def _term_size(a, d1):
     """(a'/a)^2 from a and d1 = a', the size of the terms of a's modified Schwarzian."""
     return ex.intpow(ex.mul(d1, ex.recip(a)), 2)
-
-
-def _require_one_signed(a, interval):
-    vals = a.evaluate(x=sample_points([a], interval=interval))
-    if np.any(vals == 0) or (np.min(vals) < 0 < np.max(vals)):
-        raise ValueError("a vanishes on the working interval")
 
 
 def third_order_residual(phi, c):
@@ -135,76 +112,3 @@ def first_integral(phi, c):
         ex.intpow(d1, 2),
         ex.neg(ex.mul(2, phi, d2)),
     )
-
-
-def recover_potential(a, z):
-    """c(x) consistent with first_integral(a, c) == z, solved for c."""
-    a = ex.as_expression(a)
-    d1 = ex.diff(a, "x")
-    d2 = ex.diff(d1, "x")
-    num = ex.add(ex.as_expression(z), ex.neg(ex.intpow(d1, 2)), ex.mul(2, a, d2))
-    return ex.mul(num, ex.recip(ex.mul(4, ex.intpow(a, 2))))
-
-
-def riccati_pair(a, z, interval=DEFAULT_INTERVAL):
-    """The two log-derivative solutions riding on a product solution.
-
-    If a = psi1 psi2 with Wronskian v and z = v^2, then
-    f_pm = (a' +- sqrt(z)) / (2a) both satisfy f' + f^2 = c with the
-    potential recovered from the first integral.
-    """
-    a = ex.as_expression(a)
-    if isinstance(z, ex.Expression):
-        raise TypeError("z must be a number (the squared Wronskian constant)")
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    _require_one_signed(a, interval)
-    root = ex.as_expression(math.sqrt(z)) if not _is_exact_square(z) else ex.Rational(_exact_sqrt(z))
-    d1 = ex.diff(a, "x")
-    half_recip = ex.mul(_HALF, ex.recip(a))
-    f_plus = ex.mul(ex.add(d1, root), half_recip)
-    f_minus = ex.mul(ex.sub(d1, root), half_recip)
-    return f_plus, f_minus
-
-
-def _is_exact_square(z):
-    if isinstance(z, float):
-        return False
-    q = Fraction(z)
-    return _isqrt_ok(q.numerator) and _isqrt_ok(q.denominator)
-
-
-def _isqrt_ok(n):
-    r = math.isqrt(n)
-    return r * r == n
-
-
-def _exact_sqrt(z):
-    q = Fraction(z)
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-
-
-@dataclass(frozen=True)
-class SchwarzTriple:
-    """Squares and product of a fundamental pair of psi_xx = c psi."""
-
-    phi1: ex.Expression
-    phi2: ex.Expression
-    phi3: ex.Expression
-    wronskian: float
-
-    @classmethod
-    def from_pair(cls, psi1, psi2):
-        psi1 = ex.as_expression(psi1)
-        psi2 = ex.as_expression(psi2)
-        w = ex.sub(ex.mul(psi1, ex.diff(psi2, "x")), ex.mul(psi2, ex.diff(psi1, "x")))
-        vals = w.evaluate(x=sample_points([w]))
-        v = float(np.mean(vals))
-        if np.max(np.abs(vals - v)) > 1e-8 * max(1.0, abs(v)):
-            raise ValueError("Wronskian is not constant: the pair does not solve psi_xx = c psi")
-        if abs(v) < 1e-12:
-            raise ValueError("the pair is linearly dependent")
-        return cls(ex.intpow(psi1, 2), ex.intpow(psi2, 2), ex.mul(psi1, psi2), v)
-
-    def basis(self):
-        return (self.phi1, self.phi2, self.phi3)

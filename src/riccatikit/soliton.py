@@ -7,9 +7,9 @@ gives an N x N linear system for the coefficients a_j(x); the potential is
 u = 2 a_1'.  Derivatives of a_j are exact, obtained by implicit
 differentiation of the system, never by finite differences.  A grid of x
 values is one stacked (P, N, N) system, solved by one batched LAPACK solve
-per derivative order.  The spectral probes (wavefunctions, Wronskian,
-Schrodinger residual) take arrays of k and x and evaluate the polynomial
-parts of psi1, psi2 with np.polyval on the coefficients of one such solve.
+per derivative order.  The spectral probes (Wronskian, Schrodinger
+residual) take arrays of k and x and evaluate the polynomial parts of
+psi1, psi2 with np.polyval on the coefficients of one such solve.
 
 Closed forms are provided for N <= 2, including the time-extended fields of
 the KdV and KP flows; report compares the potential with them.  Sign
@@ -41,7 +41,6 @@ __all__ = [
     "system_matrix",
     "solve_coefficients",
     "potential",
-    "wavefunctions",
     "schrodinger_residual",
     "numeric_wronskian",
     "wronskian_poly",
@@ -193,9 +192,6 @@ class TransparentPotential:
             self.a, da = solve_coefficients(spec, grid, order=1)
             self.u = 2.0 * da[..., 0]
 
-    def a_at(self, x, order=0):
-        return solve_coefficients(self.spec, x, order=order)[order]
-
     def u_at(self, x):
         _, da = solve_coefficients(self.spec, x, order=1)
         return 2.0 * da[..., 0]
@@ -223,19 +219,6 @@ def _poly_coeffs(spec, x, order):
 def _alternate(c):
     """Coefficients of psi2's polynomial part Q = (-1)^N P(-k) from those of P."""
     return c * ((-1.0) ** np.arange(len(c))).reshape((-1,) + (1,) * (c.ndim - 1))
-
-
-def wavefunctions(spec, k, x):
-    """Values (psi1, psi2) of the truncated-series pair at spectral parameter k.
-
-    k and x are numbers or arrays that broadcast together.  At k = k_j the
-    two are proportional with ratio (-1)^{j+1} B_j; at k = 0 they are
-    linearly dependent (psi2 = (-1)^N psi1), so no general solution can be
-    assembled from them there.
-    """
-    k = np.asarray(k, dtype=float)
-    (c,) = _poly_coeffs(spec, x, 0)
-    return np.exp(k * x) * np.polyval(c, k), np.exp(-k * x) * np.polyval(_alternate(c), k)
 
 
 def numeric_wronskian(spec, k, x):

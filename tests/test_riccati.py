@@ -230,38 +230,6 @@ class TestCanonicalForm:
             assert abs(res.evaluate(x=p)) <= 1e-10
 
 
-class TestSecondSolution:
-    def test_trivial_equation(self):
-        l = rc.Lode2(0, 0)
-        psi2 = rc.second_solution(l, ex.ONE)
-        assert psi2 == X
-
-    def test_exponential_pair(self):
-        l = rc.Lode2(0, 1)
-        psi1 = ex.exp(X)
-        psi2 = rc.second_solution(l, psi1)
-        for p in (-1.0, 0.0, 1.3):
-            assert psi2.evaluate(x=p) == pytest.approx(-0.5 * math.exp(-p), rel=1e-12)
-        w = ex.sub(ex.mul(psi1, ex.diff(psi2, "x")), ex.mul(psi2, ex.diff(psi1, "x")))
-        for p in (-1.0, 0.5):
-            assert w.evaluate(x=p) == pytest.approx(1.0, rel=1e-12)
-
-    def test_cosine_gives_sine(self):
-        l = rc.Lode2(0, -1)
-        psi2 = rc.second_solution(l, ex.cos(X), interval=(-1.3, 1.3))
-        for p in (-1.0, 0.2, 1.2):
-            assert psi2.evaluate(x=p) == pytest.approx(math.sin(p), rel=1e-12)
-
-    def test_zero_crossing_reported(self):
-        l = rc.Lode2(0, 0)
-        with pytest.raises(ValueError):
-            rc.second_solution(l, X)
-
-    def test_requires_canonical_equation(self):
-        with pytest.raises(ValueError):
-            rc.second_solution(rc.Lode2(1, 0), ex.ONE)
-
-
 class TestHermite:
     def test_polynomial_table(self):
         assert rc.hermite_polynomial(0)[0] == ex.ONE
@@ -297,12 +265,6 @@ class TestHermite:
         res = ex.add(ex.diff(y2, "x"), ex.intpow(y2, 2), ex.neg(rhs))
         for p in (0.3, 0.9, 2.0, -1.7):
             assert abs(res.evaluate(x=p)) <= 1e-10
-
-    def test_inverse_ladder(self):
-        y_hat, alpha_hat = rc.hermite_ladder(X, 1)
-        y, alpha = rc.inverse_hermite_ladder(y_hat, alpha_hat)
-        assert y == X
-        assert alpha == 1
 
     def test_ladder_rejects_identically_minus_x(self):
         with pytest.raises(ValueError):
@@ -350,96 +312,6 @@ class TestPoleSeries:
         assert abs(traj.ys[-1][0] - series(x1)) <= 1e-5
         traj2 = numeric.integrate_ivp(rhs, x0, [series(x0)], 0.25, tol=1e-13)
         assert abs(traj2.ys[-1][0] - series(0.25)) <= 5e-7
-
-
-class TestLodoConstKernel:
-    def residual(self, coeffs, f):
-        n = len(coeffs)
-        d = f
-        total = ex.diff(f, "x", n)
-        for i, a in enumerate(coeffs):
-            total = ex.add(total, ex.mul(ex.as_expression(a), ex.diff(f, "x", n - 1 - i)))
-        return total
-
-    def test_distinct_real_roots(self):
-        basis = rc.lodo_const_kernel([-3.0, 2.0]).functions  # psi'' - 3 psi' + 2 psi
-        vals = sorted(str(b) for b in basis)
-        assert len(basis) == 2
-        for b in basis:
-            res = self.residual([-3.0, 2.0], b)
-            assert max(abs(res.evaluate(x=p)) for p in (-1.0, 0.0, 1.0)) <= 1e-8
-
-    def test_double_root(self):
-        out = rc.lodo_const_kernel([-2.0, 1.0])  # psi'' - 2 psi' + psi
-        assert len(out.functions) == 2
-        assert any(isinstance(b, ex.Product) for b in out.functions)  # x e^x
-        for b in out.functions:
-            res = self.residual([-2.0, 1.0], b)
-            assert max(abs(res.evaluate(x=p)) for p in (-1.0, 0.5, 1.5)) <= 1e-6
-
-    def test_pure_derivative_operator(self):
-        out = rc.lodo_const_kernel([0.0, 0.0, 0.0])  # d^3/dx^3
-        assert [str(b) for b in out.functions] == ["1", "x", "x^2"]
-
-    def test_complex_pair_returns_real_basis(self):
-        out = rc.lodo_const_kernel([0.0, 1.0])  # psi'' + psi
-        names = {str(b) for b in out.functions}
-        assert names == {"cos(x)", "sin(x)"}
-
-    def test_distinct_roots(self):
-        out = rc.lodo_const_kernel([-3.0, 2.0])  # 2 - 3x + x^2
-        vals = sorted(v.real for v, _ in out.roots)
-        assert vals == pytest.approx([1.0, 2.0], abs=1e-10)
-
-    def test_double_root_clusters(self):
-        out = rc.lodo_const_kernel([-2.0, 1.0])
-        assert len(out.roots) == 1
-        root, mult = out.roots[0]
-        assert mult == 2
-        assert root.real == pytest.approx(1.0, abs=1e-7)
-        assert [str(b) for b in out.functions] == ["exp(x)", "x*exp(x)"]
-
-    def test_soliton_wronskian_roots(self):
-        out = rc.lodo_const_kernel([0.0, -1.0, 0.0])  # roots of -2k^3 + 2k
-        vals = sorted(v.real for v, _ in out.roots)
-        assert vals == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
-
-    def test_degree_eight_against_known_roots(self):
-        roots = [-3.5, -2.0, -1.0, 0.5, 1.0, 2.5, 3.0, 4.0]
-        out = rc.lodo_const_kernel(np.poly(roots)[1:])
-        mine = sorted(v.real for v, _ in out.roots)
-        assert mine == pytest.approx(sorted(roots), abs=1e-9)
-        assert out.backward_error <= 1e-9
-
-    @pytest.mark.parametrize(
-        "coeffs", [np.poly(range(1, 19))[1:], [1.0] * 17, [0.0] * 17], ids=["degree_18", "ones_17", "zeros_17"]
-    )
-    def test_degree_cap(self, coeffs):
-        with pytest.raises(ValueError):
-            rc.lodo_const_kernel(coeffs)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_coefficient_rejected(self, bad):
-        with pytest.raises(ValueError):
-            rc.lodo_const_kernel([bad, 1.0])
-
-
-class TestLodeFactor:
-    def test_kernel_member_divides_exactly(self):
-        l = rc.Lode2(0, 1)
-        out = rc.lode_factor(l, ex.exp(X))
-        assert out.a == ex.ONE
-        assert out.magnitude <= 1e-12
-
-    def test_non_member_leaves_constant_remainder(self):
-        l = rc.Lode2(0, 1)
-        out = rc.lode_factor(l, ex.exp(ex.mul(ex.Rational(2), X)))
-        assert out.remainder == ex.Rational(3)
-
-    def test_hermite_first_excited_state(self):
-        l = rc.Lode2(ex.parse_expression("2*x"), ex.Rational(-2))
-        out = rc.lode_factor(l, ex.parse_expression("2*x"))
-        assert out.magnitude <= 1e-10
 
 
 class TestKovalevskii:
@@ -528,7 +400,7 @@ class TestArrayChecks:
         eq, fam = solve_re_family(*family)
         for c0 in (1, 4):
             sol = fam(c0)
-            assert ex.contains_quadrature(sol)
+            assert "quad(" in str(sol)
             res = ex.sub(ex.diff(sol, "x"), ex.add(ex.mul(eq.a, ex.intpow(sol, 2)), ex.mul(eq.b, sol), eq.c))
             pts = rc.sample_points([sol, res])
             assert pts.tolist() == sample_points_per_point([sol, res])
@@ -543,7 +415,7 @@ class TestArrayChecks:
         fam = rc.general_from_particular(eq, ex.ZERO)
         for c0 in (1, 4):
             sol = fam(c0)
-            assert ex.contains_quadrature(sol)
+            assert "quad(" in str(sol)
             pts = rc.sample_points([sol])
             assert pts.tolist() == sample_points_per_point([sol])
             assert pts.min() > -2.0
@@ -561,8 +433,6 @@ class TestArrayChecks:
         pts = [0.0, np.nan, 1.0]
         # Python's max would drop the NaN here (max(0.0, nan) is 0.0)
         assert math.isnan(rc.riccati_residual(eq, phi, points=pts))
-        lode = rc.Lode2(ex.ZERO, ex.Rational(-1))
-        assert math.isnan(lode.residual(ex.sin(X), points=pts))
         assert not cli.check("solution_residual", rc.riccati_residual(eq, phi, points=pts), 1e-9)["pass"]
 
 

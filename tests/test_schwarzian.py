@@ -51,36 +51,6 @@ class TestSchwarz:
         assert tried >= 20
 
 
-class TestDmod:
-    def test_exponential_square(self):
-        d = sw.dmod(ex.exp(ex.mul(ex.Rational(4), X)))  # a = e^{2kx}, k = 2
-        for p in (-0.5, 0.3):
-            assert d.evaluate(x=p) == pytest.approx(4.0, rel=1e-12)
-
-    def test_two_exponential_profile(self):
-        # a = (e^{kx} + e^{-kx})^{-2} with k = 2 has constant value k^2
-        a = ex.recip(ex.intpow(ex.add(ex.exp(ex.mul(ex.Rational(2), X)), ex.exp(ex.mul(ex.Rational(-2), X))), 2))
-        d = sw.dmod(a)
-        for p in (-1.0, 0.0, 0.7):
-            assert d.evaluate(x=p) == pytest.approx(4.0, rel=1e-10)
-
-    def test_constant_profile(self):
-        assert ex.is_zero(sw.dmod(ex.ONE))
-
-    def test_log_square_identity(self):
-        # dmod(e^{2b}) = b_x^2 - b_xx for a generic smooth b
-        b = ex.parse_expression("sin(x)/3 + x^2/7")
-        a = ex.exp(ex.mul(ex.Rational(2), b))
-        d = sw.dmod(a)
-        expected = ex.sub(ex.intpow(ex.diff(b, "x"), 2), ex.diff(b, "x", 2))
-        for p in (-1.2, 0.1, 0.8):
-            assert d.evaluate(x=p) == pytest.approx(expected.evaluate(x=p), rel=1e-11)
-
-    def test_sign_change_rejected(self):
-        with pytest.raises(ValueError):
-            sw.dmod(X)
-
-
 class TestThirdOrder:
     def test_product_of_sine_and_cosine(self):
         res = sw.third_order_residual(ex.mul(ex.sin(X), ex.cos(X)), ex.Rational(-1))
@@ -153,81 +123,6 @@ class TestFirstIntegral:
         dfi = ex.diff(fi, "x")
         for p in np.linspace(-1.2, 1.2, 9):
             assert abs(dfi.evaluate(x=float(p))) <= 1e-8
-
-
-class TestRiccatiPair:
-    def test_sine_cosine_pair(self):
-        a = ex.mul(ex.sin(X), ex.cos(X))
-        fp, fm = sw.riccati_pair(a, 1.0, interval=(0.2, 1.2))
-        c = sw.recover_potential(a, 1.0)
-        for f in (fp, fm):
-            res = ex.sub(ex.add(ex.diff(f, "x"), ex.intpow(f, 2)), c)
-            for p in (0.3, 0.6, 1.1):
-                assert abs(res.evaluate(x=p)) <= 1e-9
-        for p in (0.3, 0.6, 1.1):
-            assert c.evaluate(x=p) == pytest.approx(-1.0, rel=1e-9)
-
-    def test_linear_product_solution(self):
-        # a = x pairs with psi1 = 1, psi2 = x: f values {0, 1/x} solve f' + f^2 = 0
-        fp, fm = sw.riccati_pair(X, 1.0, interval=(0.5, 4.0))
-        for f in (fp, fm):
-            res = ex.add(ex.diff(f, "x"), ex.intpow(f, 2))
-            for p in (0.7, 1.3, 2.9):
-                assert abs(res.evaluate(x=p)) <= 1e-12
-        vals = sorted((fp.evaluate(x=2.0), fm.evaluate(x=2.0)))
-        assert vals == pytest.approx([0.0, 0.5], abs=1e-12)
-
-    def test_constant_profile(self):
-        fp, fm = sw.riccati_pair(ex.Rational(3), 0.0)
-        assert ex.is_zero(fp)
-        assert ex.is_zero(fm)
-
-    def test_exact_square_root_stays_rational(self):
-        fp, _ = sw.riccati_pair(X, 4, interval=(0.5, 4.0))
-        assert not any(isinstance(n, ex.Real) for n in [fp])  # top node stays exact
-
-    def test_vanishing_profile_rejected(self):
-        with pytest.raises(ValueError):
-            sw.riccati_pair(ex.sin(X), 1.0)
-
-
-class TestSchwarzTriple:
-    def test_from_sine_cosine(self):
-        t = sw.SchwarzTriple.from_pair(ex.sin(X), ex.cos(X))
-        assert t.wronskian == pytest.approx(-1.0, abs=1e-12)
-        for phi in t.basis():
-            res = sw.third_order_residual(phi, ex.Rational(-1))
-            for p in (0.2, 0.8):
-                assert abs(res.evaluate(x=p)) <= 1e-10
-
-    def test_wronskian_cube_relation(self):
-        # the third-order Wronskian of the squares-and-product basis is the
-        # constant -2 V^3 (proportional to the cube of the pair Wronskian)
-        t = sw.SchwarzTriple.from_pair(ex.sin(X), ex.cos(X))
-        rows = [[phi, ex.diff(phi, "x"), ex.diff(phi, "x", 2)] for phi in t.basis()]
-        for p in (0.3, 0.9):
-            m = np.array([[r.evaluate(x=p) for r in row] for row in rows])
-            assert np.linalg.det(m) == pytest.approx(-2 * t.wronskian**3, abs=1e-8)
-
-    def test_dependent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            sw.SchwarzTriple.from_pair(ex.sin(X), ex.mul(ex.Rational(2), ex.sin(X)))
-
-    def test_non_solution_pair_rejected(self):
-        with pytest.raises(ValueError):
-            sw.SchwarzTriple.from_pair(ex.sin(X), ex.intpow(X, 2))
-
-
-class TestPotentialRecovery:
-    def test_reciprocal_product_solution_reproduces_c(self):
-        # modified-Schwarzian route: a = 1/phi3 with the sin/cos triple
-        # must reproduce c = -1 through dmod(a) + (V^2/4) a^2
-        a = ex.recip(ex.mul(ex.sin(X), ex.cos(X)))
-        d = sw.dmod(a, interval=(0.2, 1.2))
-        v2 = 1.0
-        c_rec = ex.add(d, ex.mul(ex.Rational(Fraction(1, 4)), ex.as_expression(v2), ex.intpow(a, 2)))
-        for p in (0.3, 0.7, 1.1):
-            assert c_rec.evaluate(x=p) == pytest.approx(-1.0, abs=1e-8)
 
 
 class TestMobiusInvariance:
