@@ -129,13 +129,9 @@ def parse_list(text):
 
 def parse_expr_arg(text):
     try:
-        e = ex.parse_expression(str(text))
+        return ex.parse_expression(str(text))
     except ValueError as err:
         raise ConfigError(f"bad expression {text!r}: {err}") from err
-    others = ex.variables(e) - {"x"}
-    if others:
-        raise ConfigError(f"bad expression {text!r}: x is the only variable, got {', '.join(sorted(others))}")
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,7 @@ def _verify_symbolic(rng):
     leibniz = (p * q).d_x() - (p.d_x() * q + p * q.d_x())
     checks.append(check("leibniz_rule_exact", 0.0 if leibniz.is_zero() else 1.0, 0.5))
     e = ex.parse_expression("exp(-x^2)*tanh(x) + x^3/(1+x^2)")
-    d = ex.diff(e, "x")
+    d = ex.diff(e)
     p0, h0 = rng.uniform(-2, 2, 8), 1e-6
     fd = (e.evaluate(x=p0 + h0) - e.evaluate(x=p0 - h0)) / (2 * h0)
     errs = np.abs(fd - d.evaluate(x=p0)) / np.maximum(1.0, np.abs(fd))
@@ -285,12 +281,12 @@ def _verify_symbolic(rng):
 def _verify_riccati(rng):
     checks = []
     eq = rc.RiccatiEq(1, 0, 0)
-    phi = ex.neg(ex.recip(ex.add(ex.Var("x"), ex.Rational(7))))
+    phi = ex.neg(ex.recip(ex.add(ex.X, ex.Rational(7))))
     m = rc.MobiusMap(*[float(v) for v in rng.uniform(-2, 2, 4)])
     out = rc.mobius_transform(eq, m)
     mapped = m.apply(phi)
     checks.append(check("solution_transport", rc.riccati_residual(out, mapped), 1e-9))
-    ycur, acur = ex.Var("x"), 1
+    ycur, acur = ex.X, 1
     ycur, acur = rc.hermite_ladder(ycur, acur)
     target = ex.parse_expression("x + 1/x")
     checks.append(check("ladder_reaches_x_plus_1_over_x", 0.0 if ycur == target else 1.0, 0.5))
@@ -302,7 +298,7 @@ def _verify_riccati(rng):
 
 
 def _verify_schwarzian(rng):
-    x = ex.Var("x")
+    x = ex.X
     phi = ex.add(x, ex.mul(ex.Rational(Fraction(1, 5)), ex.exp(x)))
     draws = [[float(v) for v in rng.uniform(-2, 2, 4)] for _ in range(5)]
     maps = [rc.MobiusMap(*d) for d in draws if abs(d[0] * d[3] - d[1] * d[2]) >= 0.1]
@@ -334,9 +330,9 @@ def _verify_soliton(rng):
     gap = np.max(np.abs(z1.evaluate(x=xs) - so.solve_coefficients(spec, xs, order=0)[0][:, 0]))
     checks.append(check("zeta1_equals_a1", gap, 1e-10))
     vals = []
-    u_t = so.kdv_closed_form(spec)
     for t0 in (-0.5, 0.0, 0.7):
-        integral = numeric.quadrature(lambda xv: u_t.evaluate(x=xv, t=t0), -40, 40, tol=1e-10)
+        u_t0 = so.kdv_closed_form(spec, t0)
+        integral = numeric.quadrature(lambda xv: u_t0.evaluate(x=xv), -40, 40, tol=1e-10)
         vals.append(0.5 * integral)
     checks.append(check("kdv_density_time_drift", np.ptp(vals), 1e-8))  # NaN if any integral is NaN
     return checks
@@ -438,7 +434,7 @@ def build_parser():
     p.add_argument("--gamma0", type=finite_float, required=True)
     p.add_argument("--sign", default="+", choices=["+", "-"])
     p.add_argument("--grid", default="0:12:0.01")
-    p.add_argument("--deterministic", action="store_true", help="fixed-step RK4 integrator")
+    p.add_argument("--deterministic", action="store_true", help="fixed-step RK4 for the gamma_vs_elliptic cross-check only")
 
     p = new("verify", cmd_verify, help="run the invariant suites")
     p.add_argument("--suite", default="all", choices=["all", *_SUITES])

@@ -212,7 +212,7 @@ class DiffPolynomial:
         for mono, c in self.coeffs.items():
             factors = [ex.Rational(c)]
             for (sym, order), e in mono:
-                base = ex.diff(potentials[sym], "x", order)
+                base = ex.diff(potentials[sym], order)
                 factors.append(ex.intpow(base, e))
             total = ex.add(total, ex.mul(*factors))
         return total

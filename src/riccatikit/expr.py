@@ -1,9 +1,9 @@
 """Exact symbolic expression kernel.
 
-A small closed family of expression nodes (rational/real constants, variables,
-sums, products, integer powers, negation, reciprocal, exp/log, hyperbolic and
-circular functions) with exact symbolic differentiation and numeric
-evaluation at a point or on whole arrays of points.  Rational constant
+A small closed family of expression nodes in the one variable x (rational/real
+constants, x, sums, products, integer powers, negation, reciprocal, exp/log,
+hyperbolic and circular functions) with exact symbolic differentiation in x
+and numeric evaluation at a point or on whole arrays of points.  Rational constant
 arithmetic is exact; simplification is limited to constant folding,
 flattening of sums and products, and merging/cancelling of identical terms.
 There is deliberately no general canonical form: zero testing of residuals
@@ -31,6 +31,7 @@ __all__ = [
     "Rational",
     "Real",
     "Var",
+    "X",
     "add",
     "sub",
     "mul",
@@ -50,7 +51,6 @@ __all__ = [
     "as_expression",
     "parse_expression",
     "antiderivative",
-    "variables",
     "is_zero",
     "ZERO",
     "ONE",
@@ -140,36 +140,23 @@ class Expression:
         return neg(self)
 
     # -- core operations ----------------------------------------------------
-    def diff(self, var: str):
+    def diff(self):
         raise NotImplementedError
 
-    def evaluate(self, **env):
-        """Evaluate at a point or on arrays of points.
+    def evaluate(self, x):
+        """Evaluate at x, a number or an array of points.
 
-        Variables are bound by keyword arguments, to numbers or to arrays.
         At a point, a division by zero or the log of a non-positive number
-        raises EvalDomainError.  With array bindings the result is an array
-        of their broadcast shape, NaN at exactly the points where evaluation
-        at that point raises (NaN propagates through every node); overflow
-        gives inf.
+        raises EvalDomainError.  On an array the result has its shape, NaN at
+        exactly the points where a point evaluation raises; overflow gives inf.
         """
-        shape = None
-        for name, v in env.items():
-            if isinstance(v, np.ndarray) and v.ndim:
-                env[name] = v.astype(float, copy=False)
-                shape = v.shape if shape is None else np.broadcast_shapes(shape, v.shape)
-        if shape is None:
-            return self._eval(env)
-        out = np.asarray(_eval_masked(self, env), dtype=float)
-        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        if not (isinstance(x, np.ndarray) and x.ndim):
+            return self._eval({"x": x})
+        out = np.asarray(_eval_masked(self, {"x": x.astype(float, copy=False)}), dtype=float)
+        return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
 
     def _eval(self, env):
         raise NotImplementedError
-
-    def variables(self):
-        """Names of the variables; a quadrature node is a function of x."""
-        nodes = [n for n in _walk(self) if isinstance(n, (Var, Quadrature))]
-        return {"x" if isinstance(n, Quadrature) else n.name for n in nodes}
 
     def __repr__(self):
         return f"<expr {self}>"
@@ -194,7 +181,7 @@ class Rational(Expression):
     def _build_key(self):
         return (0, self.value.numerator, self.value.denominator)
 
-    def diff(self, var):
+    def diff(self):
         return ZERO
 
     def _eval(self, env):
@@ -217,7 +204,7 @@ class Real(Expression):
     def _build_key(self):
         return (1, self.value)
 
-    def diff(self, var):
+    def diff(self):
         return ZERO
 
     def _eval(self, env):
@@ -231,26 +218,21 @@ class Real(Expression):
 
 
 class Var(Expression):
-    __slots__ = ("name",)
+    """The independent variable x; ``X`` is its one instance."""
 
-    def __init__(self, name: str):
-        super().__init__()
-        self.name = name
+    __slots__ = ()
 
     def _build_key(self):
-        return (2, self.name)
+        return (2,)
 
-    def diff(self, var):
-        return ONE if self.name == var else ZERO
+    def diff(self):
+        return ONE
 
     def _eval(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise EvalDomainError(f"unbound variable {self.name!r}") from None
+        return env["x"]
 
     def _str(self, prec):
-        return self.name
+        return "x"
 
 
 class Sum(Expression):
@@ -263,8 +245,8 @@ class Sum(Expression):
     def _build_key(self):
         return (3,) + tuple(t.key() for t in self.terms)
 
-    def diff(self, var):
-        return add(*[t.diff(var) for t in self.terms])
+    def diff(self):
+        return add(*[t.diff() for t in self.terms])
 
     def _eval(self, env):
         total = self.terms[0]._eval(env)
@@ -297,10 +279,10 @@ class Product(Expression):
     def _build_key(self):
         return (4,) + tuple(f.key() for f in self.factors)
 
-    def diff(self, var):
+    def diff(self):
         terms = []
         for i, f in enumerate(self.factors):
-            d = f.diff(var)
+            d = f.diff()
             if is_zero(d):
                 continue
             terms.append(mul(*self.factors[:i], d, *self.factors[i + 1 :]))
@@ -336,8 +318,8 @@ class IntPower(Expression):
     def _build_key(self):
         return (5, self.base.key(), self.exponent)
 
-    def diff(self, var):
-        db = self.base.diff(var)
+    def diff(self):
+        db = self.base.diff()
         if is_zero(db):
             return ZERO
         return mul(Rational(self.exponent), intpow(self.base, self.exponent - 1), db)
@@ -360,8 +342,8 @@ class Neg(Expression):
     def _build_key(self):
         return (6, self.arg.key())
 
-    def diff(self, var):
-        return neg(self.arg.diff(var))
+    def diff(self):
+        return neg(self.arg.diff())
 
     def _eval(self, env):
         return -self.arg._eval(env)
@@ -381,8 +363,8 @@ class Recip(Expression):
     def _build_key(self):
         return (7, self.arg.key())
 
-    def diff(self, var):
-        da = self.arg.diff(var)
+    def diff(self):
+        da = self.arg.diff()
         if is_zero(da):
             return ZERO
         return neg(mul(da, recip(intpow(self.arg, 2))))
@@ -417,8 +399,8 @@ class Func(Expression):
     def _build_key(self):
         return (8, self.name, self.arg.key())
 
-    def diff(self, var):
-        da = self.arg.diff(var)
+    def diff(self):
+        da = self.arg.diff()
         if is_zero(da):
             return ZERO
         outer = _FUNCTIONS[self.name][1](self.arg)
@@ -437,31 +419,28 @@ class Func(Expression):
 class Quadrature(Expression):
     """Antiderivative in x of ``integrand`` from 0, evaluated numerically to 1e-12.
 
-    Differentiating in x returns the integrand, so the family stays closed
-    under differentiation.
+    Differentiating returns the integrand, so the family stays closed under
+    differentiation.
     """
 
     __slots__ = ("integrand",)
 
     def __init__(self, integrand):
         super().__init__()
-        if integrand.variables() - {"x"}:
-            raise ValueError("quadrature integrand must depend only on x")
         self.integrand = integrand
 
     def _build_key(self):
         return (9, self.integrand.key())
 
-    def diff(self, var):
-        return self.integrand if var == "x" else ZERO
+    def diff(self):
+        return self.integrand
 
     def _eval(self, env):
-        x = _X._eval(env)
-        integrand = self.integrand
+        x = env["x"]
         # one adaptive sweep from 0 to every x; the integrand is evaluated on
         # all nodes of a refinement pass at once, and where it is NaN
         # (outside its domain) so is every x beyond
-        f = lambda t: _eval_masked(integrand, {"x": t})
+        f = lambda t: _eval_masked(self.integrand, {"x": t})
         v = numeric.quadrature(f, 0.0, x, tol=1e-12, domain=True)
         if _MASKED not in env and np.isnan(v):
             raise EvalDomainError(f"integrand is not finite between 0 and {float(x):g}")
@@ -473,7 +452,7 @@ class Quadrature(Expression):
 
 ZERO = Rational(0)
 ONE = Rational(1)
-_X = Var("x")
+X = Var()
 
 _FUNCTIONS = {
     # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there))
@@ -753,31 +732,16 @@ cos = _make_func("cos")
 tan = _make_func("tan")
 
 
-def diff(e, var: str, order: int = 1):
-    """Exact symbolic derivative of ``e`` with respect to ``var``."""
+def diff(e, order: int = 1):
+    """Exact symbolic ``order``-th derivative of ``e`` in x."""
     out = as_expression(e)
     for _ in range(order):
-        out = out.diff(var)
+        out = out.diff()
     return out
 
 
-def evaluate(e, **env):
-    return as_expression(e).evaluate(**env)
-
-
-def variables(e):
-    return as_expression(e).variables()
-
-
-def _walk(e):
-    """Every node of ``e``, once per occurrence; a quadrature node's integrand is not entered."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        for attr in ("terms", "factors", "base", "arg"):
-            child = getattr(node, attr, ())
-            stack.extend(child if isinstance(child, tuple) else (child,))
+def evaluate(e, x):
+    return as_expression(e).evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +751,7 @@ def _walk(e):
 def _linear_parts(e):
     """Return (a, b) with e == a*x + b for structurally linear e, else None."""
     if isinstance(e, Var):
-        return (Fraction(1), Fraction(0)) if e.name == "x" else None
+        return (Fraction(1), Fraction(0))
     cv = _const_value(e)
     if cv is not None:
         return (Fraction(0), cv)
@@ -796,7 +760,7 @@ def _linear_parts(e):
         return (-p[0], -p[1]) if p else None
     if isinstance(e, Product):
         coeff, core = _split_coeff(e)
-        if isinstance(core, Var) and core.name == "x":
+        if isinstance(core, Var):
             return (coeff, Fraction(0))
         return None
     if isinstance(e, Sum):
@@ -817,7 +781,7 @@ def poly_coeffs(e):
     if cv is not None:
         return [cv]
     if isinstance(e, Var):
-        return [Fraction(0), Fraction(1)] if e.name == "x" else None
+        return [Fraction(0), Fraction(1)]
     if isinstance(e, Neg):
         c = poly_coeffs(e.arg)
         return [-x for x in c] if c is not None else None
@@ -856,12 +820,12 @@ def _convolve(a, b):
 
 
 def _poly_expr(coeffs):
-    return add(*[mul(as_expression(c), intpow(_X, i)) for i, c in enumerate(coeffs)])
+    return add(*[mul(as_expression(c), intpow(X, i)) for i, c in enumerate(coeffs)])
 
 
 def _int_poly_times_exp(coeffs, w_a, w_b):
     # integral of (sum c_i x^i) * exp(a x + b): repeated integration by parts
-    ew = exp(add(mul(as_expression(w_a), _X), as_expression(w_b)))
+    ew = exp(add(mul(as_expression(w_a), X), as_expression(w_b)))
     n = len(coeffs) - 1
     # solve d/dx (e^{ax+b} * sum q_i x^i) = e^{ax+b} * sum c_i x^i
     # => a q_i + (i+1) q_{i+1} = c_i
@@ -981,14 +945,16 @@ def parse_expression(text: str):
     """Parse "2*x^2 - 1/cosh(x)^2" style strings into an Expression.
 
     Python's arithmetic with ``^`` for the power, parsed by :func:`ast.parse`
-    and walked against a whitelist: exact integer and decimal literals, names,
+    and walked against a whitelist: exact integer and decimal literals, x,
     ``+ - * /``, integer exponents, parentheses and one-argument calls of the
-    ``_FUNCTIONS``.  Nothing is evaluated; anything else raises ValueError.
+    ``_FUNCTIONS``.  Nothing is evaluated; anything else, another name among
+    it, raises ValueError.
     """
     src = " ".join(str(text).split())
     if not _ALPHABET.fullmatch(src) or "**" in src:
         raise ValueError("unexpected character")
     raw = src.replace("^", "**").encode()  # ast offsets count UTF-8 bytes
+    others = set()  # names other than x, all reported at the end
 
     def seg(node):
         return raw[node.col_offset : node.end_col_offset].decode()
@@ -1009,7 +975,8 @@ def parse_expression(text: str):
             return Rational(Fraction(seg(node)))
         name = seg(node.func if isinstance(node, ast.Call) else node)
         if isinstance(node, ast.Name) and name not in _FUNCTIONS and (name[0].isalpha() or name[0] == "_"):
-            return Var(name)
+            others.update({name} - {"x"})
+            return X
         if isinstance(node, ast.Call) and name in _FUNCTIONS and len(node.args) == 1:  # no comma: no keywords
             if node.func.col_offset == node.col_offset:  # not "(exp)(x)"
                 return _func(name, walk(node.args[0]))
@@ -1028,8 +995,11 @@ def parse_expression(text: str):
         raise ValueError("exponent must be an integer")
 
     try:
-        return walk(ast.parse(raw, mode="eval").body)
+        e = walk(ast.parse(raw, mode="eval").body)
     except ZeroDivisionError:
         raise ValueError("division by zero in a constant") from None
     except (SyntaxError, RecursionError) as err:
         raise ValueError(getattr(err, "msg", str(err))) from None
+    if others:
+        raise ValueError(f"x is the only variable, got {', '.join(sorted(others))}")
+    return e

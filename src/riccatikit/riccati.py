@@ -147,7 +147,7 @@ def riccati_residual(eq, phi, points=None):
     A NaN at any point makes the result NaN, so a check on it fails.
     """
     phi = ex.as_expression(phi)
-    dphi = ex.diff(phi, "x")
+    dphi = ex.diff(phi)
     rhs = ex.add(ex.mul(eq.a, ex.intpow(phi, 2)), ex.mul(eq.b, phi), eq.c)
     res = ex.sub(dphi, rhs)
     pts = _points(points, [phi, res])
@@ -164,7 +164,7 @@ def _invert(eq):
 
 
 def _scale(eq, alpha):
-    dlog = ex.mul(ex.diff(alpha, "x"), ex.recip(alpha))
+    dlog = ex.mul(ex.diff(alpha), ex.recip(alpha))
     return RiccatiEq(
         ex.mul(eq.a, ex.recip(alpha)),
         ex.add(eq.b, dlog),
@@ -177,7 +177,7 @@ def _shift(eq, beta):
         ex.mul(eq.a, ex.intpow(beta, 2)),
         ex.neg(ex.mul(eq.b, beta)),
         eq.c,
-        ex.diff(beta, "x"),
+        ex.diff(beta),
     )
     return RiccatiEq(eq.a, ex.sub(eq.b, ex.mul(2, eq.a, beta)), new_c)
 
@@ -317,7 +317,7 @@ def convert_re_lode(direction, eq):
     if direction == "re_to_lode":
         if eq.is_linear:
             raise ValueError("a == 0: the equation is already linear first-order")
-        b_new = ex.add(ex.mul(ex.diff(eq.a, "x"), ex.recip(eq.a)), eq.b)
+        b_new = ex.add(ex.mul(ex.diff(eq.a), ex.recip(eq.a)), eq.b)
         c_new = ex.neg(ex.mul(eq.c, eq.a))
         return Lode2(b_new, c_new), "phi = -psi_x/(a*psi)"
     raise ValueError("direction must be 'lode_to_re' or 're_to_lode'")
@@ -333,7 +333,7 @@ def canonical_form(l):
     c_hat = ex.add(
         ex.neg(l.c),
         ex.neg(ex.mul(ex.Rational(Fraction(1, 4)), ex.intpow(l.b, 2))),
-        ex.mul(ex.Rational(Fraction(1, 2)), ex.diff(l.b, "x")),
+        ex.mul(ex.Rational(Fraction(1, 2)), ex.diff(l.b)),
     )
     gauge = ex.exp(ex.mul(ex.Rational(Fraction(1, 2)), ex.antiderivative(l.b)))
     return c_hat, gauge
@@ -384,9 +384,9 @@ def hermite_polynomial(n):
     y satisfies y' + y^2 = x^2 - 2n - 1.
     """
     coeffs = hermite_coefficients(n)
-    x = ex.Var("x")
+    x = ex.X
     omega = ex.add(*[ex.mul(ex.Rational(c), ex.intpow(x, i)) for i, c in enumerate(coeffs)])
-    y = ex.add(ex.neg(x), ex.mul(ex.diff(omega, "x"), ex.recip(omega)))
+    y = ex.add(ex.neg(x), ex.mul(ex.diff(omega), ex.recip(omega)))
     return omega, y
 
 
@@ -396,7 +396,7 @@ def hermite_report(n):
     rod = rodrigues_coefficients(n)
     _, y = hermite_polynomial(n)
     rhs = ex.parse_expression(f"x^2 - {2 * n + 1}")
-    witness = ex.add(ex.diff(y, "x"), ex.intpow(y, 2), ex.neg(rhs))
+    witness = ex.add(ex.diff(y), ex.intpow(y, 2), ex.neg(rhs))
     residual = np.max(np.abs(witness.evaluate(x=np.linspace(4.0, 9.0, 100))))  # a NaN at any point fails
     return {
         "polynomial": _format_poly([int(c) for c in coeffs]),
@@ -426,7 +426,7 @@ def hermite_ladder(y, alpha):
     denominator must not vanish identically.
     """
     y = ex.as_expression(y)
-    x = ex.Var("x")
+    x = ex.X
     den = ex.add(y, x)
     if _vanishes(den):
         raise ValueError("y + x vanishes identically: ladder undefined")

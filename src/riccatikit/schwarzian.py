@@ -41,7 +41,7 @@ def schwarz(phi):
 
 def _schwarz_and_size(phi):
     """schwarz(phi) and (phi''/phi')^2, the size of its two terms."""
-    d1 = ex.diff(ex.as_expression(phi), "x")
+    d1 = ex.diff(ex.as_expression(phi))
     if ex.is_zero(d1):
         raise ValueError("phi is constant: the Schwarzian is undefined")
     return _modified_schwarzian(d1)
@@ -55,8 +55,8 @@ def mobius_invariance(phi, maps, interval, s0):
     terms grow without bound and the gap is their rounding.  NaN if any
     map's gap is NaN.
     """
-    d1 = ex.diff(phi, "x")
-    size = _term_size(d1, ex.diff(d1, "x"))
+    d1 = ex.diff(phi)
+    size = _term_size(d1, ex.diff(d1))
     gaps = []
     for m in maps:
         mapped, mapped_size = _schwarz_and_size(m.apply(phi))
@@ -74,8 +74,8 @@ def report(phi, s0, interval):
 
 def _modified_schwarzian(a):
     """(3/4)(a'/a)^2 - (1/2) a''/a and the size of its terms, (a'/a)^2, without a check on the zeros of a."""
-    d1 = ex.diff(a, "x")
-    d2 = ex.diff(d1, "x")
+    d1 = ex.diff(a)
+    d2 = ex.diff(d1)
     size = _term_size(a, d1)
     first = ex.mul(_THREE_QUARTERS, size)
     second = ex.mul(_HALF, d2, ex.recip(a))
@@ -92,8 +92,8 @@ def third_order_residual(phi, c):
     phi = ex.as_expression(phi)
     c = ex.as_expression(c)
     return ex.sub(
-        ex.diff(phi, "x", 3),
-        ex.add(ex.mul(4, c, ex.diff(phi, "x")), ex.mul(2, ex.diff(c, "x"), phi)),
+        ex.diff(phi, 3),
+        ex.add(ex.mul(4, c, ex.diff(phi)), ex.mul(2, ex.diff(c), phi)),
     )
 
 
@@ -105,8 +105,8 @@ def first_integral(phi, c):
     """
     phi = ex.as_expression(phi)
     c = ex.as_expression(c)
-    d1 = ex.diff(phi, "x")
-    d2 = ex.diff(d1, "x")
+    d1 = ex.diff(phi)
+    d2 = ex.diff(d1)
     return ex.add(
         ex.mul(4, c, ex.intpow(phi, 2)),
         ex.intpow(d1, 2),

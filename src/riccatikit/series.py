@@ -258,7 +258,7 @@ def zeta_chain(u, count):
     out = []
     zeta = ex.ONE
     for _ in range(count):
-        integrand = ex.mul(ex.Rational(Fraction(1, 2)), ex.sub(ex.mul(u, zeta), ex.diff(zeta, "x", 2)))
+        integrand = ex.mul(ex.Rational(Fraction(1, 2)), ex.sub(ex.mul(u, zeta), ex.diff(zeta, 2)))
         zeta = ex.antiderivative(integrand)
         out.append(zeta)
     return out
@@ -272,7 +272,7 @@ def report(what, m, depth, series):
     that fail to cancel, or for "zeta" takes the spread of zeta_1^2 - zeta_1' over sample points.
     """
     if what == "zeta":
-        rel = ex.sub(ex.intpow(series[0], 2), ex.diff(series[0], "x"))
+        rel = ex.sub(ex.intpow(series[0], 2), ex.diff(series[0]))
         vals = rel.evaluate(x=sample_points([rel]))
         return {"coefficients": {f"zeta_{j + 1}": str(z) for j, z in enumerate(series)},
                 "checks": [numeric.check("zeta1_truncation_constant_drift", vals.max() - vals.min(), 1e-9)]}

@@ -11,16 +11,16 @@ per derivative order.  The spectral probes (Wronskian, Schrodinger
 residual) take arrays of k and x and evaluate the polynomial parts of
 psi1, psi2 with np.polyval on the coefficients of one such solve.
 
-Closed forms are provided for N <= 2, including the time-extended fields of
-the KdV and KP flows; report compares the potential with them.  Sign
-conventions: the potentials here are negative wells (u -> 0 at infinity,
-u <= 0 for equal phases), so the flows read u_t - 6 u u_x + u_xxx = 0 and
-(-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.  The flows' partials come from
-Hirota's tau-sum over the 2^N subsets of the wavenumbers, as weighted joint
-cumulants (any N <= TAU_SUM_MAX_N); pde_residual and kp_report build their
-residuals from it on a whole grid at once.  The KdV residual and the x-t part
-of the KP residual vanish, the KP term 3 u_yy does not.  report and kp_report
-give the named checks.
+Closed forms in x are provided for N <= 2, and the KdV and KP fields at a
+given t (and y) are the same closed form on the phase-shifted spec; report
+compares the potential with them.  Sign conventions: the potentials here are
+negative wells (u -> 0 at infinity, u <= 0 for equal phases), so the flows
+read u_t - 6 u u_x + u_xxx = 0 and (-4 u_t + u_xxx - 6 u u_x)_x + 3 u_yy = 0.
+The flows' partials come from Hirota's tau-sum over the 2^N subsets of the
+wavenumbers, as weighted joint cumulants (any N <= TAU_SUM_MAX_N);
+pde_residual and kp_report build their residuals from it on a whole grid at
+once.  The KdV residual and the x-t part of the KP residual vanish, the KP
+term 3 u_yy does not.  report and kp_report give the named checks.
 """
 
 from __future__ import annotations
@@ -259,37 +259,8 @@ def schrodinger_residual(spec, k, x):
 # closed forms (N <= 2)
 
 
-def _tau(spec, j, extra=None):
-    x = ex.Var("x")
-    kj = spec.k[j]
-    parts = [ex.mul(ex.as_expression(kj), x), ex.as_expression(spec.beta[j])]
-    if extra == "kp":
-        parts.append(ex.mul(ex.as_expression(kj**2), ex.Var("y")))
-        parts.append(ex.mul(ex.as_expression(kj**3), ex.Var("t")))
-    elif extra == "kdv":
-        parts.append(ex.mul(ex.as_expression(-4 * kj**3), ex.Var("t")))
-    return ex.add(*parts)
-
-
-def _closed_form(spec, extra=None):
-    n = spec.n
-    if n == 1:
-        tau = _tau(spec, 0, extra)
-        k1 = spec.k[0]
-        return ex.mul(
-            ex.as_expression(-2 * k1 * k1),
-            ex.recip(ex.intpow(ex.cosh(tau), 2)),
-        )
-    if n == 2:
-        k1, k2 = spec.k
-        t1 = _tau(spec, 0, extra)
-        t2 = _tau(spec, 1, extra)
-        f = ex.add(
-            ex.mul(ex.as_expression(k1 - k2), ex.cosh(ex.add(t1, t2))),
-            ex.mul(ex.as_expression(k1 + k2), ex.cosh(ex.sub(t1, t2))),
-        )
-        return ex.mul(ex.as_expression(-2), ex.diff(ex.log(f), "x", 2))
-    raise ValueError("closed forms are available for N <= 2 only")
+def _tau(spec, j):
+    return ex.add(ex.mul(ex.as_expression(spec.k[j]), ex.X), ex.as_expression(spec.beta[j]))
 
 
 def closed_form_potential(spec):
@@ -299,17 +270,31 @@ def closed_form_potential(spec):
 
     the positive cosh combination whose log-derivative reproduces a_1.
     """
-    return _closed_form(spec, None)
+    if spec.n == 1:
+        k1 = spec.k[0]
+        return ex.mul(
+            ex.as_expression(-2 * k1 * k1),
+            ex.recip(ex.intpow(ex.cosh(_tau(spec, 0)), 2)),
+        )
+    if spec.n == 2:
+        k1, k2 = spec.k
+        t1, t2 = _tau(spec, 0), _tau(spec, 1)
+        f = ex.add(
+            ex.mul(ex.as_expression(k1 - k2), ex.cosh(ex.add(t1, t2))),
+            ex.mul(ex.as_expression(k1 + k2), ex.cosh(ex.sub(t1, t2))),
+        )
+        return ex.mul(ex.as_expression(-2), ex.diff(ex.log(f), 2))
+    raise ValueError("closed forms are available for N <= 2 only")
 
 
-def kp_closed_form(spec):
-    """u(x, y, t) with phases tau_j = k_j x + k_j^2 y + k_j^3 t + beta_j (N <= 2)."""
-    return _closed_form(spec, "kp")
+def kp_closed_form(spec, y, t):
+    """u(x) at (y, t), phases tau_j = k_j x + k_j^2 y + k_j^3 t + beta_j (N <= 2)."""
+    return closed_form_potential(spec.shifted(y=y, t=t))
 
 
-def kdv_closed_form(spec):
-    """u(x, t) with phases tau_j = k_j x - 4 k_j^3 t + beta_j (N <= 2)."""
-    return _closed_form(spec, "kdv")
+def kdv_closed_form(spec, t):
+    """u(x) at t, phases tau_j = k_j x - 4 k_j^3 t + beta_j (N <= 2)."""
+    return closed_form_potential(spec.shifted(t=t, kdv=True))
 
 
 def kp_field(spec, x, y, t):

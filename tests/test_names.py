@@ -41,9 +41,6 @@ def test_every_traced_layer_resolves_in_src():
     assert missing == []
 
 
-RICCATI_SIDE = ["riccati", "schwarzian", "series", "diffpoly"]
-
-
 def _public_callables(module):
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -58,11 +55,13 @@ def _public_callables(module):
             yield name, obj
 
 
-@pytest.mark.parametrize("name", RICCATI_SIDE)
+@pytest.mark.parametrize("name", MODULES)
 def test_riccati_side_takes_no_variable_name(name):
-    # x is the one independent variable of these modules' objects
+    # x is the one independent variable of every module's objects: expr
+    # builds, differentiates and evaluates trees in x alone
     module = importlib.import_module(f"riccatikit.{name}")
-    taking_var = [qual for qual, fn in _public_callables(module) if "var" in inspect.signature(fn).parameters]
+    taking_var = [qual for qual, fn in _public_callables(module)
+                  if inspect.isfunction(fn) and "var" in inspect.signature(fn).parameters]
     assert taking_var == []
 
 
@@ -102,7 +101,7 @@ def test_finitegap_keeps_only_the_one_root_report():
 
 SET_BY_CALLER = "a caller in src or bench sets it"
 LIBRARY_OPTION = "a library option that only the tests set"
-KP_FIELDS = "soliton's y/t fields, which stay until ROADMAP item 9 replaces them"
+KP_FIELDS = "soliton's y/t fields, which stay until ROADMAP item 19 replaces them"
 
 # Every defaulted parameter of a public callable is an option someone can set.
 # A new one fails test_knob_inventory until it is listed here with its reason.

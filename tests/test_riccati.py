@@ -9,7 +9,7 @@ from riccatikit import expr as ex
 from riccatikit import numeric
 from riccatikit import riccati as rc
 
-X = ex.Var("x")
+X = ex.X
 
 
 def integrate_re(eq, phi0, x0, x1, tol=1e-12):
@@ -225,7 +225,7 @@ class TestCanonicalForm:
         l = rc.Lode2(ex.parse_expression("2*x"), ex.Rational(-2))
         c_hat, gauge = rc.canonical_form(l)
         psi_hat = ex.mul(ex.parse_expression("2*x"), ex.recip(gauge))
-        res = ex.add(ex.diff(psi_hat, "x", 2), ex.mul(c_hat, psi_hat))
+        res = ex.add(ex.diff(psi_hat, 2), ex.mul(c_hat, psi_hat))
         for p in (-1.5, 0.4, 2.0):
             assert abs(res.evaluate(x=p)) <= 1e-10
 
@@ -244,7 +244,7 @@ class TestHermite:
     def test_witness_solves_the_riccati_equation(self, n):
         _, y = rc.hermite_polynomial(n)
         rhs = ex.parse_expression(f"x^2 - {2 * n + 1}")
-        res = ex.add(ex.diff(y, "x"), ex.intpow(y, 2), ex.neg(rhs))
+        res = ex.add(ex.diff(y), ex.intpow(y, 2), ex.neg(rhs))
         for p in np.linspace(4.0, 9.0, 100):
             assert abs(res.evaluate(x=float(p))) <= 1e-10
 
@@ -262,7 +262,7 @@ class TestHermite:
         y2, alpha2 = rc.hermite_ladder(y_hat, alpha_hat)
         assert alpha2 == 5
         rhs = ex.parse_expression("x^2 + 5")
-        res = ex.add(ex.diff(y2, "x"), ex.intpow(y2, 2), ex.neg(rhs))
+        res = ex.add(ex.diff(y2), ex.intpow(y2, 2), ex.neg(rhs))
         for p in (0.3, 0.9, 2.0, -1.7):
             assert abs(res.evaluate(x=p)) <= 1e-10
 
@@ -358,7 +358,7 @@ def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL):
 
 def residual_per_point(eq, phi, pts):
     """Reference: riccati_residual's maximum taken one point at a time."""
-    dphi = ex.diff(phi, "x")
+    dphi = ex.diff(phi)
     rhs = ex.add(ex.mul(eq.a, ex.intpow(phi, 2)), ex.mul(eq.b, phi), eq.c)
     res = ex.sub(dphi, rhs)
     worst = 0.0
@@ -401,7 +401,7 @@ class TestArrayChecks:
         for c0 in (1, 4):
             sol = fam(c0)
             assert "quad(" in str(sol)
-            res = ex.sub(ex.diff(sol, "x"), ex.add(ex.mul(eq.a, ex.intpow(sol, 2)), ex.mul(eq.b, sol), eq.c))
+            res = ex.sub(ex.diff(sol), ex.add(ex.mul(eq.a, ex.intpow(sol, 2)), ex.mul(eq.b, sol), eq.c))
             pts = rc.sample_points([sol, res])
             assert pts.tolist() == sample_points_per_point([sol, res])
             got = rc.riccati_residual(eq, sol)

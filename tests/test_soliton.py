@@ -1,7 +1,10 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,7 +262,7 @@ class TestConsistencyWithZetaChain:
     def test_truncation_identity_is_exact(self):
         u = so.closed_form_potential(SPEC1)
         z1 = zeta_chain(u, 1)[0]
-        rel = ex.sub(ex.intpow(z1, 2), ex.diff(z1, "x"))
+        rel = ex.sub(ex.intpow(z1, 2), ex.diff(z1))
         for x in (-1.0, 0.2, 2.4):
             assert rel.evaluate(x=x) == pytest.approx(SPEC1.k[0] ** 2, abs=1e-14)
 
@@ -279,9 +282,8 @@ class TestKpField:
             assert so.kp_field(SPEC1, x, y, t) == pytest.approx(expected, rel=1e-12)
 
     def test_closed_form_matches_pipeline(self):
-        u = so.kp_closed_form(SPEC2)
         for (x, y, t) in ((0.3, -0.4, 0.2), (-1.2, 0.7, -0.5)):
-            assert u.evaluate(x=x, y=y, t=t) == pytest.approx(so.kp_field(SPEC2, x, y, t), rel=1e-11)
+            assert so.kp_closed_form(SPEC2, y, t).evaluate(x=x) == pytest.approx(so.kp_field(SPEC2, x, y, t), rel=1e-11)
 
     def test_two_soliton_phase_shift_matches_log_ratio(self):
         # after the collision the faster soliton is displaced by
@@ -315,14 +317,11 @@ class TestPdeResidual:
             assert rep.max_abs <= 1e-10
 
     def test_kdv_travelling_against_direct_derivatives(self):
-        u = so.kdv_closed_form(SPEC1)
-        res = ex.add(
-            ex.diff(u, "t"),
-            ex.neg(ex.mul(6, u, ex.diff(u, "x"))),
-            ex.diff(u, "x", 3),
-        )
+        # the x-only slice at t and its x-derivatives, with u_t from the exact oracle
         for (x, t) in ((0.4, -0.6), (-1.0, 0.8)):
-            assert abs(res.evaluate(x=x, t=t)) <= 1e-12
+            u = so.kdv_closed_form(SPEC1, t)
+            res = ex.add(ex.neg(ex.mul(6, u, ex.diff(u))), ex.diff(u, 3))
+            assert abs(_exact(SPEC1, x, 0.0, t, kdv=True)["u_t"] + res.evaluate(x=x)) <= 1e-12
 
     def test_fd_mode_second_order_convergence(self):
         from riccatikit.soliton import _fd_kdv
@@ -334,17 +333,8 @@ class TestPdeResidual:
     def test_fd_mode_matches_exact_partials_for_small_steps(self):
         from riccatikit.soliton import _fd_kp
 
-        u = so.kp_closed_form(SPEC2)
-        ux = ex.diff(u, "x")
-        exact = ex.add(
-            ex.mul(-4, ex.diff(ex.diff(u, "t"), "x")),
-            ex.diff(u, "x", 4),
-            ex.mul(-6, ex.intpow(ux, 2)),
-            ex.mul(-6, u, ex.diff(ux, "x")),
-            ex.mul(3, ex.diff(u, "y", 2)),
-        )
         point = (0.5, 0.4, 0.3)
-        exact_val = exact.evaluate(x=point[0], y=point[1], t=point[2])
+        exact_val = _exact(SPEC2, *point)["kp"]
         assert so._kp_residual(SPEC2, *point)[1] == pytest.approx(exact_val, rel=1e-9)
         fd_val = _fd_kp(SPEC2, *point, 0.02)
         assert fd_val == pytest.approx(exact_val, abs=5e-2)
@@ -370,31 +360,24 @@ class TestPdeResidual:
     def test_xt_flow_identity_holds_with_transverse_phases(self):
         # y enters the extended phases only through constant shifts of the
         # x-t flow, so the x-t part of the KP operator vanishes exactly...
-        u = so.kp_closed_form(SPEC2)
-        ux = ex.diff(u, "x")
-        core = ex.add(
-            ex.mul(-4, ex.diff(ex.diff(u, "t"), "x")),
-            ex.diff(u, "x", 4),
-            ex.mul(-6, ex.intpow(ux, 2)),
-            ex.mul(-6, u, ex.diff(ux, "x")),
-        )
-        worst = max(
-            abs(core.evaluate(x=a, y=b, t=c))
-            for a in (-2.0, 0.4, 1.5)
-            for b in (-1.0, 0.8)
-            for c in (-0.7, 0.6)
-        )
+        # (the x-only slice at (y, t) and its x-derivatives, with u_tx from the exact oracle)
+        worst = 0.0
+        for b in (-1.0, 0.8):
+            for c in (-0.7, 0.6):
+                u = so.kp_closed_form(SPEC2, b, c)
+                ux = ex.diff(u)
+                core = ex.add(ex.diff(u, 4), ex.mul(-6, ex.intpow(ux, 2)), ex.mul(-6, u, ex.diff(ux)))
+                for a in (-2.0, 0.4, 1.5):
+                    worst = max(worst, abs(-4 * _exact(SPEC2, a, b, c)["u_tx"] + core.evaluate(x=a)))
         assert worst <= 1e-8
 
     def test_full_kp_residual_equals_transverse_term(self):
         # ...and the remaining full-KP residual is exactly 3 u_yy, which does
         # not vanish: the tanh construction cannot carry genuine y-dynamics
-        u = so.kp_closed_form(SPEC2)
-        uyy = ex.diff(u, "y", 2)
         pts = [(-1.0, 0.5, 0.3), (0.4, -0.8, 0.1), (1.2, 0.2, -0.6)]
         for (x, y, t) in pts:
             assert so._kp_residual(SPEC2, x, y, t)[1] == pytest.approx(
-                3 * uyy.evaluate(x=x, y=y, t=t), rel=1e-6, abs=1e-8
+                3 * _exact(SPEC2, x, y, t)["u_yy"], rel=1e-6, abs=1e-8
             )
 
 
@@ -415,7 +398,7 @@ class TestReport:
         assert all(c["pass"] for c in rep["checks"])
 
     def test_kp_report_two_solitons_uses_the_tau_sum(self, monkeypatch):
-        monkeypatch.setattr(so, "kp_closed_form", lambda spec: pytest.fail("kp_report built the closed form"))
+        monkeypatch.setattr(so, "kp_closed_form", lambda *args: pytest.fail("kp_report built the closed form"))
         rep = so.kp_report(SPEC2)
         assert list(rep) == ["transverse_term_max", "checks"]
         assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential", "xt_flow_identity"]
@@ -435,13 +418,41 @@ def _ladder(n):
     return so.SolitonSpec(tuple(float(v) for v in range(n, 0, -1)), (0.0,) * n)
 
 
-def _symbolic_partials(spec):
-    u = so.kp_closed_form(spec)
-    return {
-        "u": u, "u_x": ex.diff(u, "x"), "u_xx": ex.diff(u, "x", 2), "u_xxx": ex.diff(u, "x", 3),
-        "u_xxxx": ex.diff(u, "x", 4), "u_t": ex.diff(u, "t"), "u_tx": ex.diff(ex.diff(u, "t"), "x"),
-        "u_yy": ex.diff(u, "y", 2),
-    }
+# the tau-sum's partials as (x, y, t) derivative orders
+PARTIALS = {"u": (0, 0, 0), "u_x": (1, 0, 0), "u_xx": (2, 0, 0), "u_xxx": (3, 0, 0), "u_xxxx": (4, 0, 0),
+            "u_t": (0, 0, 1), "u_tx": (1, 0, 1), "u_yy": (0, 2, 0)}
+
+
+@functools.cache
+def _oracle(spec, kdv):
+    """The N <= 2 closed form in (x, y, t) and its PARTIALS, built by sympy on the spec's exact
+    binary values, with closed_form_potential's phases extended as SolitonSpec.shifted extends them."""
+    x, y, t = sp.symbols("x y t")
+    k = [sp.Rational(v) for v in spec.k]
+    theta = [kj * x + (-4 * kj**3 * t if kdv else kj**2 * y + kj**3 * t) + sp.Rational(b)
+             for kj, b in zip(k, spec.beta)]
+    if spec.n == 1:
+        u = -2 * k[0] ** 2 / sp.cosh(theta[0]) ** 2
+    else:
+        f = (k[0] - k[1]) * sp.cosh(theta[0] + theta[1]) + (k[0] + k[1]) * sp.cosh(theta[0] - theta[1])
+        u = -2 * sp.diff(sp.log(f), x, 2)
+    return sp.lambdify((x, y, t), [sp.diff(u, x, a, y, b, t, c) for a, b, c in PARTIALS.values()], "mpmath", cse=True)
+
+
+def _exact(spec, x, y, t, kdv=False):
+    """The PARTIALS at broadcast points, evaluated at 40 digits, and the KP residual
+    -4 u_tx + u_xxxx - 6 u_x^2 - 6 u u_xx (+ 3 u_yy) as "kp_xt" ("kp"), each rounded once to float."""
+    fn = _oracle(spec, kdv)
+    x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t)))
+    out = {name: np.empty(x.shape) for name in (*PARTIALS, "kp_xt", "kp")}
+    with mpmath.workdps(40):
+        for i in np.ndindex(x.shape):
+            d = dict(zip(PARTIALS, fn(mpmath.mpf(x[i]), mpmath.mpf(y[i]), mpmath.mpf(t[i]))))
+            d["kp_xt"] = -4 * d["u_tx"] + d["u_xxxx"] - 6 * d["u_x"] ** 2 - 6 * d["u"] * d["u_xx"]
+            d["kp"] = d["kp_xt"] + 3 * d["u_yy"]
+            for name, v in d.items():
+                out[name][i] = float(v)
+    return out
 
 
 class TestTauSum:
@@ -455,18 +466,15 @@ class TestTauSum:
     @pytest.mark.parametrize("spec", [SPEC1, SPEC2, so.SolitonSpec((1.7, 0.6), (0.3, -0.5))],
                              ids=["N1", "N2", "N2_phases"])
     def test_partials_and_kp_residual_match_the_symbolic_closed_form(self, spec, grid):
-        # the symbolic fourth derivative itself loses about 3e-10 relative at N = 2
         x, y, t = self.GRIDS[grid]
-        sym = _symbolic_partials(spec)
+        ref = _exact(spec, x, y, t)
         got = so._tau_sum(spec, x, y, t, False)
-        assert set(got) == set(sym)
-        ref = {name: e.evaluate(x=x, y=y, t=t) for name, e in sym.items()}
-        for name in sym:
-            assert np.max(np.abs(got[name] - ref[name]) / np.maximum(1.0, np.abs(ref[name]))) <= 1e-9, name
-        xt_ref = -4 * ref["u_tx"] + ref["u_xxxx"] - 6 * ref["u_x"] ** 2 - 6 * ref["u"] * ref["u_xx"]
+        assert set(got) == set(PARTIALS)
+        for name in PARTIALS:
+            assert np.max(np.abs(got[name] - ref[name]) / np.maximum(1.0, np.abs(ref[name]))) <= 1e-12, name
         xt_part, full = so._kp_residual(spec, x, y, t)
-        assert np.max(np.abs(xt_part - xt_ref)) <= 1e-9
-        assert np.max(np.abs(full - (xt_ref + 3 * ref["u_yy"])) / np.maximum(1.0, np.abs(full))) <= 1e-9
+        assert np.max(np.abs(xt_part - ref["kp_xt"])) <= 1e-12
+        assert np.max(np.abs(full - ref["kp"]) / np.maximum(1.0, np.abs(full))) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
