@@ -3,8 +3,8 @@
 A small closed family of expression nodes in the one variable x (rational/real
 constants, x, sums, products, integer powers, negation, reciprocal, exp/log,
 hyperbolic and circular functions) with exact symbolic differentiation in x
-and numeric evaluation at a point or on whole arrays of points.  Rational constant
-arithmetic is exact; simplification is limited to constant folding,
+and numeric evaluation at a point or on whole arrays of points.  Rational
+constant arithmetic is exact; simplification is limited to constant folding,
 flattening of sums and products, and merging/cancelling of identical terms.
 There is deliberately no general canonical form: zero testing of residuals
 is done numerically by the callers.
@@ -947,8 +947,8 @@ def parse_expression(text: str):
     Python's arithmetic with ``^`` for the power, parsed by :func:`ast.parse`
     and walked against a whitelist: exact integer and decimal literals, x,
     ``+ - * /``, integer exponents, parentheses and one-argument calls of the
-    ``_FUNCTIONS``.  Nothing is evaluated; anything else, another name among
-    it, raises ValueError.
+    ``_FUNCTIONS``.  Nothing is evaluated; anything else, a name other than x
+    included, raises ValueError.
     """
     src = " ".join(str(text).split())
     if not _ALPHABET.fullmatch(src) or "**" in src:

@@ -250,9 +250,10 @@ class TestParser:
             ("x^-(2)", ex.recip(ex.intpow(X, 2))),
             ("x^(2.0)", ex.intpow(X, 2)),
             ("x^(-(2))", ex.recip(ex.intpow(X, 2))),
-            ("exp(x)-sin(x)-cosh(x)", ex.add(EXP, ex.neg(SIN), ex.neg(COSH))),
-            ("exp(x)/sin(x)/cosh(x)", ex.mul(EXP, ex.recip(SIN), ex.recip(COSH))),
-            ("-x*sin(x)", ex.mul(ex.neg(X), SIN)),
+            # a, b, c and y of the ids stand for the opaque atoms exp(x), sin(x), cosh(x) and sin(x)
+            pytest.param("exp(x)-sin(x)-cosh(x)", ex.add(EXP, ex.neg(SIN), ex.neg(COSH)), id="a-b-c-tree6"),
+            pytest.param("exp(x)/sin(x)/cosh(x)", ex.mul(EXP, ex.recip(SIN), ex.recip(COSH)), id="a/b/c-tree7"),
+            pytest.param("-x*sin(x)", ex.mul(ex.neg(X), SIN), id="-x*y-tree8"),
             ("0.5*x", ex.mul(ex.Rational(Fraction(1, 2)), X)),
             (".25", ex.Rational(Fraction(1, 4))),
             ("5.", ex.Rational(5)),
