@@ -39,6 +39,11 @@ CASES = [
     ["finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5", "--grid", "0:12:0.01", "--deterministic"],
     ["hermite", "--n", "13"],  # exits 3: the witness check fails (ROADMAP item 6)
     ["schwarz", "--phi", "tan(t)"],  # exits 2: x is the only variable
+    # NaN cells and failures inside expression evaluation and quadrature
+    ["solve-re", "--a", "-1", "--b", "1/(x+2)", "--c", "0", "--phi1", "0", "--grid", "-3:2:0.25"],  # NaN below -2
+    ["schwarz", "--phi", "log(x)", "--grid", "-1:1:0.5"],  # NaN at x = 0
+    ["solve-re", "--a", "0", "--b", "1/x", "--c", "1", "--grid", "-2:2:0.5"],  # exits 3: quadrature did not converge
+    ["transform", "--a", "1/x", "--b", "log(x)", "--c", "x"],
 ]
 
 
