@@ -3,11 +3,12 @@
 A small closed family of expression nodes in the one variable x (rational/real
 constants, x, sums, products, integer powers, negation, reciprocal, exp/log,
 hyperbolic and circular functions) with exact symbolic differentiation in x
-and numeric evaluation at a point or on whole arrays of points.  Rational
-constant arithmetic is exact; simplification is limited to constant folding,
-flattening of sums and products, and merging/cancelling of identical terms.
-There is deliberately no general canonical form: zero testing of residuals
-is done numerically by the callers.
+and numeric evaluation in one array pass, at a point or on a whole array of
+points, where a domain error gives NaN.  Rational constant arithmetic is
+exact; simplification is limited to constant folding, flattening of sums and
+products, and merging/cancelling of identical terms.  There is deliberately
+no general canonical form: zero testing of residuals is done numerically by
+the callers.
 
 Antiderivatives are produced in closed form for a useful set of patterns
 (polynomials, polynomial-times-exponential, tanh/sech^2/sec^2 and friends);
@@ -27,7 +28,6 @@ from . import numeric
 
 __all__ = [
     "Expression",
-    "EvalDomainError",
     "Rational",
     "Real",
     "Var",
@@ -55,21 +55,6 @@ __all__ = [
     "ZERO",
     "ONE",
 ]
-
-
-class EvalDomainError(ArithmeticError):
-    """Log of a non-positive argument or division by zero during evaluation."""
-
-
-# environment key of array evaluation: domain errors give NaN instead of raising
-_MASKED = object()
-
-
-def _eval_masked(e, env):
-    """Array evaluation of ``e``: NaN where a point would raise, inf on overflow."""
-    env[_MASKED] = True
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return e._eval(env)
 
 
 def as_expression(v):
@@ -108,54 +93,25 @@ class Expression:
             return NotImplemented
         return self.key() == other.key()
 
-    # -- arithmetic sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, as_expression(other))
-
-    def __radd__(self, other):
-        return add(as_expression(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(as_expression(other)))
-
-    def __rsub__(self, other):
-        return add(as_expression(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_expression(other))
-
-    def __rmul__(self, other):
-        return mul(as_expression(other), self)
-
-    def __truediv__(self, other):
-        return mul(self, recip(as_expression(other)))
-
-    def __rtruediv__(self, other):
-        return mul(as_expression(other), recip(self))
-
-    def __pow__(self, n):
-        return intpow(self, n)
-
-    def __neg__(self):
-        return neg(self)
-
     # -- core operations ----------------------------------------------------
     def diff(self):
         raise NotImplementedError
 
     def evaluate(self, x):
-        """Evaluate at x, a number or an array of points.
+        """Evaluate at x, a number or an array of points, in one array pass.
 
-        At a point, a division by zero or the log of a non-positive number
-        raises EvalDomainError.  On an array the result has its shape, NaN at
-        exactly the points where a point evaluation raises; overflow gives inf.
+        A division by zero, the log of a non-positive number or a Quadrature
+        integrand outside its domain gives NaN, and overflow gives inf.  A
+        number gives a float, an array a result of its shape.
         """
-        if not (isinstance(x, np.ndarray) and x.ndim):
-            return self._eval({"x": x})
-        out = np.asarray(_eval_masked(self, {"x": x.astype(float, copy=False)}), dtype=float)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.asarray(self._eval(x), dtype=float)
+        if not x.ndim:
+            return float(out)
         return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
 
-    def _eval(self, env):
+    def _eval(self, x):
         raise NotImplementedError
 
     def __repr__(self):
@@ -184,7 +140,7 @@ class Rational(Expression):
     def diff(self):
         return ZERO
 
-    def _eval(self, env):
+    def _eval(self, x):
         return float(self.value)
 
     def _str(self, prec):
@@ -207,7 +163,7 @@ class Real(Expression):
     def diff(self):
         return ZERO
 
-    def _eval(self, env):
+    def _eval(self, x):
         return self.value
 
     def _str(self, prec):
@@ -228,8 +184,8 @@ class Var(Expression):
     def diff(self):
         return ONE
 
-    def _eval(self, env):
-        return env["x"]
+    def _eval(self, x):
+        return x
 
     def _str(self, prec):
         return "x"
@@ -248,10 +204,10 @@ class Sum(Expression):
     def diff(self):
         return add(*[t.diff() for t in self.terms])
 
-    def _eval(self, env):
-        total = self.terms[0]._eval(env)
+    def _eval(self, x):
+        total = self.terms[0]._eval(x)
         for t in self.terms[1:]:
-            total = total + t._eval(env)
+            total = total + t._eval(x)
         return total
 
     def _str(self, prec):
@@ -288,10 +244,10 @@ class Product(Expression):
             terms.append(mul(*self.factors[:i], d, *self.factors[i + 1 :]))
         return add(*terms) if terms else ZERO
 
-    def _eval(self, env):
-        total = self.factors[0]._eval(env)
+    def _eval(self, x):
+        total = self.factors[0]._eval(x)
         for f in self.factors[1:]:
-            total = total * f._eval(env)
+            total = total * f._eval(x)
         return total
 
     def _str(self, prec):
@@ -324,8 +280,8 @@ class IntPower(Expression):
             return ZERO
         return mul(Rational(self.exponent), intpow(self.base, self.exponent - 1), db)
 
-    def _eval(self, env):
-        return self.base._eval(env) ** self.exponent
+    def _eval(self, x):
+        return self.base._eval(x) ** self.exponent
 
     def _str(self, prec):
         s = f"{self.base._str(5)}^{self.exponent}"
@@ -345,8 +301,8 @@ class Neg(Expression):
     def diff(self):
         return neg(self.arg.diff())
 
-    def _eval(self, env):
-        return -self.arg._eval(env)
+    def _eval(self, x):
+        return -self.arg._eval(x)
 
     def _str(self, prec):
         s = "-" + self.arg._str(3)
@@ -369,23 +325,13 @@ class Recip(Expression):
             return ZERO
         return neg(mul(da, recip(intpow(self.arg, 2))))
 
-    def _eval(self, env):
-        v = self.arg._eval(env)
-        if _MASKED in env:
-            return np.where(v == 0, np.nan, np.divide(1.0, v))  # np.divide: no ZeroDivisionError
-        if np.any(v == 0):
-            raise EvalDomainError("division by zero")
-        return 1.0 / v
+    def _eval(self, x):
+        v = self.arg._eval(x)
+        return np.where(v == 0, np.nan, np.divide(1.0, v))  # np.divide: no ZeroDivisionError
 
     def _str(self, prec):
         s = f"1/{self.arg._str(5)}"
         return f"({s})" if prec > 2 else s
-
-
-def _eval_log(v):
-    if np.any(v <= 0):
-        raise EvalDomainError("log of non-positive argument")
-    return np.log(v)
 
 
 class Func(Expression):
@@ -406,11 +352,8 @@ class Func(Expression):
         outer = _FUNCTIONS[self.name][1](self.arg)
         return mul(outer, da)
 
-    def _eval(self, env):
-        v = self.arg._eval(env)
-        if self.name == "log" and _MASKED in env:
-            return np.where(v > 0, np.log(v), np.nan)
-        return _FUNCTIONS[self.name][0](v)
+    def _eval(self, x):
+        return _FUNCTIONS[self.name][0](self.arg._eval(x))
 
     def _str(self, prec):
         return f"{self.name}({self.arg._str(0)})"
@@ -435,16 +378,11 @@ class Quadrature(Expression):
     def diff(self):
         return self.integrand
 
-    def _eval(self, env):
-        x = env["x"]
+    def _eval(self, x):
         # one adaptive sweep from 0 to every x; the integrand is evaluated on
         # all nodes of a refinement pass at once, and where it is NaN
         # (outside its domain) so is every x beyond
-        f = lambda t: _eval_masked(self.integrand, {"x": t})
-        v = numeric.quadrature(f, 0.0, x, tol=1e-12, domain=True)
-        if _MASKED not in env and np.isnan(v):
-            raise EvalDomainError(f"integrand is not finite between 0 and {float(x):g}")
-        return v
+        return numeric.quadrature(self.integrand._eval, 0.0, x, tol=1e-12, domain=True)
 
     def _str(self, prec):
         return f"quad({self.integrand._str(0)}, dx, from=0)"
@@ -457,7 +395,7 @@ X = Var()
 _FUNCTIONS = {
     # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there))
     "exp": (np.exp, lambda u: exp(u), (0, ONE)),
-    "log": (_eval_log, lambda u: recip(u), (1, ZERO)),
+    "log": (lambda v: np.where(v > 0, np.log(v), np.nan), lambda u: recip(u), (1, ZERO)),
     "sinh": (np.sinh, lambda u: cosh(u), (0, ZERO)),
     "cosh": (np.cosh, lambda u: sinh(u), (0, ONE)),
     "tanh": (np.tanh, lambda u: recip(intpow(cosh(u), 2)), (0, ZERO)),

@@ -114,14 +114,6 @@ class Trajectory:
         inner = self.xs[1:-1]
         self._inner = inner if self._forward else inner[::-1]
 
-    @property
-    def x0(self):
-        return self.xs[0]
-
-    @property
-    def x_end(self):
-        return self.xs[-1]
-
     def __call__(self, x):
         """State at x: shape (dim,) for a number, x.shape + (dim,) for an array.
 
@@ -412,17 +404,12 @@ def quadrature(f, a, b, tol=1e-10, domain=False):
     bs = np.asarray(b, dtype=float)
     if not (math.isfinite(a) and np.isfinite(bs).all()):
         raise QuadratureError("quadrature limit is not finite")
-    if bs.ndim == 0:
-        if bs == a:
-            return 0.0
-        pts, ia = np.array([a, bs]), 0  # one gap, from a to b
-    else:
-        # breakpoints in ascending order; a is breakpoint ia
-        pts, where = np.unique(np.append(bs, a), return_inverse=True)
-        where = where.reshape(-1)
-        ia = where[-1]
-        if len(pts) == 1:
-            return np.zeros(bs.shape)
+    # breakpoints in ascending order; a is breakpoint ia
+    pts, where = np.unique(np.append(bs, a), return_inverse=True)
+    where = where.reshape(-1)
+    ia = where[-1]
+    if len(pts) == 1:
+        return np.zeros(bs.shape) if bs.ndim else 0.0
     gaps = len(pts) - 1
     dist = np.abs(pts - a)
     dist[ia] = 1.0
@@ -475,9 +462,8 @@ def quadrature(f, a, b, tol=1e-10, domain=False):
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
     integral[: left + 1] = integral[right:] = np.nan
-    if bs.ndim == 0:
-        return float(integral[1])
-    return integral[where[:-1]].reshape(bs.shape)
+    out = integral[where[:-1]].reshape(bs.shape)
+    return out if bs.ndim else float(out)
 
 
 def _outward(per_gap, ia):

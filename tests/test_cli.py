@@ -136,9 +136,8 @@ class TestSolveRe:
         rows = read_csv(tmp_path / "solve_re.csv")
         assert len(rows) == 41
         for r in rows:
-            try:
-                ref = sol.evaluate(x=float(r["x"]))
-            except ex.EvalDomainError:
+            ref = sol.evaluate(x=float(r["x"]))
+            if math.isnan(ref):
                 assert r["phi_C1"] == "nan"
             else:
                 assert float(r["phi_C1"]) == pytest.approx(ref, rel=1e-10)

@@ -193,7 +193,7 @@ class TestDenseOutput:
 
     @staticmethod
     def _probe_points(traj):
-        lo, hi = sorted((traj.x0, traj.x_end))
+        lo, hi = sorted((traj.xs[0], traj.xs[-1]))
         return np.concatenate([
             traj.xs,  # every node, both ends included
             np.linspace(lo, hi, 257),

@@ -342,11 +342,7 @@ def sample_points_per_point(exprs, interval=rc.DEFAULT_INTERVAL):
     for p in np.linspace(lo, hi, 4 * n + 1)[1:-1]:
         ok = True
         for e in exprs:
-            try:
-                v = ex.as_expression(e).evaluate(x=float(p))
-            except (ex.EvalDomainError, OverflowError, ZeroDivisionError):
-                ok = False
-                break
+            v = ex.as_expression(e).evaluate(x=float(p))
             if not np.isfinite(v) or abs(v) > 1e8:
                 ok = False
                 break
