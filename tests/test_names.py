@@ -1,10 +1,14 @@
-"""Public names: every export resolves and has a caller, the bench tracer's layers resolve, every option is listed."""
+"""Public names: every export resolves and has a caller, the bench tracer's layers resolve, every option is listed, every function is entered."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,3 +189,92 @@ def test_every_export_has_a_caller():
     modules = [importlib.import_module(f"riccatikit.{name}") for name in MODULES]
     exported = {attr for module in modules for attr in getattr(module, "__all__", ())}
     assert exported - referenced == set(UNCALLED)
+
+
+def _src_functions():
+    """Code object of every function and method written in src/riccatikit, by qualified name."""
+    src = ROOT / "src" / "riccatikit"
+    found = {}
+    for name in MODULES:
+        module = importlib.import_module(f"riccatikit.{name}")
+        for attr, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for member, fn in members:
+                # methods, properties, cached properties, static and class methods, lru caches
+                for inner in ("__func__", "fget", "func", "__wrapped__"):
+                    fn = getattr(fn, inner, None) or fn
+                code = getattr(fn, "__code__", None)
+                if code is not None and Path(code.co_filename).resolve().is_relative_to(src):
+                    found[f"{name}.{attr}" + (f".{member}" if member else "")] = code
+    return found
+
+
+WRAPPED = "bench/spans.py wraps it"
+PROTOCOL = "a protocol method: printing, hashing, or the abstract base of an expression node"
+TESTS_ONLY = "a library function that only the tests call"
+ACCEPTANCE = "an acceptance criterion calls it"
+ITEM_27 = "ROADMAP item 27 gives the KdV time slices a command"
+
+# Functions and methods that no golden command enters, each with the reason it stays.
+UNREACHED = {
+    "diffpoly.DiffPolynomial.__hash__": PROTOCOL,
+    "diffpoly.DiffPolynomial.__init__": "the public constructor; the ring's own arithmetic builds through object.__new__",
+    "diffpoly.DiffPolynomial.__repr__": PROTOCOL,
+    "diffpoly.DiffPolynomial.__rsub__": "a number minus a polynomial: no series takes one",
+    "diffpoly.DiffPolynomial.__str__": PROTOCOL,
+    "diffpoly.DiffPolynomial.to_expression": ACCEPTANCE,
+    "expr.Expression.__hash__": PROTOCOL,
+    "expr.Expression.__repr__": PROTOCOL,
+    "expr.Expression._eval": PROTOCOL,
+    "expr.Expression._str": PROTOCOL,
+    "expr.Expression.diff": PROTOCOL,
+    "expr.Quadrature._str": "a report prints no tree with a quadrature node",
+    "expr.Real._str": "a report prints no tree with a float constant",
+    "expr._int_poly_times_exp": "antiderivative of a polynomial times exp(a x + b): no golden input has one",
+    "expr.evaluate": WRAPPED,
+    "finitegap.RootTrajectory.__call__": TESTS_ONLY,
+    "finitegap.RootTrajectory.turning_points": WRAPPED,
+    "numeric.IntegrationBlowUp.__init__": "an error path: no golden IVP blows up",
+    "numeric.LUFactorization.__init__": WRAPPED,
+    "numeric.LUFactorization.solve": WRAPPED,
+    "riccati.Lode2.__post_init__": "only convert_re_lode builds a Lode2 (UNCALLED)",
+    "riccati.MobiusMap.compose": TESTS_ONLY,
+    "riccati.canonical_form": UNCALLED["canonical_form"],
+    "riccati.convert_re_lode": UNCALLED["convert_re_lode"],
+    "riccati.cross_ratio_solution": UNCALLED["cross_ratio_solution"],
+    "series.FormalSeries.__repr__": PROTOCOL,
+    "soliton._fail": "an error path: no golden spec has a singular interpolation system",
+    "soliton._fd_kdv": ITEM_27,
+    "soliton._fd_kp": ACCEPTANCE,
+    "soliton.kdv_field": ITEM_27,
+    "soliton.kp_closed_form": WRAPPED,
+    "soliton.pde_residual": WRAPPED,
+}
+
+
+# a fresh interpreter, so that no cache filled by an earlier test hides a call
+# (the key of the one X node, an lru cache); import counts as running
+_TRACE = """
+import json, sys
+import numpy
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+import test_golden
+for i, argv in enumerate(test_golden.CASES):
+    test_golden._run(argv, test_golden.Path(str(i)))
+sys.setprofile(None)
+import test_names
+print(json.dumps(sorted(name for name, code in test_names._src_functions().items() if code not in entered)))
+"""
+
+
+def test_every_function_is_entered(tmp_path):
+    # every golden argv runs through cli.main while a profiler records each
+    # code object entered; a function it never enters is kept for a reason
+    # listed above, or it goes
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", _TRACE], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert set(json.loads(run.stdout.splitlines()[-1])) == set(UNREACHED)
