@@ -234,7 +234,7 @@ def cmd_kp(args):
     grid = parse_grid(args.grid)
     vals = so.kp_field(spec, grid, args.y, args.t)
     report = {"command": "kp", "k": list(spec.k), "beta": list(spec.beta), "y": args.y, "t": args.t,
-              **so.kp_report(spec)}
+              **so.kp_report(spec, grid, args.y, args.t, vals)}
     return _finish(args.out, "kp", report, [("x", grid), ("u", vals)])
 
 

@@ -397,20 +397,36 @@ class TestReport:
         assert names == self.NAMES + (["closed_form_match"] if spec.n <= 2 else [])
         assert all(c["pass"] for c in rep["checks"])
 
+    KP_GRID, KP_Y, KP_T = np.linspace(-8, 8, 321), 0.5, 0.25
+
+    def _kp_report(self, spec, u=None):
+        u = so.kp_field(spec, self.KP_GRID, self.KP_Y, self.KP_T) if u is None else u
+        return so.kp_report(spec, self.KP_GRID, self.KP_Y, self.KP_T, u)
+
     def test_kp_report_two_solitons_uses_the_tau_sum(self, monkeypatch):
         monkeypatch.setattr(so, "kp_closed_form", lambda *args: pytest.fail("kp_report built the closed form"))
-        rep = so.kp_report(SPEC2)
+        rep = self._kp_report(SPEC2)
         assert list(rep) == ["transverse_term_max", "checks"]
-        assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential", "xt_flow_identity"]
+        assert [c["name"] for c in rep["checks"]] == ["u_vs_tau_sum", "xt_flow_identity"]
         assert all(c["pass"] for c in rep["checks"])
         assert rep["transverse_term_max"] == so.pde_residual(SPEC2, "kp", box=2.0, n=3).max_abs == 288.0
 
     @pytest.mark.parametrize("spec", [SPEC3, SPEC4, SPEC8], ids=lambda s: f"N{s.n}")
     def test_kp_report_three_or_more_solitons_judges_the_xt_flow(self, spec):
-        rep = so.kp_report(spec)
-        assert [c["name"] for c in rep["checks"]] == ["static_reduction_matches_potential", "xt_flow_identity"]
+        rep = self._kp_report(spec)
+        assert [c["name"] for c in rep["checks"]] == ["u_vs_tau_sum", "xt_flow_identity"]
         assert all(c["pass"] for c in rep["checks"])
         assert rep["transverse_term_max"] == so.pde_residual(spec, "kp", box=2.0, n=3).max_abs
+
+    @pytest.mark.parametrize("where", [0, 160, 320, "nan"])
+    def test_kp_report_fails_a_wrong_written_value(self, where):
+        # one value of the written column off by ten times the tolerance, or NaN
+        u = so.kp_field(SPEC2, self.KP_GRID, self.KP_Y, self.KP_T)
+        i = 200 if where == "nan" else where
+        u[i] = math.nan if where == "nan" else u[i] + 1e-7 * max(1.0, np.max(np.abs(u)))
+        checks = {c["name"]: c for c in self._kp_report(SPEC2, u)["checks"]}
+        assert not checks["u_vs_tau_sum"]["pass"]
+        assert checks["xt_flow_identity"]["pass"]
 
 
 def _ladder(n):
@@ -472,7 +488,7 @@ class TestTauSum:
         assert set(got) == set(PARTIALS)
         for name in PARTIALS:
             assert np.max(np.abs(got[name] - ref[name]) / np.maximum(1.0, np.abs(ref[name]))) <= 1e-12, name
-        xt_part, full = so._kp_residual(spec, x, y, t)
+        xt_part, full, _ = so._kp_residual(spec, x, y, t)
         assert np.max(np.abs(xt_part - ref["kp_xt"])) <= 1e-12
         assert np.max(np.abs(full - ref["kp"]) / np.maximum(1.0, np.abs(full))) <= 1e-12
 
