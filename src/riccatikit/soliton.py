@@ -452,14 +452,14 @@ def kp_report(spec, grid, y, t, u):
     """The largest KP residual (3 u_yy survives) and the named checks of u, the KP field written on grid at (y, t)."""
     # one tau-sum serves all three: u at the written points, the x-t part at
     # the 12 probes, and the full residual on pde_residual(spec, "kp", box=2.0, n=3)'s grid
-    written = np.broadcast_arrays(np.ravel(grid), y, t)
+    written = np.broadcast_arrays(grid, y, t)
     probes = np.meshgrid((-2.0, 0.5, 1.5), (-1.0, 0.7), (-0.8, 0.3), indexing="ij")
     box = np.meshgrid(*[np.linspace(-2.0, 2.0, 3)] * 3, indexing="ij")
     points = (np.concatenate([w, p.ravel(), b.ravel()]) for w, p, b in zip(written, probes, box))
     xt_part, full, u_tau = _kp_residual(spec, *points)
-    n = len(written[0])
+    n = len(grid)
     checks = [
-        numeric.check("u_vs_tau_sum", np.max(np.abs(np.ravel(u) - u_tau[:n])) / max(1.0, np.max(np.abs(u))), 1e-8),
+        numeric.check("u_vs_tau_sum", np.max(np.abs(u - u_tau[:n])) / max(1.0, np.max(np.abs(u))), 1e-8),
         numeric.check("xt_flow_identity", np.max(np.abs(xt_part[n : n + 12])), 1e-6),
     ]
     return {"transverse_term_max": float(np.max(np.abs(full[n + 12 :]))), "checks": checks}
