@@ -44,6 +44,11 @@ CASES = [
     ["schwarz", "--phi", "log(x)", "--grid", "-1:1:0.5"],  # NaN at x = 0
     ["solve-re", "--a", "0", "--b", "1/x", "--c", "1", "--grid", "-2:2:0.5"],  # exits 3: quadrature did not converge
     ["transform", "--a", "1/x", "--b", "log(x)", "--c", "x"],
+    # every closed-form antiderivative rule: a polynomial times exp, each function-table row,
+    # (a x + b)^-1 and (a x + b)^-2
+    ["solve-re", "--a", "0", "--b", "0", "--c",
+     "x*exp(2*x)+tanh(x)+1/cosh(3*x)^2+sin(x/2)+1/cos(x)^2+1/(2*x+1)^2+sinh(x)+cosh(x)+1/(x+3)",
+     "--constants", "1,-2", "--grid", "-0.4:0.4:0.1"],
 ]
 
 

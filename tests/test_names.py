@@ -232,7 +232,6 @@ UNREACHED = {
     "expr.Expression.diff": PROTOCOL,
     "expr.Quadrature._str": "a report prints no tree with a quadrature node",
     "expr.Real._str": "a report prints no tree with a float constant",
-    "expr._int_poly_times_exp": "antiderivative of a polynomial times exp(a x + b): no golden input has one",
     "expr.evaluate": WRAPPED,
     "finitegap.RootTrajectory.__call__": TESTS_ONLY,
     "finitegap.RootTrajectory.turning_points": WRAPPED,
