@@ -10,10 +10,11 @@ products, and merging/cancelling of identical terms.  There is deliberately
 no general canonical form: zero testing of residuals is done numerically by
 the callers.
 
-Antiderivatives are produced in closed form for a useful set of patterns
-(polynomials, polynomial-times-exponential, tanh/sech^2/sec^2 and friends);
-everything else becomes a quadrature node, the antiderivative in x from 0,
-whose value is computed by adaptive quadrature for all points in one sweep.
+Antiderivatives are closed forms for polynomials, a polynomial times exp(w),
+w^n with n < 0, and f(w)^n for each (f, n) of the function table's last field
+(tanh, sinh, cosh, 1/cosh^2, sin, cos, 1/cos^2), where w is any polynomial of
+degree 1; the other terms of a sum become one quadrature node, the
+antiderivative in x from 0, computed by adaptive quadrature in one sweep.
 """
 
 from __future__ import annotations
@@ -393,15 +394,16 @@ ONE = Rational(1)
 X = Var()
 
 _FUNCTIONS = {
-    # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there))
-    "exp": (np.exp, lambda u: exp(u), (0, ONE)),
-    "log": (lambda v: np.where(v > 0, np.log(v), np.nan), lambda u: recip(u), (1, ZERO)),
-    "sinh": (np.sinh, lambda u: cosh(u), (0, ZERO)),
-    "cosh": (np.cosh, lambda u: sinh(u), (0, ONE)),
-    "tanh": (np.tanh, lambda u: recip(intpow(cosh(u), 2)), (0, ZERO)),
-    "sin": (np.sin, lambda u: cos(u), (0, ZERO)),
-    "cos": (np.cos, lambda u: neg(sin(u)), (0, ONE)),
-    "tan": (np.tan, lambda u: recip(intpow(cos(u), 2)), (0, ZERO)),
+    # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there),
+    #        {n: F with F'(u) = f(u)^n}, the antiderivatives of antiderivative's table rule)
+    "exp": (np.exp, lambda u: exp(u), (0, ONE), {}),
+    "log": (lambda v: np.where(v > 0, np.log(v), np.nan), lambda u: recip(u), (1, ZERO), {}),
+    "sinh": (np.sinh, lambda u: cosh(u), (0, ZERO), {1: lambda u: cosh(u)}),
+    "cosh": (np.cosh, lambda u: sinh(u), (0, ONE), {1: lambda u: sinh(u), -2: lambda u: tanh(u)}),
+    "tanh": (np.tanh, lambda u: recip(intpow(cosh(u), 2)), (0, ZERO), {1: lambda u: log(cosh(u))}),
+    "sin": (np.sin, lambda u: cos(u), (0, ZERO), {1: lambda u: neg(cos(u))}),
+    "cos": (np.cos, lambda u: neg(sin(u)), (0, ONE), {1: lambda u: sin(u), -2: lambda u: tan(u)}),
+    "tan": (np.tan, lambda u: recip(intpow(cos(u), 2)), (0, ZERO), {}),
 }
 
 
@@ -686,31 +688,10 @@ def evaluate(e, x):
 # closed-form antiderivatives with quadrature fallback
 
 
-def _linear_parts(e):
-    """Return (a, b) with e == a*x + b for structurally linear e, else None."""
-    if isinstance(e, Var):
-        return (Fraction(1), Fraction(0))
-    cv = _const_value(e)
-    if cv is not None:
-        return (Fraction(0), cv)
-    if isinstance(e, Neg):
-        p = _linear_parts(e.arg)
-        return (-p[0], -p[1]) if p else None
-    if isinstance(e, Product):
-        coeff, core = _split_coeff(e)
-        if isinstance(core, Var):
-            return (coeff, Fraction(0))
-        return None
-    if isinstance(e, Sum):
-        a = Fraction(0)
-        b = Fraction(0)
-        for t in e.terms:
-            p = _linear_parts(t)
-            if p is None:
-                return None
-            a, b = a + p[0], b + p[1]
-        return (a, b)
-    return None
+def _slope(e):
+    """The slope a of e == a*x + b, a polynomial of degree 1, else None."""
+    c = poly_coeffs(e)
+    return c[1] if c is not None and len(c) == 2 and c[1] != 0 else None
 
 
 def poly_coeffs(e):
@@ -761,14 +742,12 @@ def _poly_expr(coeffs):
     return add(*[mul(as_expression(c), intpow(X, i)) for i, c in enumerate(coeffs)])
 
 
-def _int_poly_times_exp(coeffs, w_a, w_b):
-    # integral of (sum c_i x^i) * exp(a x + b): repeated integration by parts
-    ew = exp(add(mul(as_expression(w_a), X), as_expression(w_b)))
+def _int_poly_times_exp(coeffs, a, ew):
+    # integral of (sum c_i x^i) * ew, ew = exp(a x + b): repeated integration by parts
     n = len(coeffs) - 1
-    # solve d/dx (e^{ax+b} * sum q_i x^i) = e^{ax+b} * sum c_i x^i
+    # solve d/dx (ew * sum q_i x^i) = ew * sum c_i x^i
     # => a q_i + (i+1) q_{i+1} = c_i
     q = [Fraction(0)] * (n + 1)
-    a = Fraction(w_a) if not isinstance(w_a, float) else w_a
     q[n] = coeffs[n] / a
     for i in range(n - 1, -1, -1):
         q[i] = (coeffs[i] - (i + 1) * q[i + 1]) / a
@@ -778,95 +757,58 @@ def _int_poly_times_exp(coeffs, w_a, w_b):
 def antiderivative(e):
     """Antiderivative in x, in closed form when a known pattern applies.
 
-    Falls back to a quadrature node, the antiderivative from 0.  No
-    integration constant is added: the pattern forms are used as-is.
+    A polynomial is integrated whole, any other sum term by term; the terms
+    that match no pattern become one quadrature node, the antiderivative from
+    0.  No integration constant is added: the pattern forms are used as-is.
     """
     e = as_expression(e)
-
-    c = poly_coeffs(e)
-    if c is not None:
-        return _poly_expr([Fraction(0)] + [ci / (i + 1) for i, ci in enumerate(c)])
-
-    if isinstance(e, Sum):
-        done = []
-        failed = []
-        for t in e.terms:
-            r = _antiderivative_term(t)
-            if r is None:
-                failed.append(t)
-            else:
-                done.append(r)
-        if failed:
-            done.append(Quadrature(add(*failed)))
-        return add(*done)
-
-    r = _antiderivative_term(e)
-    if r is not None:
-        return r
-    return Quadrature(e)
+    terms = e.terms if isinstance(e, Sum) and poly_coeffs(e) is None else (e,)
+    done = []
+    failed = []
+    for t in terms:
+        r = _antiderivative_term(t)
+        if r is None:
+            failed.append(t)
+        else:
+            done.append(r)
+    if failed:
+        done.append(Quadrature(add(*failed)))
+    return add(*done)
 
 
 def _antiderivative_term(e):
+    """Closed form of one term, or None.
+
+    A polynomial, a polynomial times exp(a x + b), or a constant times either
+    (a x + b)^n with n < 0 or f(a x + b)^n with a rule in ``_FUNCTIONS``.
+    """
     c = poly_coeffs(e)
     if c is not None:
         return _poly_expr([Fraction(0)] + [ci / (i + 1) for i, ci in enumerate(c)])
 
     coeff, core = _split_coeff(e)
     factors = core.factors if isinstance(core, Product) else (core,)
-
-    poly_factors = []
-    special = []
-    for f in factors:
-        if poly_coeffs(f) is not None:
-            poly_factors.append(f)
-        else:
-            special.append(f)
+    special = [f for f in factors if poly_coeffs(f) is None]
     if len(special) != 1:
         return None
-    sp = special[0]
-    pc = poly_coeffs(mul(*poly_factors)) if poly_factors else [Fraction(1)]
-    pc = [coeff * q for q in pc]
+    pc = [coeff * q for q in poly_coeffs(mul(*[f for f in factors if f is not special[0]]))]
 
-    base, n = _split_power(sp)
-    if isinstance(base, Func):
-        lin = _linear_parts(base.arg)
-        if lin is None or lin[0] == 0:
-            return None
-        a = lin[0]
-        name = base.name
-        if name == "exp" and n == 1:
-            return _int_poly_times_exp(pc, a, lin[1])
-        if len(pc) > 1 or pc[0] == 0:
-            return None  # only bare special factors beyond the exp case
-        k = pc[0]
-        w = base.arg
-        if name == "tanh" and n == 1:
-            return mul(as_expression(k / a), log(cosh(w)))
-        if name == "sinh" and n == 1:
-            return mul(as_expression(k / a), cosh(w))
-        if name == "cosh" and n == 1:
-            return mul(as_expression(k / a), sinh(w))
-        if name == "cosh" and n == -2:
-            return mul(as_expression(k / a), tanh(w))
-        if name == "sin" and n == 1:
-            return mul(as_expression(-k / a), cos(w))
-        if name == "cos" and n == 1:
-            return mul(as_expression(k / a), sin(w))
-        if name == "cos" and n == -2:
-            return mul(as_expression(k / a), tan(w))
+    base, n = _split_power(special[0])
+    w = base.arg if isinstance(base, Func) else base  # not a polynomial: n < 0 when base is one
+    a = _slope(w)
+    if a is None:
         return None
-
-    # (a x + b)^n for negative n (positive handled by the polynomial path)
-    lin = _linear_parts(base)
-    if lin is not None and lin[0] != 0 and n < 0:
-        if len(pc) > 1 or pc[0] == 0:
-            return None
-        k = pc[0]
-        a = lin[0]
+    if special[0] == exp(w):
+        return _int_poly_times_exp(pc, a, special[0])
+    if len(pc) > 1 or pc[0] == 0:
+        return None  # only bare special factors beyond the exp case
+    k = pc[0]
+    if w is base:
         if n == -1:
             return mul(as_expression(k / a), log(base))
         return mul(as_expression(k / (a * (n + 1))), intpow(base, n + 1))
-    return None
+    rule = _FUNCTIONS[base.name][3].get(n)
+    return mul(as_expression(k / a), rule(w)) if rule else None
 
 
 # ---------------------------------------------------------------------------
