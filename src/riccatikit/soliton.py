@@ -82,17 +82,19 @@ class SolitonSpec:
     def n(self):
         return len(self.k)
 
-    def shifted(self, y=0.0, t=0.0, kdv=False):
-        """Spec with phases extended by the extra flow variables.
+    def shifted(self, y, t, kdv):
+        """The spec at (y, t) of the KP flow, or of the KdV flow (no y) when ``kdv`` is true.
 
-        kp: beta_j + k_j^2 y + k_j^3 t; kdv: beta_j - 4 k_j^3 t.
+        Its phases are beta_j plus the ``_flow_rates`` of y and t times y and t.
         """
-        k = np.array(self.k)
-        if kdv:
-            beta = np.array(self.beta) - 4 * k**3 * t
-        else:
-            beta = np.array(self.beta) + k**2 * y + k**3 * t
-        return SolitonSpec(self.k, tuple(beta))
+        _, rate_y, rate_t = _flow_rates(self, kdv)
+        return SolitonSpec(self.k, tuple(np.array(self.beta) + rate_y * y + rate_t * t))
+
+
+def _flow_rates(spec, kdv):
+    """The x, y and t rates of the phases theta_j: (k, k^2, k^3) for KP, (k, 0, -4 k^3) for KdV."""
+    k = np.array(spec.k)
+    return (k, 0 * k, -4 * k**3) if kdv else (k, k**2, k**3)
 
 
 def _rows(k, f, const):
@@ -288,24 +290,24 @@ def closed_form_potential(spec):
 
 
 def kp_closed_form(spec, y, t):
-    """u(x) at (y, t), phases tau_j = k_j x + k_j^2 y + k_j^3 t + beta_j (N <= 2)."""
-    return closed_form_potential(spec.shifted(y=y, t=t))
+    """u(x) at (y, t) of the KP flow: the closed form on the shifted spec (N <= 2)."""
+    return closed_form_potential(spec.shifted(y, t, False))
 
 
 def kdv_closed_form(spec, t):
-    """u(x) at t, phases tau_j = k_j x - 4 k_j^3 t + beta_j (N <= 2)."""
-    return closed_form_potential(spec.shifted(t=t, kdv=True))
+    """u(x) at t of the KdV flow: the closed form on the shifted spec (N <= 2)."""
+    return closed_form_potential(spec.shifted(0.0, t, True))
 
 
 def kp_field(spec, x, y, t):
     """KP-extended field via phase-shifted coefficient solves (any N; x a number or array)."""
-    shifted = spec.shifted(y=y, t=t)
+    shifted = spec.shifted(y, t, False)
     return TransparentPotential(shifted).u_at(x)
 
 
 def kdv_field(spec, x, t):
     """KdV-extended field via phase-shifted coefficient solves (any N; x a number or array)."""
-    shifted = spec.shifted(t=t, kdv=True)
+    shifted = spec.shifted(0.0, t, True)
     return TransparentPotential(shifted).u_at(x)
 
 
@@ -319,8 +321,8 @@ def _tau_sum(spec, x, y, t, kdv):
     tau = sum_I A_I exp(2 sum_{i in I} theta_i) over the subsets I of the
     wavenumbers, with every A_I = prod_{i in I} a_i prod_{i<j in I}
     ((k_i - k_j)/(k_i + k_j))^2 > 0 and a_i = prod_{j != i} |(k_i + k_j)/(k_i - k_j)|
-    (Hirota).  The phases are theta_i = k_i x + k_i^2 y + k_i^3 t + beta_i,
-    or k_i x - 4 k_i^3 t + beta_i when ``kdv`` is true.  log tau is then the
+    (Hirota).  The phases are theta_i = beta_i plus the ``_flow_rates`` times
+    x, y and t: KP's, or KdV's when ``kdv`` is true.  log tau is then the
     cumulant generating function of the subset sums X_I = 2 sum k_i and of
     the y and t rates Y_I, T_I under the weights w_I ~ A_I e^{2 sum theta_i},
     so every partial of u is -2 times a joint cumulant of (X, Y, T).  The
@@ -338,7 +340,7 @@ def _tau_sum(spec, x, y, t, kdv):
     s = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)  # subset I as 0/1 row
     gap = np.log(np.abs((k[:, None] - k) / (k[:, None] + k)) + np.eye(n))  # 0 on the diagonal
     log_a = np.einsum("si,ij,sj->s", s, gap, s) - s @ gap.sum(axis=1) + 2 * s @ np.array(spec.beta)
-    rates = [2 * s @ r for r in ((k, 0 * k, -4 * k**3) if kdv else (k, k**2, k**3))]
+    rates = [2 * s @ r for r in _flow_rates(spec, kdv)]
     x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float)[..., None] for v in (x, y, t)))
     logw = log_a + rates[0] * x + rates[1] * y + rates[2] * t
     w = np.exp(logw - logw.max(axis=-1, keepdims=True))

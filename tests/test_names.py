@@ -105,7 +105,6 @@ def test_finitegap_keeps_only_the_one_root_report():
 
 SET_BY_CALLER = "a caller in src or bench sets it"
 LIBRARY_OPTION = "a library option that only the tests set"
-KP_FIELDS = "soliton's y/t fields, which stay until ROADMAP item 19 replaces them"
 
 # Every defaulted parameter of a public callable is an option someone can set.
 # A new one fails test_knob_inventory until it is listed here with its reason.
@@ -134,9 +133,6 @@ KNOBS = {
     ("series.FormalSeries.__init__", "terms"): SET_BY_CALLER,
     ("series.FormalSeries.__init__", "floor"): SET_BY_CALLER,
     ("series.potential_series", "step"): SET_BY_CALLER,
-    ("soliton.SolitonSpec.shifted", "y"): KP_FIELDS,
-    ("soliton.SolitonSpec.shifted", "t"): KP_FIELDS,
-    ("soliton.SolitonSpec.shifted", "kdv"): KP_FIELDS,
     ("soliton.solve_coefficients", "order"): SET_BY_CALLER,
     ("soliton.TransparentPotential.__init__", "grid"): SET_BY_CALLER,
     ("soliton.pde_residual", "which"): LIBRARY_OPTION,
