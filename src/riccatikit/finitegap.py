@@ -214,14 +214,11 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
     Dormand-Prince to tolerance 1e-12, or RK4 with ``fixed_step``.  The drift of the first integral gamma'^2 - C(gamma) is not judged here:
     ``report`` checks it as ``energy_invariant_drift``.
     """
-    c = c_poly(spec)
-    d2, d1, d0 = np.polyder(c).tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
+    accel, y0 = _gamma_ode(spec)
 
     def rhs(x, s):
-        g = s[0]
-        return (s[1], 0.5 * ((d2 * g + d1) * g + d0))  # C'(g)/2, rounded as np.polyval of np.polyder(c) rounds
+        return (s[1], accel(s[0]))
 
-    y0 = _gamma_start(spec, c)
     traj = numeric.integrate_ivp(rhs, x_range[0], y0, x_range[1], tol=1e-12, fixed_step=fixed_step)
 
     xs = np.arange(x_range[0], x_range[1] + 0.5 * step, step)
@@ -229,12 +226,15 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
     return RootTrajectory(xs, states[:, 0], states[:, 1], dense=traj)
 
 
-def _gamma_start(spec, c):
-    """Start state (gamma0, sign * sqrt(C(gamma0))) of gamma'' = C'(gamma)/2."""
+def _gamma_ode(spec):
+    """gamma'' = C'(gamma)/2 as the acceleration g -> C'(g)/2 and the start [gamma0, sign * sqrt(C(gamma0))]."""
+    c = c_poly(spec)
+    d2, d1, d0 = np.polyder(c).tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
     c0 = np.polyval(c, spec.gamma0)
     if c0 < 0:
         raise ValueError("C(gamma0) must be non-negative inside the band")
-    return np.array([spec.gamma0, spec.sign * math.sqrt(c0)])
+    # C'(g)/2, rounded as np.polyval of np.polyder(c) rounds
+    return (lambda g: 0.5 * ((d2 * g + d1) * g + d0)), [spec.gamma0, spec.sign * math.sqrt(c0)]
 
 
 def period(spec):
@@ -285,17 +285,14 @@ def floquet_discriminant(spec, lam):
     tolerance is 1e-12: at 1e-10 the error of |trace| = 2 at the band edges
     grows about a hundredfold, to near 4e-7.
     """
-    c = c_poly(spec)
-    d2, d1, d0 = np.polyder(c).tolist()
+    accel, start = _gamma_ode(spec)
     shift = lam - spec.trace
 
     def rhs(x, s):
-        g = s[0]
-        q = shift + 2.0 * g
-        return (s[1], 0.5 * ((d2 * g + d1) * g + d0), s[3], q * s[2], s[5], q * s[4])
+        q = shift + 2.0 * s[0]
+        return (s[1], accel(s[0]), s[3], q * s[2], s[5], q * s[4])
 
-    y0 = np.concatenate([_gamma_start(spec, c), [1.0, 0.0, 0.0, 1.0]])
-    end = numeric.integrate_ivp(rhs, 0.0, y0, period(spec), tol=1e-12).ys[-1]
+    end = numeric.integrate_ivp(rhs, 0.0, start + [1.0, 0.0, 0.0, 1.0], period(spec), tol=1e-12).ys[-1]
     return float(end[2] + end[5])
 
 
