@@ -228,13 +228,11 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
 
 def _gamma_ode(spec):
     """gamma'' = C'(gamma)/2 as the acceleration g -> C'(g)/2 and the start [gamma0, sign * sqrt(C(gamma0))]."""
-    c = c_poly(spec)
-    d2, d1, d0 = np.polyder(c).tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
-    c0 = np.polyval(c, spec.gamma0)
-    if c0 < 0:
-        raise ValueError("C(gamma0) must be non-negative inside the band")
+    d2, d1, d0 = np.polyder(c_poly(spec)).tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
+    g0 = spec.gamma0
+    c0 = 4.0 * (spec.lam1 - g0) * (spec.lam2 - g0) * (g0 - spec.lam3)  # product form: each factor > 0 in the band
     # C'(g)/2, rounded as np.polyval of np.polyder(c) rounds
-    return (lambda g: 0.5 * ((d2 * g + d1) * g + d0)), [spec.gamma0, spec.sign * math.sqrt(c0)]
+    return (lambda g: 0.5 * ((d2 * g + d1) * g + d0)), [g0, spec.sign * math.sqrt(c0)]
 
 
 def period(spec):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
@@ -69,6 +69,26 @@ class TestIntegrateGamma:
         for out in (gamma_rhs(0.0, [0.5, 0.1]), floquet_rhs(0.0, [0.5, 0.1, 1.0, 0.0, 0.0, 1.0])):
             assert [type(v) for v in out] == [float] * len(out)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    @example(None)  # the narrow band whose expanded C(gamma0) rounds below zero
+    def test_starts_anywhere_inside_a_narrow_band(self, data):
+        # C(gamma0) in product form is positive wherever GapSpec admits gamma0,
+        # for m = (lambda2 - lambda3) / (lambda1 - lambda3) down to 1e-12
+        if data is None:
+            spec = fg.GapSpec(3.0, -0.999999999, -1.0, -0.9999999995)
+        else:
+            lam3 = data.draw(st.floats(-3.0, 3.0))
+            span = data.draw(st.floats(0.5, 5.0))
+            lam2 = lam3 + span * 10.0 ** data.draw(st.floats(-12.0, -0.01))
+            inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False)
+            gamma0 = lam3 + (lam2 - lam3) * data.draw(inside)
+            assume(lam3 + span > lam2 > gamma0 > lam3)
+            spec = fg.GapSpec(lam3 + span, lam2, lam3, gamma0, sign=data.draw(st.sampled_from((1, -1))))
+        traj = fg.integrate_gamma(spec, (0.0, 0.01), step=0.01)
+        assert traj.gammas[0, 0] == spec.gamma0
+        assert traj.dgammas[0, 0] * spec.sign >= 0
+
     def test_downhill_start(self):
         spec = fg.GapSpec(2.0, 1.0, 0.0, 0.5, sign=-1)
         traj = fg.integrate_gamma(spec, (0.0, 3.0), step=0.01)
@@ -102,7 +122,8 @@ class TestIntegrateGamma:
             out = (s[1], 0.5 * np.polyval(dc, s[0]))
             return out if form == "tuple" else np.array(out)
 
-        y0 = [SPEC.gamma0, math.sqrt(np.polyval(fg.c_poly(SPEC), SPEC.gamma0))]
+        l1, l2, l3, g0 = SPEC.lam1, SPEC.lam2, SPEC.lam3, SPEC.gamma0
+        y0 = [g0, math.sqrt(4.0 * (l1 - g0) * (l2 - g0) * (g0 - l3))]
         ref = self._numpy_rk4(rhs, y0, 12.0, 0.001)
         integrate, seen = numeric.integrate_ivp, []
 

@@ -49,6 +49,9 @@ CASES = [
     ["solve-re", "--a", "0", "--b", "0", "--c",
      "x*exp(2*x)+tanh(x)+1/cosh(3*x)^2+sin(x/2)+1/cos(x)^2+1/(2*x+1)^2+sinh(x)+cosh(x)+1/(x+3)",
      "--constants", "1,-2", "--grid", "-0.4:0.4:0.1"],
+    # exits 3: a narrow band whose C(gamma0) is positive only in product form; gamma_vs_elliptic
+    # fails (ROADMAP item 24)
+    ["finite-gap", "--lambdas", "3,-0.999999999,-1", "--gamma0", "-0.9999999995", "--grid", "0:12:0.01"],
 ]
 
 
