@@ -395,7 +395,7 @@ X = Var()
 
 _FUNCTIONS = {
     # name: (numeric evaluation, outer derivative f'(u), (argument, exact value there),
-    #        {n: F with F'(u) = f(u)^n}, the antiderivatives of antiderivative's table rule)
+    #        {n: F with F'(u) = f(u)^n}, the antiderivatives that _antiderivative_term looks up)
     "exp": (np.exp, lambda u: exp(u), (0, ONE), {}),
     "log": (lambda v: np.where(v > 0, np.log(v), np.nan), lambda u: recip(u), (1, ZERO), {}),
     "sinh": (np.sinh, lambda u: cosh(u), (0, ZERO), {1: lambda u: cosh(u)}),

@@ -33,6 +33,18 @@ class TestGapSpec:
         assert c[0] == 4.0
 
 
+@st.composite
+def _narrow_bands(draw):
+    """Specs with m = (lambda2 - lambda3) / (lambda1 - lambda3) down to 1e-12 and gamma0 anywhere in the band."""
+    lam3 = draw(st.floats(-3.0, 3.0))
+    span = draw(st.floats(0.5, 5.0))
+    lam2 = lam3 + span * 10.0 ** draw(st.floats(-12.0, -0.01))
+    gamma0 = lam3 + (lam2 - lam3) * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                                                   allow_subnormal=False))
+    assume(lam3 + span > lam2 > gamma0 > lam3)
+    return fg.GapSpec(lam3 + span, lam2, lam3, gamma0, sign=draw(st.sampled_from((1, -1))))
+
+
 class TestIntegrateGamma:
     def test_stays_in_band(self):
         traj = fg.integrate_gamma(SPEC, (0.0, 12.0), step=0.01)
@@ -70,21 +82,10 @@ class TestIntegrateGamma:
             assert [type(v) for v in out] == [float] * len(out)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    @example(None)  # the narrow band whose expanded C(gamma0) rounds below zero
-    def test_starts_anywhere_inside_a_narrow_band(self, data):
-        # C(gamma0) in product form is positive wherever GapSpec admits gamma0,
-        # for m = (lambda2 - lambda3) / (lambda1 - lambda3) down to 1e-12
-        if data is None:
-            spec = fg.GapSpec(3.0, -0.999999999, -1.0, -0.9999999995)
-        else:
-            lam3 = data.draw(st.floats(-3.0, 3.0))
-            span = data.draw(st.floats(0.5, 5.0))
-            lam2 = lam3 + span * 10.0 ** data.draw(st.floats(-12.0, -0.01))
-            inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False)
-            gamma0 = lam3 + (lam2 - lam3) * data.draw(inside)
-            assume(lam3 + span > lam2 > gamma0 > lam3)
-            spec = fg.GapSpec(lam3 + span, lam2, lam3, gamma0, sign=data.draw(st.sampled_from((1, -1))))
+    @given(_narrow_bands())
+    @example(fg.GapSpec(3.0, -0.999999999, -1.0, -0.9999999995))  # its expanded C(gamma0) rounds below zero
+    def test_starts_anywhere_inside_a_narrow_band(self, spec):
+        # C(gamma0) in product form is positive wherever GapSpec admits gamma0
         traj = fg.integrate_gamma(spec, (0.0, 0.01), step=0.01)
         assert traj.gammas[0, 0] == spec.gamma0
         assert traj.dgammas[0, 0] * spec.sign >= 0
