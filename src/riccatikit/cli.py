@@ -245,7 +245,7 @@ def cmd_finite_gap(args):
     spec = fg.GapSpec(lams[0], lams[1], lams[2], args.gamma0, 1 if args.sign != "-" else -1)
     grid = parse_grid(args.grid)
     step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.01
-    fixed = step / 10 if args.deterministic else None  # the cross-check's RK4 step
+    fixed = step / 4 if args.deterministic else None  # the cross-check's fixed Dormand-Prince step
     traj = fg.elliptic_trajectory(spec, grid)
     u = fg.trace_potential(traj, spec)
     report = {"command": "finite-gap", "lambdas": lams, "gamma0": args.gamma0,
@@ -434,7 +434,8 @@ def build_parser():
     p.add_argument("--gamma0", type=finite_float, required=True)
     p.add_argument("--sign", default="+", choices=["+", "-"])
     p.add_argument("--grid", default="0:12:0.01")
-    p.add_argument("--deterministic", action="store_true", help="fixed-step RK4 for the gamma_vs_elliptic cross-check only")
+    p.add_argument("--deterministic", action="store_true",
+                   help="fixed Dormand-Prince steps of a quarter grid step for the gamma_vs_elliptic cross-check only")
 
     p = new("verify", cmd_verify, help="run the invariant suites")
     p.add_argument("--suite", default="all", choices=["all", *_SUITES])

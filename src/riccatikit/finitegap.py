@@ -11,7 +11,8 @@ the arithmetic-geometric mean and the descending Landen recursion, and x0
 from gamma0 through Carlson's R_F.  ``integrate_gamma`` integrates the
 differentiated second-order form gamma_xx = C'(gamma)/2 instead, which
 crosses the turning points without square-root branch bookkeeping; ``report``
-runs it over one period as a cross-check of the closed form.
+runs it over one period, at adaptive or at fixed Dormand-Prince steps, as a
+cross-check of the closed form.
 C is a descending coefficient array (c_poly), evaluated with np.polyval.
 The turning points of a trajectory are bisected all at once.  A Floquet
 discriminant is one integration that carries gamma and both columns of the
@@ -211,8 +212,10 @@ def _carlson_rf(x, y, z):
 def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
     """Root-variable trajectory from the second-order form gamma'' = C'(gamma)/2.
 
-    Dormand-Prince to tolerance 1e-12, or RK4 with ``fixed_step``.  The drift of the first integral gamma'^2 - C(gamma) is not judged here:
-    ``report`` checks it as ``energy_invariant_drift``.
+    Dormand-Prince to tolerance 1e-12, or at fixed steps of ``fixed_step``
+    with no error control.  The drift of the first integral
+    gamma'^2 - C(gamma) is not judged here: ``report`` checks it as
+    ``energy_invariant_drift``.
     """
     accel, y0 = _gamma_ode(spec)
 
@@ -228,7 +231,7 @@ def integrate_gamma(spec, x_range=(0.0, 10.0), step=0.01, fixed_step=None):
 
 def _gamma_ode(spec):
     """gamma'' = C'(gamma)/2 as the acceleration g -> C'(g)/2 and the start [gamma0, sign * sqrt(C(gamma0))]."""
-    d2, d1, d0 = np.polyder(c_poly(spec)).tolist()  # Python floats keep the fixed-step RK4 off numpy scalars
+    d2, d1, d0 = np.polyder(c_poly(spec)).tolist()  # Python floats keep the stage arithmetic off numpy scalars
     g0 = spec.gamma0
     c0 = 4.0 * (spec.lam1 - g0) * (spec.lam2 - g0) * (g0 - spec.lam3)  # product form: each factor > 0 in the band
     # C'(g)/2, rounded as np.polyval of np.polyder(c) rounds
@@ -301,7 +304,7 @@ def report(spec, traj, t_quad, fixed_step):
     right energy but at the wrong x fails ``trajectory_vs_quadrature_phase``.
     Both judge ``traj`` at every grid point, whatever built it.
     ``gamma_vs_elliptic`` runs ``integrate_gamma`` from traj.xs[0] over one
-    period, or over the grid if it is shorter, adaptive or RK4 with
+    period, or over the grid if it is shorter, adaptive or at fixed steps of
     ``fixed_step``, and reads max |gamma_ivp - gamma_AGM| / (lambda2 - lambda3)
     at the integrator's own nodes: a coarse grid may hold a single point of
     the period.  ``period_quadrature_vs_agm`` is the relative gap between

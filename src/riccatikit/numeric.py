@@ -1,9 +1,9 @@
 """Shared numerical substrate.
 
-Adaptive Dormand-Prince 5(4) integration and fixed-step RK4, both on lists
-of Python floats, with dense output in one array pass per call, for one
-point or a whole grid of x (Dormand-Prince's quartic continuous extension,
-or a cubic Hermite for RK4); adaptive Gauss-Kronrod quadrature between
+Dormand-Prince 5(4) integration on lists of Python floats, at adaptive
+steps or at fixed steps with no error control, with dense output
+(Dormand-Prince's quartic continuous extension) in one array pass per call,
+for one point or a whole grid of x; adaptive Gauss-Kronrod quadrature between
 finite limits, to a whole array of upper limits in one sweep, capped at
 4000 intervals; and small dense LU solves with reusable factorizations.
 Polynomials across the package are numpy's descending coefficient arrays,
@@ -92,27 +92,24 @@ _TINY_STEP = 16 * np.finfo(float).eps
 
 
 class Trajectory:
-    """Dense solution of an IVP: the accepted nodes and an interpolant on each step.
+    """Dense solution of an IVP: the accepted nodes and Dormand-Prince's quartic on each step.
 
-    ``xs``, ``ys`` and ``fs`` hold the nodes, the states there and the slopes
-    f(x, y) there.  With ``stages``, one tuple of the seven Dormand-Prince
-    stage slopes per step, the interpolant is Dormand-Prince's quartic
-    continuous extension, of the order of the steps; without, a cubic Hermite
-    on the node states and slopes.
+    ``xs`` and ``ys`` hold the nodes, in ascending x, and the states there;
+    ``stages`` holds one tuple of the seven Dormand-Prince stage slopes per
+    step, so the slope f(x, y) at node i is stages[i][0], and at the last node
+    stages[-1][6].  The interpolant is Dormand-Prince's quartic continuous
+    extension, of the order of the steps.
     """
 
-    def __init__(self, xs, ys, fs, stages=None):
+    def __init__(self, xs, ys, stages):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
-        self.fs = np.asarray(fs, dtype=float)
         self.stages = stages
-        self._forward = self.xs[-1] >= self.xs[0]
-        # step widths and the interior nodes in ascending order: searching the
-        # interior nodes gives the step index already clipped to the range
+        # step widths and the interior nodes: searching the interior nodes
+        # gives the step index already clipped to the range
         self._h = self.xs[1:] - self.xs[:-1]
         self._zero_steps = bool(np.any(self._h == 0))
-        inner = self.xs[1:-1]
-        self._inner = inner if self._forward else inner[::-1]
+        self._inner = self.xs[1:-1]
 
     def __call__(self, x):
         """State at x: shape (dim,) for a number, x.shape + (dim,) for an array.
@@ -124,25 +121,19 @@ class Trajectory:
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
-        i = self._step_index(np.searchsorted(self._inner, flat))
+        i = np.searchsorted(self._inner, flat)
         h = self._h[i]
         if self._zero_steps:
             zero = h == 0
             h = np.where(zero, 1.0, h)
         t = ((flat - self.xs[i]) / h)[:, None]
         h = h[:, None]
-        if self.stages is None:
-            out = _hermite(t, h, self.ys[i], self.fs[i], self.ys[i + 1], self.fs[i + 1])
-        else:
-            r0, r1, r2 = self._quartic_coeffs
-            s = 1 - t
-            out = s * self.ys[i] + t * self.ys[i + 1] - (h * t * s) * (r0[i] + t * (r1[i] + t * r2[i]))
+        r0, r1, r2 = self._quartic_coeffs
+        s = 1 - t
+        out = s * self.ys[i] + t * self.ys[i + 1] - (h * t * s) * (r0[i] + t * (r1[i] + t * r2[i]))
         if self._zero_steps:
             out[zero] = self.ys[i[zero]]
         return out.reshape(x.shape + self.ys.shape[1:])
-
-    def _step_index(self, i):
-        return i if self._forward else len(self.xs) - 2 - i
 
     @cached_property
     def _quartic_coeffs(self):
@@ -169,12 +160,6 @@ def pow2(x):
     return np.float_power(x, 2)
 
 
-def _hermite(t, h, y0, f0, y1, f1):
-    """Cubic Hermite interpolant at fraction t of a step of width h."""
-    s = pow2(1 - t)
-    return (1 + 2 * t) * s * y0 + t * s * h * f0 + t * t * (3 - 2 * t) * y1 + t * t * (t - 1) * h * f1
-
-
 def _bounded(values):
     """Every value in [-1e100, 1e100]; NaN fails, wherever it sits."""
     for v in values:
@@ -184,18 +169,19 @@ def _bounded(values):
 
 
 def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
-    """Integrate y' = rhs(x, y) from x0 to x_end.
+    """Integrate y' = rhs(x, y) from x0 forward to x_end >= x0 with Dormand-Prince 5(4).
 
-    Adaptive Dormand-Prince 5(4) by default, starting with a step of
-    min(span / 10, 1) and never stepping further than the span, with
-    Dormand-Prince's quartic dense output; ``fixed_step`` switches to
-    classical fixed-step RK4 with cubic Hermite dense output, for
-    bit-reproducible runs.  Raises IntegrationBlowUp (with location and the
-    partial trajectory) when the step size underflows or the state leaves
-    [-1e100, 1e100].
+    By default the steps are adaptive, starting at min(span / 10, 1) and
+    never further than the span; with ``fixed_step`` they are round(span /
+    fixed_step) equal steps with no error control, for bit-reproducible runs
+    whose steps no error estimate moves.  Either way the dense output is
+    Dormand-Prince's quartic.  Raises IntegrationBlowUp (with location and
+    the partial trajectory) when the adaptive step size underflows or a
+    fixed step's stage state leaves [-1e100, 1e100], and ValueError when
+    x_end < x0.
 
-    Both integrators pass ``rhs`` the state ``y`` as a list of Python floats,
-    to be read by index, and do their stage arithmetic on Python floats,
+    The stepper passes ``rhs`` the state ``y`` as a list of Python floats,
+    to be read by index, and does its stage arithmetic on Python floats,
     which rounds exactly as numpy's elementwise operations do.  ``rhs``
     returns a sequence of floats: a tuple, a list or a 1-d array (Python
     floats keep numpy scalars out of the stages).
@@ -203,24 +189,35 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
     y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     x0 = float(x0)
     x_end = float(x_end)
-    if x_end == x0:
-        f0 = rhs(x0, y0)
-        return Trajectory([x0, x0], [y0, y0], [f0, f0])
-    if fixed_step is not None:
-        return _rk4_fixed(rhs, x0, y0, x_end, fixed_step)
-
-    direction = 1.0 if x_end > x0 else -1.0
-    span = abs(x_end - x0)
-    h = direction * min(span / 10, 1.0)
+    if x_end < x0:
+        raise ValueError(f"x_end = {x_end:.6g} lies before x0 = {x0:.6g}: integrate_ivp steps forward only")
     x, y = x0, y0
     f = rhs(x, y)
-    xs, ys, fs, stages = [x], [y], [f], []
+    if x_end == x0:
+        return Trajectory([x0, x0], [y0, y0], [(f,) * 7])
+    span = x_end - x0
+    xs, ys, stages = [x], [y], []
+    if fixed_step is not None:
+        n = max(1, round(span / fixed_step))
+        h = span / n
+        for _ in range(n):
+            attempt = _dp_step(rhs, x, y, f, h)
+            x = x + h
+            if attempt is None:
+                raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, Trajectory(xs, ys, stages))
+            y, k = attempt
+            f = k[6]
+            xs.append(x)
+            ys.append(y)
+            stages.append(k)
+        return Trajectory(xs, ys, stages)
+
+    h = min(span / 10, 1.0)
     n = len(y)
-    while (x_end - x) * direction > 0:
-        if abs(h) < _TINY_STEP * max(1.0, abs(x)):
-            traj = Trajectory(xs, ys, fs, stages)
-            raise IntegrationBlowUp(f"step size underflow near x = {x:.6g}", x, traj)
-        if (x + h - x_end) * direction > 0:
+    while x < x_end:
+        if h < _TINY_STEP * max(1.0, abs(x)):
+            raise IntegrationBlowUp(f"step size underflow near x = {x:.6g}", x, Trajectory(xs, ys, stages))
+        if x + h > x_end:
             h = x_end - x
         attempt = _dp_step(rhs, x, y, f, h)
         if attempt is None:
@@ -235,7 +232,7 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
             e /= tol * (1.0 + max(abs(a), abs(b)))
             total += e * e
         err = math.sqrt(total / n)
-        if err <= 1.0 or abs(h) <= _TINY_STEP * max(1.0, abs(x)):
+        if err <= 1.0 or h <= _TINY_STEP * max(1.0, abs(x)):
             # FSAL: the last stage is f(x + h, y_new), the next step's first
             # stage; a rejected attempt leaves f alone
             x = x + h
@@ -243,13 +240,11 @@ def integrate_ivp(rhs, x0, y0, x_end, tol=1e-10, fixed_step=None):
             f = k7
             xs.append(x)
             ys.append(y)
-            fs.append(f)
             stages.append(k)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if abs(h) > span:
-            h = direction * span
-    return Trajectory(xs, ys, fs, stages)
+        h = min(h, span)
+    return Trajectory(xs, ys, stages)
 
 
 def _dp_step(rhs, x, y, k1, h):
@@ -297,37 +292,6 @@ def _dp_step(rhs, x, y, k1, h):
     if not all(map(math.isfinite, k7)):
         return None
     return y7, (k1, k2, k3, k4, k5, k6, k7)
-
-
-def _rk4_fixed(rhs, x0, y0, x_end, step):
-    """Classical RK4 on lists of Python floats; the Trajectory arrays are built once, at the end."""
-    direction = 1.0 if x_end > x0 else -1.0
-    h = direction * abs(step)
-    n = max(1, int(round(abs(x_end - x0) / abs(h))))
-    h = (x_end - x0) / n
-    h2 = h / 2
-    h6 = h / 6
-    x, y = x0, y0
-    k1 = rhs(x, y)
-    xs = [x]
-    ys = [y]
-    fs = [k1]
-    for _ in range(n):
-        xm = x + h2
-        k2 = rhs(xm, [a + h2 * b for a, b in zip(y, k1)])
-        k3 = rhs(xm, [a + h2 * b for a, b in zip(y, k2)])
-        x = x + h
-        k4 = rhs(x, [a + h * b for a, b in zip(y, k3)])
-        y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not _bounded(y):
-            traj = Trajectory(xs, ys, fs)
-            raise IntegrationBlowUp(f"solution blow-up near x = {x:.6g}", x, traj)
-        # the slope stored for dense output is the next step's first stage
-        k1 = rhs(x, y)
-        xs.append(x)
-        ys.append(y)
-        fs.append(k1)
-    return Trajectory(xs, ys, fs)
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,15 @@ class TestFiniteGap:
             "--grid", "0:12:3", "--deterministic", "--out", str(tmp_path)
         ])
         assert code == 3
-        checks = {c["name"]: c for c in read_report(tmp_path, "finite_gap")["checks"]}
+        report = read_report(tmp_path, "finite_gap")
+        checks = {c["name"]: c for c in report["checks"]}
         assert [name for name, c in checks.items() if not c["pass"]] == ["gamma_vs_elliptic"]
-        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(7.7e-3, rel=0.05)
+        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(0.678, rel=0.05)
+        assert report["gamma_vs_elliptic_nodes"] == 4  # round(T / 0.75) + 1, T = 2.62
 
-    def test_coarse_rk4_fails_the_cross_check_and_writes_the_outputs(self, tmp_path):
-        # RK4 at 0.05 drifts 8.3e-6 of the band off the closed form within a
-        # period; the closed-form grid keeps its energy
+    def test_coarse_fixed_steps_fail_the_cross_check_and_write_the_outputs(self, tmp_path):
+        # fixed Dormand-Prince steps of 0.125 drift 3.11e-6 of the band off the
+        # closed form within a period; the closed-form grid keeps its energy
         code = cli.main([
             "finite-gap", "--lambdas", "2,1,0", "--gamma0", "0.5",
             "--grid", "0:12:0.5", "--deterministic", "--out", str(tmp_path)
@@ -275,9 +277,22 @@ class TestFiniteGap:
         checks = {c["name"]: c for c in report["checks"]}
         assert list(checks) == self.CHECKS
         assert [name for name, c in checks.items() if not c["pass"]] == ["gamma_vs_elliptic"]
-        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(8.3e-6, rel=0.05)
-        assert report["gamma_vs_elliptic_nodes"] == 53  # round(T / 0.05) + 1, T = 2.62
+        assert checks["gamma_vs_elliptic"]["value"] == pytest.approx(3.11e-6, rel=0.05)
+        assert report["gamma_vs_elliptic_nodes"] == 22  # round(T / 0.125) + 1, T = 2.62
         assert len(read_csv(tmp_path / "finite_gap.csv")) == 25
+
+    @pytest.mark.parametrize("lambdas", [(2.0, 1.0, 0.0), (1.7, 0.9, 0.3), (5.0, 0.5, 0.0)])
+    def test_deterministic_cross_check_converges_at_fifth_order(self, tmp_path, lambdas):
+        # halving the grid step halves the fixed Dormand-Prince step: a fifth
+        # order method divides the error by about 32 (fourth order RK4 by 16)
+        argv = ["finite-gap", "--lambdas", ",".join(map(str, lambdas)), "--gamma0", str(0.5 * (lambdas[1] + lambdas[2])),
+                "--deterministic"]
+        gaps = []
+        for step in ("0.4", "0.2", "0.1"):
+            cli.main([*argv, "--grid", f"0:12:{step}", "--out", str(tmp_path / step)])
+            gaps.append(read_report(tmp_path / step, "finite_gap")["checks"][2]["value"])
+        ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+        assert min(ratios) >= 24, ratios
 
     def test_narrow_band_runs_and_passes(self, tmp_path):
         # lambda2 - lambda3 = 1e-3: the period quadrature used to divide by zero here
@@ -336,16 +351,18 @@ class TestFiniteGap:
     def test_deterministic_picks_only_the_cross_checks_integrator(self, tmp_path):
         argv = ["finite-gap", "--lambdas", "1.2,0.5,-0.1", "--gamma0", "0.2", "--sign", "-", "--grid", "0:8:0.01"]
         out = {}
-        for name, extra in (("adaptive", []), ("rk4", ["--deterministic"])):
+        for name, extra in (("adaptive", []), ("fixed", ["--deterministic"])):
             assert cli.main([*argv, *extra, "--out", str(tmp_path / name)]) == 0
             out[name] = ((tmp_path / name / "finite_gap.csv").read_bytes(), read_report(tmp_path / name, "finite_gap"))
-        assert out["adaptive"][0] == out["rk4"][0]
-        adaptive, rk4 = out["adaptive"][1], out["rk4"][1]
-        assert adaptive["checks"][2]["value"] != rk4["checks"][2]["value"]
-        assert adaptive["gamma_vs_elliptic_nodes"] < rk4["gamma_vs_elliptic_nodes"]
-        for rep in (adaptive, rk4):
+        assert out["adaptive"][0] == out["fixed"][0]
+        adaptive, fixed = out["adaptive"][1], out["fixed"][1]
+        # only the cross-check's step policy differs: adaptive steps, or fixed
+        # steps of a quarter of the grid step
+        assert adaptive["checks"][2]["value"] != fixed["checks"][2]["value"]
+        assert adaptive["gamma_vs_elliptic_nodes"] < fixed["gamma_vs_elliptic_nodes"]
+        for rep in (adaptive, fixed):
             del rep["checks"][2]["value"], rep["gamma_vs_elliptic_nodes"]
-        assert adaptive == rk4
+        assert adaptive == fixed
 
 
 class TestSeries:

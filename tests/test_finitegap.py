@@ -66,7 +66,7 @@ class TestIntegrateGamma:
         assert drift <= 1e-8 * max(1.0, abs(np.polyval(c, SPEC.gamma0)))
 
     def test_rhs_values_are_python_floats(self, monkeypatch):
-        # the fixed-step RK4 does its stage arithmetic on Python floats; a
+        # the Dormand-Prince stepper does its stage arithmetic on Python floats; a
         # numpy-scalar coefficient would make every stage a numpy scalar
         integrate, seen = numeric.integrate_ivp, []
 
@@ -95,28 +95,38 @@ class TestIntegrateGamma:
         traj = fg.integrate_gamma(spec, (0.0, 3.0), step=0.01)
         assert traj.dgammas[0, 0] < 0
 
-    @staticmethod
-    def _numpy_rk4(rhs, y0, x_end, step):
-        """Classical RK4 with numpy-array states, one new slope per node."""
+    # Dormand-Prince 5(4): each stage's node and its nonzero weights on the
+    # earlier stages; the sixth row is also the 5th order solution's weights
+    _DP = (
+        (1 / 5, {0: 1 / 5}),
+        (3 / 10, {0: 3 / 40, 1: 9 / 40}),
+        (4 / 5, {0: 44 / 45, 1: -56 / 15, 2: 32 / 9}),
+        (8 / 9, {0: 19372 / 6561, 1: -25360 / 2187, 2: 64448 / 6561, 3: -212 / 729}),
+        (1.0, {0: 9017 / 3168, 1: -355 / 33, 2: 46732 / 5247, 3: 49 / 176, 4: -5103 / 18656}),
+        (1.0, {0: 35 / 384, 2: 500 / 1113, 3: 125 / 192, 4: -2187 / 6784, 5: 11 / 84}),
+    )
+
+    @classmethod
+    def _numpy_dormand_prince(cls, rhs, y0, x_end, step):
+        """Fixed Dormand-Prince steps with numpy-array states: the nodes, the states and every step's seven slopes."""
         n = round(x_end / step)
         h = x_end / n
         x, y = 0.0, np.array(y0)
-        k1 = np.asarray(rhs(x, y), dtype=float)
-        xs, ys, fs = [x], [y], [k1]
+        k = [np.asarray(rhs(x, y), dtype=float)]
+        xs, ys, stages = [x], [y], []
         for _ in range(n):
-            k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1), dtype=float)
-            k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2), dtype=float)
-            k4 = np.asarray(rhs(x + h, y + h * k3), dtype=float)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = x + h
-            k1 = np.asarray(rhs(x, y), dtype=float)
+            for c, weights in cls._DP:
+                state = y + h * sum(w * k[j] for j, w in weights.items())
+                k.append(np.asarray(rhs(x + c * h, state), dtype=float))
+            x, y = x + h, state
             xs.append(x)
             ys.append(y)
-            fs.append(k1)
-        return np.array(xs), np.array(ys), np.array(fs)
+            stages.append(k)
+            k = [k[6]]
+        return np.array(xs), np.array(ys), np.array(stages)
 
     @pytest.mark.parametrize("form", ["tuple", "array"])
-    def test_fixed_step_is_the_numpy_rk4_bit_for_bit(self, monkeypatch, form):
+    def test_fixed_step_is_the_numpy_dormand_prince_bit_for_bit(self, monkeypatch, form):
         dc = np.polyder(fg.c_poly(SPEC))
 
         def rhs(x, s):
@@ -125,7 +135,7 @@ class TestIntegrateGamma:
 
         l1, l2, l3, g0 = SPEC.lam1, SPEC.lam2, SPEC.lam3, SPEC.gamma0
         y0 = [g0, math.sqrt(4.0 * (l1 - g0) * (l2 - g0) * (g0 - l3))]
-        ref = self._numpy_rk4(rhs, y0, 12.0, 0.001)
+        ref = self._numpy_dormand_prince(rhs, y0, 12.0, 0.004)
         integrate, seen = numeric.integrate_ivp, []
 
         def keeping_ivp(*args, **kwargs):
@@ -133,11 +143,11 @@ class TestIntegrateGamma:
             return seen[-1]
 
         monkeypatch.setattr(numeric, "integrate_ivp", keeping_ivp)
-        fg.integrate_gamma(SPEC, (0.0, 12.0), fixed_step=0.001)
-        direct = integrate(rhs, 0.0, y0, 12.0, fixed_step=0.001)  # this rhs through the kernel
+        fg.integrate_gamma(SPEC, (0.0, 12.0), fixed_step=0.004)
+        direct = integrate(rhs, 0.0, y0, 12.0, fixed_step=0.004)  # this rhs through the kernel
         for traj in (seen[0], direct):
-            assert len(traj.xs) == 12001
-            for got, want in zip((traj.xs, traj.ys, traj.fs), ref):
+            assert len(traj.xs) == 3001
+            for got, want in zip((traj.xs, traj.ys, np.array(traj.stages)), ref):
                 assert np.array_equal(got, want)
 
 
@@ -425,7 +435,7 @@ class TestReport:
         assert [c["pass"] for c in checks] == [True, False, True, True]
         assert checks[1]["value"] > 0.1
 
-    @pytest.mark.parametrize("fixed_step", [None, 0.001], ids=["adaptive", "rk4"])
+    @pytest.mark.parametrize("fixed_step", [None, 0.001], ids=["adaptive", "fixed"])
     def test_phase_check_is_the_error_against_sn2(self, fixed_step):
         # the error in gamma relative to the band, read against scipy's sn^2,
         # of an integrated trajectory as of the closed form
@@ -436,7 +446,7 @@ class TestReport:
             assert phase == pytest.approx(sn2, rel=1e-2)
             assert phase <= 1e-9  # the 1e-6 tolerance holds with 1000x to spare
 
-    @pytest.mark.parametrize("fixed_step", [None, 0.001], ids=["adaptive", "rk4"])
+    @pytest.mark.parametrize("fixed_step", [None, 0.001], ids=["adaptive", "fixed"])
     def test_cross_check_is_the_integrator_error_against_sn2(self, fixed_step):
         for spec in _bench_style_specs(10, 4243):
             t = fg.period(spec)
@@ -449,7 +459,7 @@ class TestReport:
 
     @pytest.mark.parametrize("grid, steps", [("0:12:3", 9), ("0:2:0.5", 40), ("0:12:0.01", 2622)])
     def test_cross_check_spans_one_period_at_its_own_nodes(self, grid, steps):
-        # RK4 at a tenth of the grid step over min(T, grid span), T = 2.62:
+        # fixed steps of a tenth of the grid step over min(T, grid span), T = 2.62:
         # on 0:12:3 only x = 0 lies in the first period, yet 10 nodes are judged
         lo, hi, step = (float(v) for v in grid.split(":"))
         xs = lo + step * np.arange(round((hi - lo) / step) + 1)

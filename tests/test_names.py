@@ -122,7 +122,6 @@ KNOBS = {
     ("finitegap.integrate_gamma", "step"): SET_BY_CALLER,
     ("finitegap.integrate_gamma", "fixed_step"): SET_BY_CALLER,
     ("numeric.IntegrationBlowUp.__init__", "trajectory"): SET_BY_CALLER,
-    ("numeric.Trajectory.__init__", "stages"): SET_BY_CALLER,
     ("numeric.integrate_ivp", "tol"): SET_BY_CALLER,
     ("numeric.integrate_ivp", "fixed_step"): SET_BY_CALLER,
     ("numeric.quadrature", "tol"): SET_BY_CALLER,

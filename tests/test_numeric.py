@@ -37,9 +37,10 @@ class TestIntegrateIvp:
         vals = traj(xs)[:, 0]
         assert np.max(np.abs(vals - np.sin(xs))) <= 1e-9
 
-    def test_backward_integration(self):
-        traj = numeric.integrate_ivp(lambda x, y: np.array([y[0]]), 0.0, [1.0], -1.0, tol=1e-12)
-        assert traj.ys[-1][0] == pytest.approx(math.exp(-1), rel=1e-10)
+    @pytest.mark.parametrize("fixed_step", [None, 0.01])
+    def test_x_end_before_x0_raises(self, fixed_step):
+        with pytest.raises(ValueError):
+            numeric.integrate_ivp(lambda x, y: (y[0],), 0.0, [1.0], -1.0, fixed_step=fixed_step)
 
     def test_fixed_step_is_deterministic(self):
         runs = [
@@ -106,28 +107,29 @@ class TestIntegrateIvp:
         assert 0.5 < err.value.x <= 0.52
         assert np.all(np.abs(err.value.trajectory.ys) <= 1e100)
 
-    def test_fixed_step_matches_classical_rk4_with_one_new_slope_per_node(self):
+    @pytest.mark.parametrize("form", ["tuple", "array"])
+    def test_fixed_step_is_the_hand_chained_dp_step_with_six_new_slopes_per_step(self, form):
         calls = []
 
         def rhs(x, y):
             calls.append(x)
-            return np.array([y[1], -(1 + 0.3 * math.sin(x)) * y[0]])
+            out = (y[1], -(1 + 0.3 * math.sin(x)) * y[0])
+            return out if form == "tuple" else np.array(out)
 
-        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], 3.0, fixed_step=0.01)
-        assert len(calls) == 1 + 4 * 300
-        x, y, ys, fs = 0.0, np.array([1.0, 0.0]), [np.array([1.0, 0.0])], [rhs(0.0, np.array([1.0, 0.0]))]
-        h = 3.0 / 300
-        for _ in range(300):
-            k1 = rhs(x, y)
-            k2 = rhs(x + h / 2, y + h / 2 * k1)
-            k3 = rhs(x + h / 2, y + h / 2 * k2)
-            k4 = rhs(x + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = x + h
+        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], 3.0, fixed_step=0.04)
+        n = 75
+        assert len(calls) == 1 + 6 * n
+        x, y, h = 0.0, [1.0, 0.0], 3.0 / n
+        xs, ys, stages, f = [x], [y], [], rhs(x, y)
+        for _ in range(n):
+            y, k = numeric._dp_step(rhs, x, y, f, h)
+            x, f = x + h, k[6]
+            xs.append(x)
             ys.append(y)
-            fs.append(rhs(x, y))
-        assert np.array_equal(traj.ys, np.array(ys))
-        assert np.array_equal(traj.fs, np.array(fs))
+            stages.append(k)
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.ys, ys)
+        assert np.array_equal(np.array(traj.stages), np.array(stages))
 
     def test_retried_step_starts_from_f_at_the_accepted_state(self):
         # a narrow bump in the coefficient forces rejected attempts; each
@@ -142,9 +144,9 @@ class TestIntegrateIvp:
         steps = len(traj.xs) - 1
         assert (len(calls) - 1) / 6 > steps  # some attempts were rejected
         stages = np.array(traj.stages)
-        assert np.array_equal(stages[:, 0], traj.fs[:-1])
-        assert np.array_equal(stages[:, 6], traj.fs[1:])
-        assert np.array_equal(traj.fs, [rhs(x, y) for x, y in zip(traj.xs.tolist(), traj.ys.tolist())])
+        assert np.array_equal(stages[1:, 0], stages[:-1, 6])
+        slopes = np.concatenate([stages[:, 0], stages[-1:, 6]])
+        assert np.array_equal(slopes, [rhs(x, y) for x, y in zip(traj.xs.tolist(), traj.ys.tolist())])
 
     def test_dense_output_is_as_accurate_as_the_nodes(self):
         # the quartic continuous extension has the order of the steps: between
@@ -193,20 +195,19 @@ class TestDenseOutput:
 
     @staticmethod
     def _probe_points(traj):
-        lo, hi = sorted((traj.xs[0], traj.xs[-1]))
+        lo, hi = traj.xs[0], traj.xs[-1]
         return np.concatenate([
             traj.xs,  # every node, both ends included
             np.linspace(lo, hi, 257),
             [lo - 0.3, lo - 1e-9, hi + 1e-9, hi + 0.3],  # outside: the end steps extrapolate
         ])
 
-    @pytest.mark.parametrize("x_end", [6.0, -6.0])
     @pytest.mark.parametrize("fixed_step", [None, 0.05])
-    def test_array_call_equals_scalar_calls(self, x_end, fixed_step):
+    def test_array_call_equals_scalar_calls(self, fixed_step):
         def rhs(x, y):
             return np.array([y[1], -(1 + 0.3 * np.sin(x)) * y[0]])
 
-        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], x_end, tol=1e-10, fixed_step=fixed_step)
+        traj = numeric.integrate_ivp(rhs, 0.0, [1.0, 0.0], 6.0, tol=1e-10, fixed_step=fixed_step)
         xs = self._probe_points(traj)
         batched = traj(xs)
         assert batched.shape == (xs.size, 2)
