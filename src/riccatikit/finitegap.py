@@ -15,8 +15,8 @@ runs it over one period, at adaptive or at fixed Dormand-Prince steps, as a
 cross-check of the closed form.
 C is a descending coefficient array (c_poly), evaluated with np.polyval.
 The turning points of a trajectory are bisected all at once.  A Floquet
-discriminant is one integration that carries gamma and both columns of the
-transfer matrix.  report gives four checks: Dubrovin's identity
+discriminant is one integration over the AGM's period that carries gamma and
+both columns of the transfer matrix.  report gives four checks: Dubrovin's identity
 gamma'^2 = C(gamma) for the one root and the trajectory's phase against the
 time that quadrature gives from a minimum to each gamma, each at every grid
 point; the integrator against the closed form at its own nodes; and the
@@ -238,6 +238,11 @@ def _gamma_ode(spec):
     return (lambda g: 0.5 * ((d2 * g + d1) * g + d0)), [g0, spec.sign * math.sqrt(c0)]
 
 
+def _agm_period(spec):
+    """T = 2 K(m) / sqrt(lambda1 - lambda3) = pi / (a_N sqrt(lambda1 - lambda3)), from the AGM."""
+    return math.pi / (_agm(spec)[0] * math.sqrt(spec.lam1 - spec.lam3))
+
+
 def period(spec):
     """Oscillation period: the band integral of 1/sqrt of the triple product.
 
@@ -279,7 +284,7 @@ def floquet_discriminant(spec, lam):
     """Trace of the one-period transfer matrix of psi'' = (lam + u) psi.
 
     |trace| = 2 marks band edges of the periodic spectral problem.  One
-    integration over the period T carries the state
+    integration over the AGM's period T carries the state
     (gamma, gamma', psi1, psi1', psi2, psi2') from
     (gamma0, sign * sqrt(C(gamma0)), 1, 0, 0, 1), with gamma'' = C'(gamma)/2
     and u = 2 gamma - lambda1 - lambda2 - lambda3 read from the state.  The
@@ -293,7 +298,7 @@ def floquet_discriminant(spec, lam):
         q = shift + 2.0 * s[0]
         return (s[1], accel(s[0]), s[3], q * s[2], s[5], q * s[4])
 
-    end = numeric.integrate_ivp(rhs, 0.0, start + [1.0, 0.0, 0.0, 1.0], period(spec), tol=1e-12).ys[-1]
+    end = numeric.integrate_ivp(rhs, 0.0, start + [1.0, 0.0, 0.0, 1.0], _agm_period(spec), tol=1e-12).ys[-1]
     return float(end[2] + end[5])
 
 
@@ -317,7 +322,7 @@ def report(spec, traj, t_quad, fixed_step):
     # the check reads the nodes of its dense output
     ivp = integrate_gamma(spec, (origin, end), step=t_quad, fixed_step=fixed_step)._dense
     gap = np.max(np.abs(ivp.ys[:, 0] - _elliptic(spec, origin)(ivp.xs)[0])) / (spec.lam2 - spec.lam3)
-    t_agm = math.pi / (_agm(spec)[0] * math.sqrt(spec.lam1 - spec.lam3))
+    t_agm = _agm_period(spec)
     return {
         "period": t_quad,
         "gamma_vs_elliptic_nodes": len(ivp.xs),
