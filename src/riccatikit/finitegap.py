@@ -16,11 +16,11 @@ cross-check of the closed form.
 C is a descending coefficient array (c_poly), evaluated with np.polyval.
 The turning points of a trajectory are bisected all at once.  A Floquet
 discriminant is one integration over the AGM's period that carries gamma and
-both columns of the transfer matrix.  report gives four checks: Dubrovin's identity
-gamma'^2 = C(gamma) for the one root and the trajectory's phase against the
-time that quadrature gives from a minimum to each gamma, each at every grid
-point; the integrator against the closed form at its own nodes; and the
-quadrature period against the AGM's.
+both columns of the transfer matrix.  report gives four checks: Dubrovin's
+identity gamma'^2 = C(gamma) for the one root and the trajectory's phase
+against the time that quadrature gives from a minimum to each gamma, each at
+every grid point; the integrator against the closed form at its own nodes;
+and the quadrature period against the AGM's.
 """
 
 from __future__ import annotations

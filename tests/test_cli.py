@@ -284,7 +284,7 @@ class TestFiniteGap:
     @pytest.mark.parametrize("lambdas", [(2.0, 1.0, 0.0), (1.7, 0.9, 0.3), (5.0, 0.5, 0.0)])
     def test_deterministic_cross_check_converges_at_fifth_order(self, tmp_path, lambdas):
         # halving the grid step halves the fixed Dormand-Prince step: a fifth
-        # order method divides the error by about 32 (fourth order RK4 by 16)
+        # order method divides the error by about 32, a fourth order one by 16
         argv = ["finite-gap", "--lambdas", ",".join(map(str, lambdas)), "--gamma0", str(0.5 * (lambdas[1] + lambdas[2])),
                 "--deterministic"]
         gaps = []
